@@ -22,21 +22,10 @@ skips.
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.analysis.harmonic import harmonic
-
-
-def _geometric(rng: random.Random, p: float) -> int:
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    if p == 1.0:
-        return 0
-    u = rng.random()
-    if u <= 0.0:  # pragma: no cover - measure-zero guard
-        u = 5e-324
-    return int(math.log(u) / math.log1p(-p))
+from repro.core.rng import geometric
 
 
 def simulate_coupon_collector(n: int, rng: random.Random) -> int:
@@ -46,7 +35,7 @@ def simulate_coupon_collector(n: int, rng: random.Random) -> int:
     draws = 0
     for collected in range(n):
         p = (n - collected) / n
-        draws += _geometric(rng, p) + 1
+        draws += geometric(rng, p) + 1
     return draws
 
 
@@ -71,7 +60,7 @@ def simulate_slow_leader_election(
     interactions = 0
     while leaders > 1:
         p = leaders * (leaders - 1) / pairs
-        interactions += _geometric(rng, p) + 1
+        interactions += geometric(rng, p) + 1
         leaders -= 1
     return interactions
 

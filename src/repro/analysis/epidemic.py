@@ -16,20 +16,9 @@ technique as :mod:`repro.core.fastpath`): with ``k`` infected among
 
 from __future__ import annotations
 
-import math
 import random
 
-
-def _geometric(rng: random.Random, p: float) -> int:
-    """Failures before the first success (success probability ``p``)."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    if p == 1.0:
-        return 0
-    u = rng.random()
-    if u <= 0.0:  # pragma: no cover - measure-zero guard
-        u = 5e-324
-    return int(math.log(u) / math.log1p(-p))
+from repro.core.rng import geometric
 
 
 def _simulate_epidemic(
@@ -44,7 +33,7 @@ def _simulate_epidemic(
     infected = initial_infected
     while infected < n:
         p = directional_factor * infected * (n - infected) / pairs
-        interactions += _geometric(rng, p) + 1
+        interactions += geometric(rng, p) + 1
         infected += 1
     return interactions
 

@@ -79,9 +79,9 @@ import time
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.core.errors import NotSilentError
-from repro.core.fastpath import _geometric
 from repro.core.fenwick import GrowableFenwick
 from repro.core.protocol import PopulationProtocol, check_population
+from repro.core.rng import geometric
 from repro.obs.context import current_recorder
 from repro.statics.schema import StateSchema, has_schema, schema_for
 
@@ -391,7 +391,7 @@ class CountSimulation:
                 if weight == 0:
                     return  # silent: all remaining interactions are null
                 p = weight / self._ordered_pairs
-                nxt = self.interactions + _geometric(rng, p) + 1
+                nxt = self.interactions + geometric(rng, p) + 1
                 if profile:
                     self._obs.add_stage_time(
                         "countsim.geometric_jump", time.perf_counter() - start
@@ -419,7 +419,7 @@ class CountSimulation:
                 effective = self._ordered_pairs - passive * (passive - 1)
                 if effective < self._ordered_pairs:
                     p = effective / self._ordered_pairs
-                    nxt = self.interactions + _geometric(rng, p) + 1
+                    nxt = self.interactions + geometric(rng, p) + 1
                 else:
                     nxt = self.interactions + 1
                 if profile:

@@ -29,11 +29,11 @@ A Fenwick (binary indexed) tree (now shared with the count engine via
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, Optional, Sequence
 
 from repro.core.fenwick import FenwickTree
+from repro.core.rng import geometric
 
 __all__ = [
     "CiwJumpSimulator",
@@ -41,21 +41,6 @@ __all__ = [
     "uniform_random_ciw_counts",
     "worst_case_ciw_counts",
 ]
-
-
-def _geometric(rng: random.Random, p: float) -> int:
-    """Number of failures before the first success, success probability p.
-
-    Exact inverse-CDF sampling: returns ``floor(log(U) / log(1 - p))``.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    if p == 1.0:
-        return 0
-    u = rng.random()
-    if u <= 0.0:  # pragma: no cover - measure-zero guard
-        u = 5e-324
-    return int(math.log(u) / math.log1p(-p))
 
 
 class CiwJumpSimulator:
@@ -114,7 +99,7 @@ class CiwJumpSimulator:
         if weight == 0:
             raise ValueError("simulator already converged; no events remain")
         p = weight / self._pairs
-        self.interactions += _geometric(self.rng, p) + 1
+        self.interactions += geometric(self.rng, p) + 1
         self.events += 1
         rank = self._tree.sample(self.rng)
         counts = self.counts

@@ -17,6 +17,7 @@ The derivation scheme hashes ``(root_seed, *labels)`` with SHA-256, so
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from typing import Iterator, Union
 
@@ -55,3 +56,21 @@ def trial_rngs(root_seed: int, trials: int, *labels: Label) -> Iterator[random.R
     """
     for index in range(trials):
         yield make_rng(root_seed, *labels, index)
+
+
+def geometric(rng: random.Random, p: float) -> int:
+    """Number of failures before the first success, success probability p.
+
+    Exact inverse-CDF sampling: returns ``floor(log(U) / log(1 - p))``,
+    one ``rng.random()`` draw per call (none when ``p == 1``).  Every
+    jump-chain simulator in the package skips null interactions with
+    it, so their RNG consumption stays in lockstep.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+    if p == 1.0:
+        return 0
+    u = rng.random()
+    if u <= 0.0:  # pragma: no cover - measure-zero guard
+        u = 5e-324
+    return int(math.log(u) / math.log1p(-p))

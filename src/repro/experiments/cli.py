@@ -541,25 +541,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         metavar="N",
-        help="bounded queue capacity in admission-weight units (quick runs "
-        "cost 1, bench suites and large chaos sweeps more); a full queue "
-        "answers 429 + Retry-After (default: 16)",
+        help="bounded queue capacity in jobs (queued plus retrying); a full "
+        "queue answers 429 + Retry-After (default: 16)",
     )
     serve_parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="concurrent jobs: one worker loop per slot over the priority "
+        help="concurrent jobs: one worker loop per slot over the FIFO "
         "queue; per-job recorder contexts keep event streams disjoint "
         "(default: 1)",
-    )
-    serve_parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock budget (default: unlimited)",
     )
     serve_parser.add_argument(
         "--retry-budget",
@@ -603,14 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="JSON",
         help="job parameters as inline JSON, e.g. "
         "'{\"protocols\": [\"ciw\"], \"ns\": [16], \"trials\": 2}'",
-    )
-    submit_parser.add_argument(
-        "--priority",
-        type=int,
-        default=None,
-        metavar="P",
-        help="dequeue priority (higher runs first, FIFO within a priority; "
-        "does not change the job's cache identity)",
     )
     submit_parser.add_argument(
         "--wait",
@@ -945,7 +929,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 store_root=args.store,
                 max_queue=args.max_queue,
                 concurrency=args.jobs,
-                job_timeout=args.job_timeout,
                 retry_budget=args.retry_budget,
                 ledger_path=_ledger_path(args),
                 workers=args.workers,
@@ -970,8 +953,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if not isinstance(spec, dict):
         print("submit: --spec must be a JSON object", file=sys.stderr)
         return 2
-    if args.priority is not None:
-        spec.setdefault("priority", args.priority)
     try:
         document = client.submit_job(args.url, args.kind, spec)
     except client.QueueFullError as exc:

@@ -8,7 +8,7 @@ costs the server three cheap requests per refresh and nothing else.
 The screen has three bands:
 
 * **Header** -- service address, health status (degraded reasons
-  surface here), uptime, queue depth / weighted backlog / concurrency.
+  surface here), uptime, queue depth / capacity / concurrency.
 * **Counters** -- the lifetime counters that matter operationally
   (submitted / completed / retried / cancelled / 429s, trial
   completions) plus a trials-per-second rate derived from successive
@@ -130,9 +130,8 @@ def render_top(
     uptime_str = f"{uptime:.0f}s" if isinstance(uptime, (int, float)) else "-"
     lines.append(
         f"repro top | status {status} | up {uptime_str} "
-        f"| queue {health.get('queue_depth', '-')} "
-        f"(weight {health.get('backlog_weight', '-')}/"
-        f"{health.get('max_queue', '-')}) "
+        f"| queue {health.get('queue_depth', '-')}/"
+        f"{health.get('max_queue', '-')} "
         f"| jobs x{health.get('concurrency', '-')}"
     )
     for reason in health.get("degraded_reasons") or []:

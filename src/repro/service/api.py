@@ -43,7 +43,7 @@ Routes
 ``GET /metrics``
     The process-wide :class:`~repro.obs.promexp.TelemetryRegistry` in
     Prometheus text exposition format (``text/plain; version=0.0.4``):
-    jobs by state/kind, queue weight, admission rejections, retries,
+    jobs by state/kind, queue depth, admission rejections, retries,
     cancellations, EMA wall time, trial throughput, recorder streams.
 """
 
@@ -197,7 +197,14 @@ class ServiceServer:
             name, _, value = line.decode("latin1").partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            writer.write(_response(
+                400, {"error": f"malformed Content-Length: {raw_length!r}"}
+            ))
+            await writer.drain()
+            return
+        length = int(raw_length)
         if length > MAX_BODY:
             writer.write(_response(413, {"error": f"body exceeds {MAX_BODY} bytes"}))
             await writer.drain()
@@ -415,9 +422,6 @@ class ServiceServer:
                     "queue_depth": self.manager.queue_depth(),
                     "max_queue": self.manager.max_queue,
                     "concurrency": self.manager.concurrency,
-                    "backlog_weight": self.manager.backlog_weight(
-                        ("queued", "retrying", "running")
-                    ),
                     "jobs": self.manager.counts(),
                     "telemetry": self._telemetry_snapshot(),
                 },
@@ -442,7 +446,6 @@ async def serve(
     store_root: str = "reports/service",
     max_queue: int = 16,
     concurrency: int = 1,
-    job_timeout: Optional[float] = None,
     retry_budget: int = 3,
     ledger_path: Optional[str] = None,
     workers: Optional[int] = None,
@@ -462,7 +465,6 @@ async def serve(
         store,
         max_queue=max_queue,
         concurrency=concurrency,
-        job_timeout=job_timeout,
         retry_budget=retry_budget,
         ledger_path=ledger_path,
         default_workers=workers,

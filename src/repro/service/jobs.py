@@ -13,25 +13,22 @@ Identity is the PR-5 provenance triple: a job's ``cache_key`` hashes
 ``(spec, seed, git_sha)``, its id is derived from the key, and the
 result cache is keyed by it -- submitting the same work twice returns
 the same job, and a completed job's result is served from storage with
-zero trial executions.  Scheduling metadata (``priority``) is excluded
-from the hash: it changes *when* a job runs, never *what* it computes.
+zero trial executions.
 
 Robustness model (the paper's thesis applied to infrastructure):
 
 * **Concurrency** -- the manager runs up to ``concurrency`` jobs at
   once (``repro serve --jobs N``): one worker loop per slot draining a
-  priority queue (higher ``priority`` first, FIFO within a priority).
+  FIFO queue.
   Isolation comes from the context-scoped ambient recorder
   (:mod:`repro.obs.context`): each job's execution runs in its own
   ``contextvars`` context, so concurrent jobs can never cross-wire
   their metrics streams.
-* **Weighted admission control** -- the queue is bounded in *weight*
-  units, not job count: bench suites and large chaos sweeps cost more
-  slots than quick runs.  A full queue rejects with
-  :class:`AdmissionError` (HTTP 429 + ``Retry-After`` computed from the
-  weighted backlog -- queued, retrying *and* running -- times the EMA
-  of job wall time, divided by the worker count) instead of accepting
-  work it cannot finish.
+* **Admission control** -- the queue is bounded in jobs (queued plus
+  retrying).  A full queue rejects with :class:`AdmissionError` (HTTP
+  429 + ``Retry-After`` computed from the live jobs -- queued, retrying
+  *and* running -- times the EMA of job wall time, divided by the
+  worker count) instead of accepting work it cannot finish.
 * **Retry with backoff, without head-of-line blocking** -- retryable
   failures (a broken worker pool surfacing as
   :class:`~repro.core.parallel.PoolExhaustedError`, a hung trial
@@ -62,7 +59,6 @@ import asyncio
 import contextvars
 import hashlib
 import json
-import math
 import random
 import threading
 import time
@@ -130,7 +126,6 @@ _RUN_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
     "quick": ((bool,), True),
     "workers": ((int,), None),
     "engine": ((str,), None),
-    "priority": ((int,), 0),
 }
 
 _CHAOS_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
@@ -147,7 +142,6 @@ _CHAOS_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
     "engine": ((str,), "auto"),
     "workers": ((int,), None),
     "recovery_budget_factor": ((float, int), 50.0),
-    "priority": ((int,), 0),
 }
 
 _BENCH_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
@@ -155,7 +149,6 @@ _BENCH_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
     "seed": ((int,), DEFAULT_SEED),
     "repeats": ((int,), None),
     "cells": ((list, tuple), None),
-    "priority": ((int,), 0),
 }
 
 _SCHEMAS = {"run": _RUN_PARAMS, "chaos": _CHAOS_PARAMS, "bench": _BENCH_PARAMS}
@@ -182,10 +175,9 @@ class JobSpec:
     """One validated, canonicalized job specification.
 
     ``params`` holds the defaulted parameters; canonical serialization
-    (sorted keys, ``None`` values dropped, scheduling metadata
-    excluded) is what the cache key hashes, so two payloads describing
-    the same work -- different key order, explicit defaults, different
-    priorities -- share an identity.
+    (sorted keys, ``None`` values dropped) is what the cache key hashes,
+    so two payloads describing the same work -- different key order,
+    explicit defaults -- share an identity.
     """
 
     def __init__(self, kind: str, params: Dict[str, Any]):
@@ -220,6 +212,24 @@ class JobSpec:
                 params[name] = default
         cls._validate_semantics(kind, params)
         return cls(kind, params)
+
+    @classmethod
+    def from_journal(cls, payload: Dict[str, Any]) -> "JobSpec":
+        """Rebuild a journaled spec, ignoring fields this release dropped.
+
+        A journal outlives the release that wrote it: spec fields an
+        older release accepted and this one does not (scheduling
+        metadata that never entered the cache key) are ignored rather
+        than dropping the live job they belong to.
+        """
+        schema = _SCHEMAS.get(payload.get("kind"))
+        spec_fields = payload.get("spec")
+        if schema is not None and isinstance(spec_fields, dict):
+            payload = {**payload, "spec": {
+                name: value for name, value in spec_fields.items()
+                if name in schema
+            }}
+        return cls.from_payload(payload)
 
     @staticmethod
     def _validate_semantics(kind: str, params: Dict[str, Any]) -> None:
@@ -277,19 +287,9 @@ class JobSpec:
                 raise JobValidationError(f"{kind} job: {name!r} must be >= 1")
 
     def canonical(self) -> str:
-        """The canonical JSON form (what the cache key hashes).
-
-        ``priority`` is excluded: it is scheduling metadata that
-        changes *when* a job runs, not *what* it computes, so it must
-        not split the cache identity -- and cache keys minted before
-        priorities existed stay valid.
-        """
-        params = {
-            name: value for name, value in self.params.items()
-            if name != "priority"
-        }
+        """The canonical JSON form (what the cache key hashes)."""
         return json.dumps(
-            {"kind": self.kind, "spec": params}, sort_keys=True
+            {"kind": self.kind, "spec": self.params}, sort_keys=True
         )
 
     def cache_key(self, sha: Optional[str] = None) -> str:
@@ -310,31 +310,6 @@ class JobSpec:
     @property
     def seed(self) -> int:
         return int(self.params.get("seed", DEFAULT_SEED))
-
-    @property
-    def priority(self) -> int:
-        """Dequeue priority: higher runs first, FIFO within a priority."""
-        return int(self.params.get("priority", 0))
-
-    @property
-    def weight(self) -> int:
-        """Queue slots this job occupies under weighted admission.
-
-        Quick runs cost one slot; full runs and bench suites cost
-        more; chaos sweeps scale with their cell count
-        (``protocols x ns x trials``), capped at 8 so a single sweep
-        can never monopolize a default-sized queue.
-        """
-        if self.kind == "bench":
-            return 4
-        if self.kind == "run":
-            return 1 if self.params.get("quick", True) else 3
-        cells = (
-            len(self.params["protocols"])
-            * len(self.params["ns"])
-            * int(self.params["trials"])
-        )
-        return max(1, min(8, math.ceil(cells / 8)))
 
     @property
     def trial_total(self) -> Optional[int]:
@@ -507,7 +482,6 @@ class Job:
         #: Cancellation: the flag is read on the event loop, the event
         #: is polled by the executing sweep's recorder hooks.
         self.cancel_requested = False
-        self.cancel_reason: Optional[str] = None
         self.cancel_event = threading.Event()
         #: Replay buffer for SSE: (sequence, record) pairs.
         self.events: Deque[Tuple[int, Dict[str, Any]]] = deque(maxlen=EVENT_BUFFER)
@@ -518,11 +492,9 @@ class Job:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    def request_cancel(self, reason: str = "client request") -> None:
+    def request_cancel(self) -> None:
         """Flag the job for cancellation (idempotent, thread-visible)."""
         self.cancel_requested = True
-        if self.cancel_reason is None:
-            self.cancel_reason = reason
         self.cancel_event.set()
 
     def publish(self, record: Dict[str, Any]) -> None:
@@ -575,8 +547,6 @@ class Job:
             "state": self.state,
             "attempt": self.attempt,
             "cache_hit": self.cache_hit,
-            "priority": self.spec.priority,
-            "weight": self.spec.weight,
             "created_unix": round(self.created_unix, 3),
             "updated_unix": round(self.updated_unix, 3),
         }
@@ -671,7 +641,6 @@ class JobManager:
         *,
         max_queue: int = 16,
         concurrency: int = 1,
-        job_timeout: Optional[float] = None,
         retry_budget: int = 3,
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
@@ -691,20 +660,15 @@ class JobManager:
         self.telemetry = telemetry if telemetry is not None else get_registry()
         self.max_queue = max_queue
         self.concurrency = concurrency
-        self.job_timeout = job_timeout
         self.retry_budget = retry_budget
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.ledger_path = ledger_path
         self.default_workers = default_workers
         self.jobs: Dict[str, Job] = {}
-        #: Priority queue entries: (-priority, seq, job).  The sequence
-        #: number makes dequeue FIFO within a priority; entries whose
-        #: job was cancelled while queued are skipped at dequeue.
-        self._queue: "asyncio.PriorityQueue[Tuple[int, int, Job]]" = (
-            asyncio.PriorityQueue()
-        )
-        self._seq = 0
+        #: FIFO of jobs to run; entries whose job was cancelled while
+        #: queued are skipped at dequeue.
+        self._queue: "asyncio.Queue[Job]" = asyncio.Queue()
         self._worker_tasks: List[asyncio.Task] = []
         self._retry_handles: Dict[str, asyncio.TimerHandle] = {}
         self._executor: Any = None
@@ -719,12 +683,8 @@ class JobManager:
         number of jobs re-admitted from the journal."""
         import concurrent.futures
 
-        # Twice as many threads as worker loops: the headroom absorbs
-        # threads orphaned by a job timeout (a thread cannot be
-        # interrupted, only flagged to unwind at its next recorder
-        # hook), so a timed-out job never blocks the next job's start.
         self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.concurrency * 2, thread_name_prefix="repro-job"
+            max_workers=self.concurrency, thread_name_prefix="repro-job"
         )
         recovered = 0
         for job_id, document in sorted(self.store.recover().items()):
@@ -733,7 +693,7 @@ class JobManager:
             if job_id in self.jobs or not isinstance(payload, dict):
                 continue
             try:
-                spec = JobSpec.from_payload(payload)
+                spec = JobSpec.from_journal(payload)
             except JobValidationError as exc:
                 logger.warning("recovery: job %s dropped (%s)", job_id, exc)
                 continue
@@ -749,7 +709,7 @@ class JobManager:
                     {"job": job_id, "state": "queued", "recovered": True,
                      "ts": round(utc_timestamp(), 3)}
                 )
-                self._enqueue(job)
+                self._queue.put_nowait(job)
                 recovered += 1
             elif state in TERMINAL_STATES:
                 job.state = state
@@ -791,7 +751,7 @@ class JobManager:
     # -- submission -----------------------------------------------------
 
     def queue_depth(self) -> int:
-        return sum(1 for job in self.jobs.values() if job.state == "queued")
+        return self.backlog(("queued",))
 
     def counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -799,25 +759,19 @@ class JobManager:
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
 
-    def backlog_weight(
-        self, states: Tuple[str, ...] = ("queued", "retrying")
-    ) -> int:
-        """Total admission weight of jobs in the given states."""
-        return sum(
-            job.spec.weight
-            for job in self.jobs.values()
-            if job.state in states
-        )
+    def backlog(self, states: Tuple[str, ...] = ("queued", "retrying")) -> int:
+        """Jobs in the given states (admission bounds queued + retrying)."""
+        return sum(1 for job in self.jobs.values() if job.state in states)
 
     def retry_after_estimate(self) -> float:
         """Seconds until the queue likely has room (for ``Retry-After``).
 
-        The backlog is *weighted* and counts queued, running and
-        ``retrying`` jobs alike -- a job waiting out its backoff still
-        owns its slot, and omitting it made the hint too optimistic
-        exactly when the service was failing.
+        The backlog counts queued, running and ``retrying`` jobs alike
+        -- a job waiting out its backoff still owns its slot, and
+        omitting it made the hint too optimistic exactly when the
+        service was failing.
         """
-        backlog = self.backlog_weight(("queued", "retrying", "running"))
+        backlog = self.backlog(("queued", "retrying", "running"))
         per_slot = self._mean_wall * max(1, backlog) / max(1, self.concurrency)
         return max(1.0, round(per_slot, 1))
 
@@ -840,11 +794,6 @@ class JobManager:
             help_text="Jobs waiting in the queue.",
         )
         self.telemetry.gauge(
-            "repro_queue_weight",
-            self.backlog_weight(),
-            help_text="Weighted admission backlog (queued + retrying).",
-        )
-        self.telemetry.gauge(
             "repro_job_wall_seconds_ema",
             round(self._mean_wall, 6),
             help_text="Exponential moving average of job execution "
@@ -857,8 +806,8 @@ class JobManager:
         Idempotent by construction: the job id derives from the cache
         key, so resubmitting identical work returns the existing job --
         live or completed -- rather than queueing a duplicate.  A full
-        queue (in weight units) raises :class:`AdmissionError`; an
-        invalid payload raises :class:`JobValidationError`.
+        queue raises :class:`AdmissionError`; an invalid payload raises
+        :class:`JobValidationError`.
         """
         spec = JobSpec.from_payload(payload)
         cache_key = spec.cache_key()
@@ -874,18 +823,17 @@ class JobManager:
         # A previously failed or cancelled job may be resubmitted:
         # fresh attempt budget, same identity, same checkpoint
         # (trials completed before the failure/cancel still count).
-        if self.backlog_weight() + spec.weight > self.max_queue:
+        backlog = self.backlog()
+        if backlog >= self.max_queue:
             retry_after = self.retry_after_estimate()
             self.telemetry.counter(
                 "repro_admission_rejected_total",
-                help_text="Submissions rejected because the weighted "
-                          "queue was full (HTTP 429).",
+                help_text="Submissions rejected because the queue was "
+                          "full (HTTP 429).",
             )
             job_logger(logger, job_id).warning(
-                "admission rejected: kind=%s weight=%d backlog=%d/%d "
-                "retry_after=%.1fs",
-                spec.kind, spec.weight, self.backlog_weight(),
-                self.max_queue, retry_after,
+                "admission rejected: kind=%s backlog=%d/%d retry_after=%.1fs",
+                spec.kind, backlog, self.max_queue, retry_after,
             )
             raise AdmissionError(retry_after)
         self.telemetry.counter(
@@ -894,9 +842,8 @@ class JobManager:
             help_text="Jobs admitted to the queue, by kind.",
         )
         job_logger(logger, job_id).info(
-            "admitted: kind=%s weight=%d priority=%d backlog=%d/%d",
-            spec.kind, spec.weight, spec.priority,
-            self.backlog_weight() + spec.weight, self.max_queue,
+            "admitted: kind=%s backlog=%d/%d",
+            spec.kind, backlog + 1, self.max_queue,
         )
         job = Job(job_id, spec, cache_key)
         if existing is not None:
@@ -908,12 +855,10 @@ class JobManager:
                 "state": "queued",
                 "payload": {"kind": spec.kind, "spec": spec.params},
                 "cache_key": cache_key,
-                "priority": spec.priority,
-                "weight": spec.weight,
                 "ts": round(job.created_unix, 3),
             }
         )
-        self._enqueue(job)
+        self._queue.put_nowait(job)
         return job, True
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -925,7 +870,7 @@ class JobManager:
         """Cancel a job; returns it, or ``None`` if unknown.
 
         A queued (or backoff-waiting) job is journaled ``cancelled``
-        immediately and its weight freed; a running job is flagged and
+        immediately and its queue slot freed; a running job is flagged and
         unwinds at its next recorder hook, after which
         :meth:`_run_job` journals the terminal ``cancelled`` state.
         Completed trials stay in the checkpoint, so resubmitting the
@@ -945,19 +890,14 @@ class JobManager:
             handle = self._retry_handles.pop(job.id, None)
             if handle is not None:
                 handle.cancel()
-            self._transition(job, "cancelled", reason=job.cancel_reason)
-            self._ledger(job)
+            self._finish_cancelled(job)
         return job
 
     # -- execution ------------------------------------------------------
 
-    def _enqueue(self, job: Job) -> None:
-        self._seq += 1
-        self._queue.put_nowait((-job.spec.priority, self._seq, job))
-
     async def _worker_loop(self) -> None:
         while True:
-            _, _, job = await self._queue.get()
+            job = await self._queue.get()
             if job.terminal:
                 continue  # cancelled while queued: stale entry
             try:
@@ -1019,12 +959,12 @@ class JobManager:
         def requeue() -> None:
             self._retry_handles.pop(job.id, None)
             if not job.terminal:
-                self._enqueue(job)
+                self._queue.put_nowait(job)
 
         self._retry_handles[job.id] = loop.call_later(backoff, requeue)
 
     def _finish_cancelled(self, job: Job) -> None:
-        self._transition(job, "cancelled", reason=job.cancel_reason)
+        self._transition(job, "cancelled", reason="client request")
         self._ledger(job)
 
     async def _run_job(self, job: Job) -> None:
@@ -1133,20 +1073,6 @@ class JobManager:
             )
             self._schedule_retry(job, backoff)
             return
-        except asyncio.TimeoutError:
-            job.exec_seconds += time.perf_counter() - started
-            # The executor thread survives the timeout (threads cannot
-            # be killed); flag cancellation so it unwinds at its next
-            # recorder hook instead of occupying a pool slot forever.
-            job.request_cancel(reason=f"job timeout of {self.job_timeout}s")
-            recorder.close_open_spans("failed")
-            log.warning("failed: exceeded job timeout of %ss", self.job_timeout)
-            self._transition(
-                job, "failed",
-                error=f"exceeded job timeout of {self.job_timeout}s",
-            )
-            self._ledger(job)
-            return
         except Exception as exc:
             job.exec_seconds += time.perf_counter() - started
             if job.cancel_requested:
@@ -1157,7 +1083,7 @@ class JobManager:
                 # close "cancelled", innermost first, so the SSE stream
                 # carries a well-formed tree.
                 recorder.close_open_spans("cancelled")
-                log.info("cancelled mid-run (%s)", job.cancel_reason)
+                log.info("cancelled mid-run")
                 self._finish_cancelled(job)
                 return
             recorder.close_open_spans("failed")
@@ -1207,7 +1133,7 @@ class JobManager:
         # scoped to this job alone -- concurrent jobs in sibling
         # executor threads cannot cross-wire their metrics streams.
         context = contextvars.copy_context()
-        future = loop.run_in_executor(
+        return await loop.run_in_executor(
             self._executor,
             lambda: context.run(
                 execute_spec,
@@ -1216,9 +1142,6 @@ class JobManager:
                 recorder=recorder,
             ),
         )
-        if self.job_timeout is not None:
-            return await asyncio.wait_for(future, timeout=self.job_timeout)
-        return await future
 
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff with jitter before retry ``attempt + 1``."""

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core.fastpath import (
     CiwJumpSimulator,
     FenwickTree,
-    _geometric,
     uniform_random_ciw_counts,
     worst_case_ciw_counts,
 )
@@ -67,23 +66,6 @@ class TestFenwickTree:
             sample_rng = random.Random(data.draw(st.integers(0, 2**32)))
             index = tree.sample(sample_rng)
             assert weights[index] > 0
-
-
-class TestGeometric:
-    def test_p_one_is_zero(self, rng):
-        assert _geometric(rng, 1.0) == 0
-
-    def test_invalid_p(self, rng):
-        with pytest.raises(ValueError):
-            _geometric(rng, 0.0)
-        with pytest.raises(ValueError):
-            _geometric(rng, 1.5)
-
-    def test_mean_matches_theory(self, rng):
-        p = 0.2
-        samples = [_geometric(rng, p) for _ in range(20_000)]
-        # E[failures before success] = (1 - p) / p = 4.
-        assert abs(sum(samples) / len(samples) - 4.0) < 0.15
 
 
 class TestNotableConfigurations:

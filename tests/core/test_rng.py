@@ -1,6 +1,8 @@
 """Tests for repro.core.rng: deterministic, independent seed streams."""
 
-from repro.core.rng import derive_seed, make_rng, trial_rngs
+import pytest
+
+from repro.core.rng import derive_seed, geometric, make_rng, trial_rngs
 
 
 class TestDeriveSeed:
@@ -47,3 +49,20 @@ class TestTrialRngs:
         first_of_three = next(iter(trial_rngs(1, 3, "x"))).random()
         first_of_ten = next(iter(trial_rngs(1, 10, "x"))).random()
         assert first_of_three == first_of_ten
+
+
+class TestGeometric:
+    def test_p_one_is_zero(self, rng):
+        assert geometric(rng, 1.0) == 0
+
+    def test_invalid_p(self, rng):
+        with pytest.raises(ValueError):
+            geometric(rng, 0.0)
+        with pytest.raises(ValueError):
+            geometric(rng, 1.5)
+
+    def test_mean_matches_theory(self, rng):
+        p = 0.2
+        samples = [geometric(rng, p) for _ in range(20_000)]
+        # E[failures before success] = (1 - p) / p = 4.
+        assert abs(sum(samples) / len(samples) - 4.0) < 0.15

@@ -16,7 +16,6 @@ HEALTH = {
     "status": "ok",
     "uptime_seconds": 42.0,
     "queue_depth": 1,
-    "backlog_weight": 3,
     "max_queue": 16,
     "concurrency": 2,
     "degraded_reasons": [],
@@ -42,7 +41,7 @@ class TestRenderTop:
         header = frame.splitlines()[0]
         assert "status ok" in header
         assert "up 42s" in header
-        assert "queue 1 (weight 3/16)" in header
+        assert "queue 1/16" in header
         assert "jobs x2" in header
 
     def test_degraded_reasons_surface(self):

