@@ -12,7 +12,7 @@ and resumes from a checkpoint.
 
 Fault tolerance
 ---------------
-The runner distinguishes three failure classes:
+The runner distinguishes two failure classes:
 
 * **Task errors** -- the trial itself raised.  These are *real*
   failures: they propagate immediately as :class:`TrialTaskError`
@@ -22,14 +22,10 @@ The runner distinguishes three failure classes:
 * **Pool infrastructure errors** -- a worker crashed (OOM-kill,
   ``BrokenProcessPool``) or the platform cannot start processes.
   Trials are pure, so the runner retries *only the missing trials* on
-  a fresh pool (``pool_retries`` rounds, exponential backoff with
-  jitter between rounds), then falls back to running the stragglers
-  serially -- or, with ``serial_fallback=False``, raises
-  :class:`PoolExhaustedError` carrying the missing trial indices so a
-  supervising layer (the job service) can apply its own retry policy.
-* **Timeouts** -- with ``timeout=`` set, a trial exceeding its budget
-  raises :class:`TrialTimeoutError` (a task error: something in the
-  trial hung).
+  a fresh pool (:data:`POOL_RETRIES` rounds, exponential backoff with
+  jitter between rounds), then finishes the stragglers serially.  This
+  is the package's one retry layer: the job service above it fails a
+  job on the first exception that reaches it.
 
 With ``checkpoint=`` set, every finished trial is appended to an
 on-disk journal keyed by ``(seed, labels, git_sha)``; a re-run with the
@@ -51,7 +47,7 @@ degrades to the serial path.
 
 Worker-level trace shards
 -------------------------
-When the resolved recorder carries a :class:`~repro.obs.trace.TraceWriter`
+When the ambient recorder carries a :class:`~repro.obs.trace.TraceWriter`
 the runner instruments the trials themselves -- the layer pooled runs
 used to leave dark.  Every trial (serial *and* pooled, so the two paths
 stay byte-comparable) runs under its own fresh recorder writing a
@@ -103,12 +99,16 @@ _LOG = get_logger("parallel")
 #: picklable result.
 TrialTask = Callable[[random.Random], Any]
 
-__all__ = [
-    "ParallelTrialRunner",
-    "PoolExhaustedError",
-    "TrialTaskError",
-    "TrialTimeoutError",
-]
+__all__ = ["ParallelTrialRunner", "TrialTaskError"]
+
+#: How many times a *pool-level* failure (broken worker, failed spawn)
+#: is retried with a fresh pool before the missing trials run serially.
+POOL_RETRIES = 2
+
+#: Base of the exponential backoff between pool retry rounds, in
+#: seconds; round ``k`` sleeps ``POOL_BACKOFF * 2**k`` scaled by a
+#: uniform jitter in [0.5, 1.5).  ``0`` disables the sleep.
+POOL_BACKOFF = 0.25
 
 
 class TrialTaskError(RuntimeError):
@@ -118,24 +118,6 @@ class TrialTaskError(RuntimeError):
         super().__init__(f"trial {index} failed: {message}")
         self.index = index
         self.remote_traceback = remote_traceback
-
-
-class PoolExhaustedError(RuntimeError):
-    """Every pool round broke and serial fallback is disabled.
-
-    Carries the indices of the trials that never completed, so a
-    supervising retry layer (e.g. the job service) can resubmit exactly
-    the missing work -- completed trials are already journaled.
-    """
-
-    def __init__(self, missing: Sequence[int], rounds: int):
-        super().__init__(
-            f"worker pool broke {rounds} time(s); "
-            f"{len(missing)} trial(s) never completed: "
-            f"{list(missing)[:16]}{'...' if len(missing) > 16 else ''}"
-        )
-        self.missing = tuple(missing)
-        self.rounds = rounds
 
 
 class _SignalDrain(BaseException):
@@ -148,16 +130,6 @@ class _SignalDrain(BaseException):
     def __init__(self, signum: int):
         super().__init__(f"signal {signum}")
         self.signum = signum
-
-
-class TrialTimeoutError(TrialTaskError):
-    """A trial exceeded its per-trial timeout."""
-
-    def __init__(self, index: int, timeout: float):
-        TrialTaskError.__init__(
-            self, index, f"exceeded per-trial timeout of {timeout}s"
-        )
-        self.timeout = timeout
 
 
 class _TrialFailure:
@@ -352,65 +324,28 @@ class ParallelTrialRunner:
         Number of worker processes.  ``None`` or ``1`` selects the
         serial path (no processes are spawned); values above 1 enable
         the pool.  The pool size never exceeds the trial count.
-    timeout:
-        Optional per-trial wall-clock budget in seconds (pooled runs
-        only; the serial path cannot preempt a running trial).  A trial
-        overrunning it raises :class:`TrialTimeoutError`.
-    pool_retries:
-        How many times a *pool-level* failure (broken worker, failed
-        spawn) is retried with a fresh pool before the missing trials
-        run serially.  Completed trials are never recomputed.  Retry
-        rounds are separated by exponential backoff with jitter
-        (``pool_backoff`` base seconds) so a struggling machine gets
-        room to recover instead of being hammered.
-    pool_backoff:
-        Base of the exponential backoff between pool retry rounds, in
-        seconds; round ``k`` sleeps ``pool_backoff * 2**k`` scaled by a
-        uniform jitter in [0.5, 1.5).  ``0`` disables the sleep.
-    serial_fallback:
-        Whether exhausting ``pool_retries`` falls back to running the
-        missing trials serially (the default).  ``False`` raises
-        :class:`PoolExhaustedError` carrying the missing indices
-        instead -- what a supervising retry layer wants.
     checkpoint:
         Optional path to an on-disk trial journal.  Finished trials are
         appended as they complete; a later call with the same ``seed``
         and ``labels`` loads them and computes only the missing ones.
-    recorder:
-        Optional :class:`~repro.obs.metrics.MetricsRecorder`.  When set
-        (or when an ambient recorder is installed at
-        :meth:`map_trials` time) the runner emits ``checkpoint-write``
-        and ``worker-retry`` events, and -- with ``recorder.profile`` --
-        per-trial ``trial`` events carrying wall/CPU seconds.  Worker
-        processes stay uninstrumented; timing crosses the pipe as data.
+
+    The ambient recorder installed at :meth:`map_trials` time (see
+    :mod:`repro.obs.context`) receives ``checkpoint-write`` and
+    ``worker-retry`` events, and -- with ``recorder.profile`` --
+    per-trial ``trial`` events carrying wall/CPU seconds.  Worker
+    processes stay uninstrumented; timing crosses the pipe as data.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         *,
-        timeout: Optional[float] = None,
-        pool_retries: int = 2,
-        pool_backoff: float = 0.25,
-        serial_fallback: bool = True,
         checkpoint: Optional[str] = None,
-        recorder: Optional[Any] = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if pool_retries < 0:
-            raise ValueError(f"pool_retries must be >= 0, got {pool_retries}")
-        if pool_backoff < 0:
-            raise ValueError(f"pool_backoff must be >= 0, got {pool_backoff}")
         self.workers = workers or 1
-        self.timeout = timeout
-        self.pool_retries = pool_retries
-        self.pool_backoff = pool_backoff
-        self.serial_fallback = serial_fallback
         self.checkpoint = checkpoint
-        self.recorder = recorder
         self._obs: Optional[Any] = None  # resolved per map_trials call
         self._shard_spec: Optional[_ShardSpec] = None  # ditto
         self._run_key: Optional[_RunKey] = None  # ditto
@@ -442,7 +377,7 @@ class ParallelTrialRunner:
         # by one source tree must not satisfy a resume from another.
         run_key: _RunKey = (seed, label_path, provenance.git_sha())
         self._run_key = run_key
-        self._obs = self.recorder if self.recorder is not None else current_recorder()
+        self._obs = current_recorder()
         trace = getattr(self._obs, "trace", None)
         # Trial spans parent under whatever span the caller has open --
         # the job attempt when the service runs us, nothing for a bare
@@ -651,7 +586,7 @@ class ParallelTrialRunner:
     ) -> Dict[int, Any]:
         results: Dict[int, Any] = {}
         missing = list(pending)
-        attempts = self.pool_retries + 1
+        attempts = POOL_RETRIES + 1
         for round_index in range(attempts):
             if not missing:
                 return results
@@ -661,7 +596,7 @@ class ParallelTrialRunner:
                 # A worker died or the pool could not start: completed
                 # trials are kept, only the stragglers go another round.
                 missing = [index for index in missing if index not in results]
-                backoff = self._retry_backoff(round_index)
+                backoff = _retry_backoff(round_index)
                 _LOG.warning(
                     "worker pool broke (round %d/%d); retrying %d missing "
                     "trial(s) after %.2fs backoff",
@@ -681,23 +616,10 @@ class ParallelTrialRunner:
                     time.sleep(backoff)
                 continue
             return results
-        missing = [index for index in missing if index not in results]
-        if not self.serial_fallback:
-            raise PoolExhaustedError(missing, rounds=attempts)
         # Pool keeps breaking (or never started): trials are pure, so
         # finish the missing ones serially.
         results.update(self._map_serial(task, seed, labels, missing))
         return results
-
-    def _retry_backoff(self, round_index: int) -> float:
-        """Exponential backoff with jitter before pool retry ``round_index+1``.
-
-        Jitter draws from the module RNG, never from any trial's derived
-        stream -- backoff timing must not perturb reproducibility.
-        """
-        if self.pool_backoff <= 0:
-            return 0.0
-        return self.pool_backoff * (2.0 ** round_index) * (0.5 + random.random())
 
     def _run_pool_round(
         self,
@@ -710,7 +632,7 @@ class ParallelTrialRunner:
         """One pool lifetime: submit ``indices``, harvest into ``results``.
 
         Raises :class:`_PoolBroken` on pool infrastructure failures.
-        Task failures (captured in-worker) and per-trial timeouts raise
+        Task failures (captured in-worker) raise
         :class:`TrialTaskError` immediately -- no rerun will fix a
         deterministic trial, and masking the error hides the bug.
         """
@@ -764,13 +686,7 @@ class ParallelTrialRunner:
                             trial=index,
                         )
                     try:
-                        value = future.result(timeout=self.timeout)
-                    except cf.TimeoutError:
-                        # Checked before the pool-error clause: the builtin
-                        # TimeoutError subclasses OSError on modern Pythons.
-                        if trial_span is not None:
-                            obs.end_span(trial_span, status="failed")
-                        raise TrialTimeoutError(index, self.timeout or 0.0) from None
+                        value = future.result()
                     except (cf.BrokenExecutor, OSError) as exc:
                         # The trial itself is fine -- the pool broke --
                         # so the span closes "retried": the next round
@@ -828,7 +744,7 @@ class ParallelTrialRunner:
                 value = future.result(timeout=0)
             except Exception:
                 continue  # broken/failed future: nothing worth saving
-            if isinstance(value, (_TrialFailure,)):
+            if isinstance(value, _TrialFailure):
                 continue
             if isinstance(value, _TrialTiming):
                 value = value.value
@@ -839,6 +755,17 @@ class ParallelTrialRunner:
 
 class _PoolBroken(Exception):
     """Internal: the pool (not a task) failed; retry the missing trials."""
+
+
+def _retry_backoff(round_index: int) -> float:
+    """Exponential backoff with jitter before pool retry ``round_index+1``.
+
+    Jitter draws from the module RNG, never from any trial's derived
+    stream -- backoff timing must not perturb reproducibility.
+    """
+    if POOL_BACKOFF <= 0:
+        return 0.0
+    return POOL_BACKOFF * (2.0 ** round_index) * (0.5 + random.random())
 
 
 # ---------------------------------------------------------------------------

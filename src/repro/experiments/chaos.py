@@ -24,7 +24,12 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.chaos import PoissonProcess, adversary_names
-from repro.core.faults import FaultSchedule, RecoveryReport, measure_recovery
+from repro.core.faults import (
+    ENGINES,
+    FaultSchedule,
+    RecoveryReport,
+    measure_recovery,
+)
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
 from repro.obs.context import current_recorder
@@ -171,6 +176,60 @@ class ChaosResult:
         return "\n".join(lines)
 
 
+def check_chaos_params(
+    *,
+    protocols: Sequence[str],
+    ns: Sequence[int],
+    adversary: str,
+    trials: int,
+    fraction: float,
+    period_factor: float,
+    strikes: int,
+    engine: str,
+    recovery_budget_factor: float,
+    agents: Optional[int] = None,
+    poisson_rate: Optional[float] = None,
+) -> None:
+    """Reject a sweep that cannot run or would pass vacuously.
+
+    The one range check behind both entry points: :func:`run_chaos`
+    calls it before any trial starts, and the job service calls it at
+    submission.  An empty sweep or zero strikes would report
+    ``all_recovered`` with nothing measured; a non-positive period,
+    rate or victim count would only fail inside trial 0.  Raises
+    :class:`ValueError` naming the first bad parameter.
+    """
+    if not protocols:
+        raise ValueError("'protocols' must name at least one protocol")
+    for key in protocols:
+        if not isinstance(key, str) or key not in CHAOS_PROTOCOLS:
+            raise ValueError(
+                f"unknown protocol {key!r}; known: {', '.join(sorted(CHAOS_PROTOCOLS))}"
+            )
+    if adversary not in adversary_names():
+        raise ValueError(
+            f"unknown adversary {adversary!r}; known: {', '.join(adversary_names())}"
+        )
+    if not ns or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in ns
+    ):
+        raise ValueError("'ns' must be a non-empty list of ints >= 2")
+    if engine not in ENGINES:
+        raise ValueError(f"'engine' must be one of {list(ENGINES)}, got {engine!r}")
+    for name, value in (("trials", trials), ("strikes", strikes), ("agents", agents)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name!r} must be >= 1, got {value}")
+    if not 0 < fraction <= 1:
+        raise ValueError(f"'fraction' must be in (0, 1], got {fraction}")
+    for name, value in (
+        ("period_factor", period_factor),
+        ("poisson_rate", poisson_rate),
+        ("recovery_budget_factor", recovery_budget_factor),
+    ):
+        if value is not None and not value > 0:
+            raise ValueError(f"{name!r} must be > 0, got {value}")
+
+
 def run_chaos(
     *,
     protocols: Sequence[str] = ("ciw", "optimal-silent"),
@@ -201,15 +260,19 @@ def run_chaos(
     it, recomputing only the missing trials with bit-identical results
     (this is how service jobs survive a killed server).
     """
-    if adversary not in adversary_names():
-        raise ValueError(
-            f"unknown adversary {adversary!r}; known: {', '.join(adversary_names())}"
-        )
-    for key in protocols:
-        if key not in CHAOS_PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {key!r}; known: {', '.join(sorted(CHAOS_PROTOCOLS))}"
-            )
+    check_chaos_params(
+        protocols=protocols,
+        ns=ns,
+        adversary=adversary,
+        trials=trials,
+        fraction=fraction,
+        period_factor=period_factor,
+        strikes=strikes,
+        engine=engine,
+        recovery_budget_factor=recovery_budget_factor,
+        agents=agents,
+        poisson_rate=poisson_rate,
+    )
     runner = ParallelTrialRunner(workers, checkpoint=checkpoint)
     obs = current_recorder()
     result = ChaosResult(adversary=adversary, engine=engine, seed=seed)

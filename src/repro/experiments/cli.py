@@ -541,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         metavar="N",
-        help="bounded queue capacity in jobs (queued plus retrying); a full "
-        "queue answers 429 + Retry-After (default: 16)",
+        help="bounded queue capacity in queued jobs; a full queue answers "
+        "429 + Retry-After (default: 16)",
     )
     serve_parser.add_argument(
         "--jobs",
@@ -552,14 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent jobs: one worker loop per slot over the FIFO "
         "queue; per-job recorder contexts keep event streams disjoint "
         "(default: 1)",
-    )
-    serve_parser.add_argument(
-        "--retry-budget",
-        type=int,
-        default=3,
-        metavar="N",
-        help="attempts per job before a retryable failure becomes terminal "
-        "(default: 3)",
     )
     serve_parser.add_argument(
         "--workers",
@@ -929,7 +921,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 store_root=args.store,
                 max_queue=args.max_queue,
                 concurrency=args.jobs,
-                retry_budget=args.retry_budget,
                 ledger_path=_ledger_path(args),
                 workers=args.workers,
             )

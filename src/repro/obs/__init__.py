@@ -41,7 +41,6 @@ from repro.obs.ledger import (
 )
 from repro.obs.log import configure_logging, get_logger, job_logger
 from repro.obs.metrics import MetricsRecorder, SampledMetricsMonitor, percentile
-from repro.obs.profile import Stopwatch
 from repro.obs.promexp import (
     TelemetryRegistry,
     get_registry,
@@ -81,7 +80,6 @@ __all__ = [
     "SPAN_STATUSES",
     "SampledMetricsMonitor",
     "SpanNode",
-    "Stopwatch",
     "TRACE_SCHEMA_VERSION",
     "TelemetryRegistry",
     "TraceWriter",

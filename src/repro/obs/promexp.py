@@ -1,7 +1,7 @@
 """Dependency-free Prometheus text-format telemetry exporter.
 
 The service needs live operational metrics -- jobs by state, queue
-depth, admission rejections, retries, trial throughput -- that outlive
+depth, admission rejections, trial throughput -- that outlive
 any single job's :class:`~repro.obs.metrics.MetricsRecorder`.  This
 module provides the process-wide side of that: a
 :class:`TelemetryRegistry` of counters, gauges and histograms, and

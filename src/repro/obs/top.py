@@ -34,12 +34,11 @@ from repro.obs.promexp import parse_prometheus_text
 __all__ = ["render_top", "run_top"]
 
 #: Job states in display order (live first).
-_STATE_ORDER = ("running", "retrying", "queued", "done", "failed", "cancelled")
+_STATE_ORDER = ("running", "queued", "done", "failed", "cancelled")
 
 #: Single-character state markers for the job rows.
 _STATE_MARK = {
     "running": ">",
-    "retrying": "~",
     "queued": ".",
     "done": "=",
     "failed": "!",
@@ -91,7 +90,7 @@ def _job_row(job: Dict[str, Any], width: int) -> str:
         progress = f"{_bar(done, total)} {done}/{total}"
     elif done:
         progress = f"{done} trial(s)"
-    elif state in ("queued", "retrying"):
+    elif state == "queued":
         progress = "waiting"
     else:
         progress = ""
@@ -146,11 +145,10 @@ def render_top(
             per_second = (trials_total - previous[1]) / (now - previous[0])
             rate = f" ({per_second:.1f}/s)"
     lines.append(
-        " submitted {} | completed {} | retries {} | cancelled {} "
+        " submitted {} | completed {} | cancelled {} "
         "| 429s {} | trials {}{}".format(
             _fmt(_counter_total(families, "repro_jobs_submitted_total")),
             _fmt(_counter_total(families, "repro_jobs_completed_total")),
-            _fmt(_counter_total(families, "repro_job_retries_total")),
             _fmt(_counter_total(families, "repro_jobs_cancelled_total")),
             _fmt(_counter_total(families, "repro_admission_rejected_total")),
             _fmt(trials_total),

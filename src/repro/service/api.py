@@ -43,7 +43,7 @@ Routes
 ``GET /metrics``
     The process-wide :class:`~repro.obs.promexp.TelemetryRegistry` in
     Prometheus text exposition format (``text/plain; version=0.0.4``):
-    jobs by state/kind, queue depth, admission rejections, retries,
+    jobs by state/kind, queue depth, admission rejections,
     cancellations, EMA wall time, trial throughput, recorder streams.
 """
 
@@ -446,7 +446,6 @@ async def serve(
     store_root: str = "reports/service",
     max_queue: int = 16,
     concurrency: int = 1,
-    retry_budget: int = 3,
     ledger_path: Optional[str] = None,
     workers: Optional[int] = None,
     ready: Optional["asyncio.Event"] = None,
@@ -465,7 +464,6 @@ async def serve(
         store,
         max_queue=max_queue,
         concurrency=concurrency,
-        retry_budget=retry_budget,
         ledger_path=ledger_path,
         default_workers=workers,
     )

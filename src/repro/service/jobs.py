@@ -24,20 +24,17 @@ Robustness model (the paper's thesis applied to infrastructure):
   (:mod:`repro.obs.context`): each job's execution runs in its own
   ``contextvars`` context, so concurrent jobs can never cross-wire
   their metrics streams.
-* **Admission control** -- the queue is bounded in jobs (queued plus
-  retrying).  A full queue rejects with :class:`AdmissionError` (HTTP
-  429 + ``Retry-After`` computed from the live jobs -- queued, retrying
-  *and* running -- times the EMA of job wall time, divided by the
-  worker count) instead of accepting work it cannot finish.
-* **Retry with backoff, without head-of-line blocking** -- retryable
-  failures (a broken worker pool surfacing as
-  :class:`~repro.core.parallel.PoolExhaustedError`, a hung trial
-  surfacing as :class:`~repro.core.parallel.TrialTimeoutError`) are
-  retried under a retry budget; the backoff is a *not-before deadline*
-  that re-queues the job via a timer, so a job in backoff never stalls
-  the jobs queued behind it.  Deterministic task errors fail
-  immediately (rerunning a pure function reproduces the bug, and
-  masking it hides the experiment defect).
+* **Admission control** -- the queue is bounded in queued jobs.  A
+  full queue rejects with :class:`AdmissionError` (HTTP 429 +
+  ``Retry-After`` computed from the live jobs -- queued *and* running
+  -- times the EMA of job wall time, divided by the worker count)
+  instead of accepting work it cannot finish.
+* **One retry layer** -- a broken worker pool is retried by the
+  :class:`~repro.core.parallel.ParallelTrialRunner` underneath, which
+  then finishes the missing trials serially.  Any exception that still
+  reaches the manager fails the job on first occurrence: rerunning a
+  pure function reproduces the bug, and masking it hides the
+  experiment defect.
 * **Cancellation** -- ``DELETE /jobs/{id}`` journals a terminal
   ``cancelled`` state.  A queued job is cancelled instantly; a running
   job unwinds cooperatively at its next recorder hook, with every
@@ -59,13 +56,11 @@ import asyncio
 import contextvars
 import hashlib
 import json
-import random
 import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.parallel import PoolExhaustedError, TrialTimeoutError
 from repro.core.rng import DEFAULT_SEED
 from repro.obs.metrics import MetricsRecorder
 from repro.obs.promexp import TelemetryRegistry, get_registry
@@ -88,10 +83,6 @@ logger = get_logger("service.jobs")
 
 #: Job kinds the service accepts, mapped onto the existing CLI verbs.
 JOB_KINDS = ("run", "chaos", "bench")
-
-#: Exceptions that justify a retry: infrastructure failures, not task
-#: bugs.  Everything else fails the job on first occurrence.
-RETRYABLE = (PoolExhaustedError, TrialTimeoutError)
 
 
 class JobValidationError(ValueError):
@@ -255,29 +246,15 @@ class JobSpec:
                         f"got {engine!r}"
                     )
         elif kind == "chaos":
-            from repro.core.chaos import adversary_names
-            from repro.experiments.chaos import CHAOS_PROTOCOLS
+            from repro.experiments.chaos import check_chaos_params
 
-            for key in params["protocols"]:
-                if key not in CHAOS_PROTOCOLS:
-                    raise JobValidationError(
-                        f"chaos job: unknown protocol {key!r}; "
-                        f"known: {', '.join(sorted(CHAOS_PROTOCOLS))}"
-                    )
-            if params["adversary"] not in adversary_names():
-                raise JobValidationError(
-                    f"chaos job: unknown adversary {params['adversary']!r}; "
-                    f"known: {', '.join(adversary_names())}"
-                )
-            if not params["ns"] or not all(
-                isinstance(n, int) and not isinstance(n, bool) and n >= 2
-                for n in params["ns"]
-            ):
-                raise JobValidationError(
-                    "chaos job: 'ns' must be a non-empty list of ints >= 2"
-                )
-            if params["trials"] < 1:
-                raise JobValidationError("chaos job: 'trials' must be >= 1")
+            try:
+                check_chaos_params(**{
+                    name: value for name, value in params.items()
+                    if name not in ("seed", "workers")
+                })
+            except ValueError as exc:
+                raise JobValidationError(f"chaos job: {exc}") from None
         elif kind == "bench":
             if not params.get("suite"):
                 raise JobValidationError("bench job: 'suite' is required")
@@ -471,13 +448,9 @@ class Job:
         self.created_unix = utc_timestamp()
         self.updated_unix = self.created_unix
         self.wall_seconds: Optional[float] = None
-        #: Execution wall time accumulated across attempts -- backoff
-        #: waits are excluded, so the EMA feeding Retry-After measures
-        #: work, not queueing policy.
-        self.exec_seconds = 0.0
         self.result: Optional[Dict[str, Any]] = None
         self.event_counts: Dict[str, int] = {}
-        #: Trials whose span closed, across attempts (live progress).
+        #: Trials whose span closed (live progress).
         self.trials_done = 0
         #: Cancellation: the flag is read on the event loop, the event
         #: is polled by the executing sweep's recorder hooks.
@@ -641,9 +614,6 @@ class JobManager:
         *,
         max_queue: int = 16,
         concurrency: int = 1,
-        retry_budget: int = 3,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
         ledger_path: Optional[str] = None,
         default_workers: Optional[int] = None,
         telemetry: Optional[TelemetryRegistry] = None,
@@ -652,17 +622,12 @@ class JobManager:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-        if retry_budget < 1:
-            raise ValueError(f"retry_budget must be >= 1, got {retry_budget}")
         self.store = store
         #: Process-wide operational metrics (served by ``GET /metrics``).
         #: Tests pass their own registry to isolate counts.
         self.telemetry = telemetry if telemetry is not None else get_registry()
         self.max_queue = max_queue
         self.concurrency = concurrency
-        self.retry_budget = retry_budget
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.ledger_path = ledger_path
         self.default_workers = default_workers
         self.jobs: Dict[str, Job] = {}
@@ -670,11 +635,9 @@ class JobManager:
         #: queued are skipped at dequeue.
         self._queue: "asyncio.Queue[Job]" = asyncio.Queue()
         self._worker_tasks: List[asyncio.Task] = []
-        self._retry_handles: Dict[str, asyncio.TimerHandle] = {}
         self._executor: Any = None
         #: EMA of job wall seconds, seeding the 429 Retry-After estimate.
         self._mean_wall = 10.0
-        self._stopping = False
 
     # -- lifecycle ------------------------------------------------------
 
@@ -699,6 +662,7 @@ class JobManager:
                 continue
             job = Job(job_id, spec, document.get("cache_key", spec.cache_key()))
             job.attempt = int(document.get("attempt", 0))
+            # ``retrying`` is a live state only older releases journal.
             if state in ("queued", "running", "retrying"):
                 # Live when the process died: re-admit.  A previously
                 # ``running`` job resumes mid-sweep from its trial
@@ -732,10 +696,6 @@ class JobManager:
 
     async def stop(self) -> None:
         """Stop the worker loops; queued jobs stay journaled for restart."""
-        self._stopping = True
-        for handle in self._retry_handles.values():
-            handle.cancel()
-        self._retry_handles.clear()
         tasks, self._worker_tasks = self._worker_tasks, []
         for task in tasks:
             task.cancel()
@@ -751,7 +711,7 @@ class JobManager:
     # -- submission -----------------------------------------------------
 
     def queue_depth(self) -> int:
-        return self.backlog(("queued",))
+        return self.backlog()
 
     def counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -759,19 +719,17 @@ class JobManager:
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
 
-    def backlog(self, states: Tuple[str, ...] = ("queued", "retrying")) -> int:
-        """Jobs in the given states (admission bounds queued + retrying)."""
+    def backlog(self, states: Tuple[str, ...] = ("queued",)) -> int:
+        """Jobs in the given states (admission bounds the queued ones)."""
         return sum(1 for job in self.jobs.values() if job.state in states)
 
     def retry_after_estimate(self) -> float:
         """Seconds until the queue likely has room (for ``Retry-After``).
 
-        The backlog counts queued, running and ``retrying`` jobs alike
-        -- a job waiting out its backoff still owns its slot, and
-        omitting it made the hint too optimistic exactly when the
-        service was failing.
+        The backlog counts queued and running jobs alike: a running job
+        still holds a worker slot the queued ones wait for.
         """
-        backlog = self.backlog(("queued", "retrying", "running"))
+        backlog = self.backlog(("queued", "running"))
         per_slot = self._mean_wall * max(1, backlog) / max(1, self.concurrency)
         return max(1.0, round(per_slot, 1))
 
@@ -781,7 +739,7 @@ class JobManager:
         """Refresh the point-in-time gauges (called on every transition
         and defensively at scrape time from ``GET /metrics``)."""
         counts = self.counts()
-        for state in ("queued", "running", "retrying") + TERMINAL_STATES:
+        for state in ("queued", "running") + TERMINAL_STATES:
             self.telemetry.gauge(
                 "repro_jobs",
                 counts.get(state, 0),
@@ -821,8 +779,8 @@ class JobManager:
             )
             return existing, False
         # A previously failed or cancelled job may be resubmitted:
-        # fresh attempt budget, same identity, same checkpoint
-        # (trials completed before the failure/cancel still count).
+        # same identity, same checkpoint (trials completed before the
+        # failure/cancel still count).
         backlog = self.backlog()
         if backlog >= self.max_queue:
             retry_after = self.retry_after_estimate()
@@ -846,8 +804,6 @@ class JobManager:
             spec.kind, backlog + 1, self.max_queue,
         )
         job = Job(job_id, spec, cache_key)
-        if existing is not None:
-            job.attempt = 0
         self.jobs[job_id] = job
         self.store.append(
             {
@@ -869,9 +825,9 @@ class JobManager:
     def cancel(self, job_id: str) -> Optional[Job]:
         """Cancel a job; returns it, or ``None`` if unknown.
 
-        A queued (or backoff-waiting) job is journaled ``cancelled``
-        immediately and its queue slot freed; a running job is flagged and
-        unwinds at its next recorder hook, after which
+        A queued job is journaled ``cancelled`` immediately and its
+        queue slot freed; a running job is flagged and unwinds at its
+        next recorder hook, after which
         :meth:`_run_job` journals the terminal ``cancelled`` state.
         Completed trials stay in the checkpoint, so resubmitting the
         same work resumes where the cancel landed.  Cancelling a
@@ -886,10 +842,7 @@ class JobManager:
         job_logger(logger, job.id).info(
             "cancel requested while %s", job.state
         )
-        if job.state in ("queued", "retrying"):
-            handle = self._retry_handles.pop(job.id, None)
-            if handle is not None:
-                handle.cancel()
+        if job.state == "queued":
             self._finish_cancelled(job)
         return job
 
@@ -922,12 +875,7 @@ class JobManager:
             labels={"state": state},
             help_text="Job state transitions, by target state.",
         )
-        if state == "retrying":
-            self.telemetry.counter(
-                "repro_job_retries_total",
-                help_text="Retry attempts scheduled for retryable failures.",
-            )
-        elif state == "cancelled":
+        if state == "cancelled":
             self.telemetry.counter(
                 "repro_jobs_cancelled_total",
                 help_text="Jobs that reached the cancelled state.",
@@ -946,22 +894,6 @@ class JobManager:
         self.update_gauges()
         job.publish({"type": "state", "state": state, "attempt": job.attempt,
                      **{k: v for k, v in fields.items() if k != "payload"}})
-
-    def _schedule_retry(self, job: Job, backoff: float) -> None:
-        """Re-queue ``job`` once its not-before deadline passes.
-
-        The worker loop moves on immediately -- a retrying job backs
-        off on a timer, never head-of-line blocking the jobs queued
-        behind it.
-        """
-        loop = asyncio.get_running_loop()
-
-        def requeue() -> None:
-            self._retry_handles.pop(job.id, None)
-            if not job.terminal:
-                self._queue.put_nowait(job)
-
-        self._retry_handles[job.id] = loop.call_later(backoff, requeue)
 
     def _finish_cancelled(self, job: Job) -> None:
         self._transition(job, "cancelled", reason="client request")
@@ -1039,42 +971,7 @@ class JobManager:
                 "attempt", attempt_span, parent=job.id, attempt=job.attempt
             )
             body = await self._execute(spec, job, recorder)
-        except RETRYABLE as exc:
-            job.exec_seconds += time.perf_counter() - started
-            if job.cancel_requested:
-                recorder.close_open_spans("cancelled")
-                self._finish_cancelled(job)
-                return
-            if job.attempt >= self.retry_budget:
-                recorder.close_open_spans("failed")
-                log.warning(
-                    "failed: retry budget exhausted after %d attempt(s): %s",
-                    job.attempt, exc,
-                )
-                self._transition(
-                    job, "failed",
-                    error=f"retry budget exhausted after "
-                          f"{job.attempt} attempt(s): {exc}",
-                )
-                self._ledger(job)
-                return
-            backoff = self._backoff(job.attempt)
-            # The whole span stack closes "retried": the next attempt
-            # re-begins the same job span id (legal for a closed span)
-            # under a fresh attempt id.
-            recorder.close_open_spans("retried")
-            log.warning(
-                "retrying (attempt %d/%d) in %.2fs: %s",
-                job.attempt, self.retry_budget, backoff, exc,
-            )
-            self._transition(
-                job, "retrying", error=str(exc),
-                backoff_seconds=round(backoff, 3),
-            )
-            self._schedule_retry(job, backoff)
-            return
         except Exception as exc:
-            job.exec_seconds += time.perf_counter() - started
             if job.cancel_requested:
                 # The sweep unwound via JobCancelled (possibly wrapped
                 # by an intermediate layer): completed trials are in
@@ -1093,15 +990,14 @@ class JobManager:
             return
         recorder.end_span(attempt_span, status="ok")
         recorder.end_span(job.id, status="ok")
-        job.exec_seconds += time.perf_counter() - started
-        wall = job.exec_seconds
+        wall = time.perf_counter() - started
         job.wall_seconds = wall
         self._mean_wall = 0.7 * self._mean_wall + 0.3 * wall
         self.telemetry.observe(
             "repro_job_wall_seconds",
             wall,
             labels={"kind": job.spec.kind},
-            help_text="Job execution wall time (backoff excluded), by kind.",
+            help_text="Job execution wall time, by kind.",
         )
         log.info(
             "done: ok=%s wall=%.3fs attempt=%d",
@@ -1142,11 +1038,6 @@ class JobManager:
                 recorder=recorder,
             ),
         )
-
-    def _backoff(self, attempt: int) -> float:
-        """Exponential backoff with jitter before retry ``attempt + 1``."""
-        base = min(self.backoff_cap, self.backoff_base * (2.0 ** (attempt - 1)))
-        return base * (0.5 + random.random())
 
     def _ledger(self, job: Job) -> None:
         """Stamp the finished job into the PR-5 run ledger (never raises)."""

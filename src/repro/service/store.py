@@ -50,10 +50,9 @@ __all__ = ["JobStore", "JOURNAL_SCHEMA_VERSION"]
 #: Version of the job-journal record format; bump on incompatible changes.
 JOURNAL_SCHEMA_VERSION = 1
 
-#: Job lifecycle states.  ``queued``, ``running`` and ``retrying`` are
-#: live (recovered on restart); ``done``, ``failed`` and ``cancelled``
-#: are terminal.
-JOB_STATES = ("queued", "running", "retrying", "done", "failed", "cancelled")
+#: Job lifecycle states.  ``queued`` and ``running`` are live (recovered
+#: on restart); ``done``, ``failed`` and ``cancelled`` are terminal.
+JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 logger = get_logger("service.store")
 
@@ -142,8 +141,8 @@ class JobStore:
         Each job's document is the merge of its transition records in
         journal order, so the last recorded state wins.  The caller
         (the :class:`~repro.service.jobs.JobManager`) re-admits jobs
-        whose recovered state is live (``queued``/``running``/
-        ``retrying``) -- that is the crash-recovery contract.
+        whose recovered state is live (``queued``/``running``) -- that
+        is the crash-recovery contract.
         """
         jobs: Dict[str, Dict[str, Any]] = {}
         for record in self.iter_journal():

@@ -431,10 +431,10 @@ class TestProfiling:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_runner_emits_trial_timings(self, workers):
         recorder = MetricsRecorder(profile=True)
-        runner = ParallelTrialRunner(workers, recorder=recorder)
-        results = runner.map_trials(
-            draw_uniform, seed=30, labels=("prof",), trials=4
-        )
+        with recording(recorder):
+            results = ParallelTrialRunner(workers).map_trials(
+                draw_uniform, seed=30, labels=("prof",), trials=4
+            )
         assert results == [make_rng(30, "prof", i).random() for i in range(4)]
         trials = recorder.events_of("trial")
         assert sorted(event["index"] for event in trials) == [0, 1, 2, 3]
@@ -445,10 +445,9 @@ class TestProfiling:
 
     def test_runner_emits_checkpoint_write_events(self, tmp_path):
         recorder = MetricsRecorder()
-        runner = ParallelTrialRunner(
-            checkpoint=str(tmp_path / "journal.pkl"), recorder=recorder
-        )
-        runner.map_trials(draw_uniform, seed=31, labels=("ck",), trials=3)
+        runner = ParallelTrialRunner(checkpoint=str(tmp_path / "journal.pkl"))
+        with recording(recorder):
+            runner.map_trials(draw_uniform, seed=31, labels=("ck",), trials=3)
         writes = recorder.events_of("checkpoint-write")
         assert sorted(event["index"] for event in writes) == [0, 1, 2]
 

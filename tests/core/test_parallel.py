@@ -3,7 +3,7 @@
 The contract under test: results are bit-identical whether trials run
 serially or across worker processes, because each trial's RNG is derived
 inside the worker from the same ``(seed, *labels, index)`` path -- and
-that contract survives task errors, worker crashes, timeouts and
+that contract survives task errors, worker crashes and
 checkpoint/resume.
 """
 
@@ -21,7 +21,6 @@ from repro.core import parallel
 from repro.core.parallel import (
     ParallelTrialRunner,
     TrialTaskError,
-    TrialTimeoutError,
     _append_checkpoint,
     _load_checkpoint,
 )
@@ -53,11 +52,6 @@ def fail_if_matches(target: float, rng: random.Random) -> float:
     if value == target:
         raise ValueError("boom")
     return value
-
-
-def slow_draw(delay: float, rng: random.Random) -> float:
-    time.sleep(delay)
-    return rng.random()
 
 
 def crash_worker_once(sentinel: str, rng: random.Random) -> float:
@@ -143,12 +137,6 @@ class TestParallelTrialRunner:
         assert serial == parallel
         assert all(outcome.converged for outcome in serial)
 
-    def test_invalid_timeout_and_retries(self):
-        with pytest.raises(ValueError):
-            ParallelTrialRunner(timeout=0)
-        with pytest.raises(ValueError):
-            ParallelTrialRunner(pool_retries=-1)
-
 
 class TestFaultTolerance:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -161,15 +149,6 @@ class TestFaultTolerance:
         assert info.value.index == 2
         assert "ValueError: boom" in str(info.value)
         assert "ValueError" in info.value.remote_traceback
-
-    def test_per_trial_timeout(self):
-        runner = ParallelTrialRunner(2, timeout=0.25)
-        with pytest.raises(TrialTimeoutError) as info:
-            runner.map_trials(
-                partial(slow_draw, 3.0), seed=9, labels=("slow",), trials=2
-            )
-        assert info.value.index == 0
-        assert info.value.timeout == 0.25
 
     def test_worker_crash_retries_only_missing_trials(self, tmp_path):
         """A mid-run worker crash loses no completed trials and the final
@@ -185,9 +164,10 @@ class TestFaultTolerance:
         expected = [make_rng(12, "crash", i).random() for i in range(6)]
         assert results == expected
 
-    def test_pool_exhaustion_falls_back_to_serial(self):
+    def test_pool_exhaustion_falls_back_to_serial(self, monkeypatch):
         """When every round breaks the pool, trials still finish serially."""
-        results = ParallelTrialRunner(2, pool_retries=1).map_trials(
+        monkeypatch.setattr(parallel, "POOL_RETRIES", 1)
+        results = ParallelTrialRunner(2).map_trials(
             crash_every_worker, seed=13, labels=("hopeless",), trials=3
         )
         assert results == [make_rng(13, "hopeless", i).random() for i in range(3)]
@@ -428,41 +408,32 @@ class TestRunKeyProvenance:
 
 
 class TestPoolExhaustion:
-    def test_pool_exhausted_raises_typed_error(self, tmp_path):
-        """With serial_fallback off, exhausting the retry budget raises
-        PoolExhaustedError carrying exactly the missing trial indices."""
-        from repro.core.parallel import PoolExhaustedError
-
-        runner = ParallelTrialRunner(
-            2, pool_retries=1, pool_backoff=0.0, serial_fallback=False
-        )
-        with pytest.raises(PoolExhaustedError) as info:
-            runner.map_trials(crash_every_worker, seed=11, labels=("px",), trials=4)
-        assert info.value.rounds == 2
-        assert set(info.value.missing) <= set(range(4))
-        assert info.value.missing  # at least one trial never completed
-
-    def test_backoff_is_exponential_with_bounded_jitter(self):
-        runner = ParallelTrialRunner(2, pool_backoff=0.25)
+    def test_backoff_is_exponential_with_bounded_jitter(self, monkeypatch):
+        monkeypatch.setattr(parallel, "POOL_BACKOFF", 0.25)
         for round_index in range(4):
             base = 0.25 * (2.0 ** round_index)
             for _ in range(16):
-                value = runner._retry_backoff(round_index)
+                value = parallel._retry_backoff(round_index)
                 assert base * 0.5 <= value < base * 1.5
 
-    def test_zero_backoff_disables_sleep(self):
-        runner = ParallelTrialRunner(2, pool_backoff=0.0)
-        assert runner._retry_backoff(3) == 0.0
+    def test_zero_backoff_disables_sleep(self, monkeypatch):
+        monkeypatch.setattr(parallel, "POOL_BACKOFF", 0.0)
+        assert parallel._retry_backoff(3) == 0.0
 
-    def test_worker_retry_event_carries_backoff(self, tmp_path):
+    def test_worker_retry_event_carries_backoff(self, tmp_path, monkeypatch):
+        from repro.obs.context import recording
         from repro.obs.metrics import MetricsRecorder
 
+        monkeypatch.setattr(parallel, "POOL_BACKOFF", 0.01)
         recorder = MetricsRecorder()
         sentinel = str(tmp_path / "crash-once")
-        runner = ParallelTrialRunner(2, pool_backoff=0.01, recorder=recorder)
-        results = runner.map_trials(
-            partial(crash_worker_once, sentinel), seed=13, labels=("ev",), trials=4
-        )
+        with recording(recorder):
+            results = ParallelTrialRunner(2).map_trials(
+                partial(crash_worker_once, sentinel),
+                seed=13,
+                labels=("ev",),
+                trials=4,
+            )
         assert results == [make_rng(13, "ev", i).random() for i in range(4)]
         retries = recorder.events_of("worker-retry")
         assert retries

@@ -164,6 +164,31 @@ class TestCli:
         assert entries[0]["all_passed"] is True
         assert entries[0]["wall_seconds"] > 0
 
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            (["--strikes", "-1"], "'strikes'"),
+            (["--strikes", "0"], "'strikes'"),
+            (["--fraction", "-0.5"], "'fraction'"),
+            (["--period", "0"], "'period_factor'"),
+            (["--agents", "0"], "'agents'"),
+            (["--poisson-rate", "-2"], "'poisson_rate'"),
+            (["--recovery-budget", "0"], "'recovery_budget_factor'"),
+        ],
+    )
+    def test_chaos_rejects_bad_parameters_before_any_trial(
+        self, bad, name, capsys
+    ):
+        """A vacuous or unrunnable chaos sweep exits 2 with one line
+        naming the parameter -- no empty report, no traceback."""
+        argv = ["chaos", "--protocol", "ciw", "--n", "8", "--trials", "1"]
+        assert main(argv + bad + ["--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("chaos: ")
+        assert name in lines[0]
+
 
 class TestCliBench:
     def _bench_dir(self, tmp_path, scale="1"):

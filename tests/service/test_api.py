@@ -7,6 +7,7 @@ the CI smoke use, so client and server are tested as one contract.
 
 import asyncio
 import json
+import os
 import socket
 import threading
 import urllib.request
@@ -149,6 +150,30 @@ class TestRoutes:
                 reply += chunk
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            ({"strikes": -1}, "'strikes'"),
+            ({"strikes": 0}, "'strikes'"),
+            ({"fraction": -0.5}, "'fraction'"),
+            ({"period_factor": 0}, "'period_factor'"),
+            ({"agents": 0}, "'agents'"),
+            ({"poisson_rate": -2}, "'poisson_rate'"),
+            ({"engine": "warp"}, "'engine'"),
+            ({"protocols": []}, "'protocols'"),
+        ],
+    )
+    def test_invalid_chaos_parameters_are_400(self, server, bad, name):
+        """Chaos ranges are checked at submission: a vacuous sweep is
+        never cached and an unrunnable one never fails inside trial 0.
+        Nothing is journaled for the rejected payload."""
+        with pytest.raises(client.ServiceClientError) as info:
+            client.submit_job(server.base_url, "chaos", dict(SMALL_CHAOS, **bad))
+        assert info.value.status == 400
+        assert name in str(info.value)
+        journal = os.path.join(server.root, "jobs.jsonl")
+        assert not os.path.exists(journal) or os.path.getsize(journal) == 0
 
     def test_removed_priority_field_is_400(self, server):
         with pytest.raises(client.ServiceClientError) as info:

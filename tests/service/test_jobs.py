@@ -2,9 +2,8 @@
 
 Contracts: payload validation is strict and canonicalization is
 order-insensitive, the cache key is the provenance triple, submission is
-idempotent, admission control bounds the queue, retryable failures back
-off under a budget while deterministic errors fail fast, and journaled
-jobs are re-admitted on restart.
+idempotent, admission control bounds the queue, a failing job fails on
+first occurrence, and journaled jobs are re-admitted on restart.
 """
 
 import asyncio
@@ -140,48 +139,6 @@ class TestManager:
 
         assert run(body())
 
-    def test_retryable_failure_backs_off_then_fails_at_budget(
-        self, tmp_path, monkeypatch
-    ):
-        """PoolExhaustedError retries with backoff under the budget;
-        exhausting it turns the job terminal with the retry history
-        journaled."""
-        from repro.core.parallel import PoolExhaustedError
-        from repro.service import jobs as jobs_mod
-
-        calls = []
-
-        def always_exhausted(spec, *, checkpoint=None, recorder=None):
-            calls.append(1)
-            raise PoolExhaustedError([0, 1], rounds=3)
-
-        monkeypatch.setattr(jobs_mod, "execute_spec", always_exhausted)
-
-        async def body():
-            store = JobStore(str(tmp_path))
-            manager = JobManager(
-                store, retry_budget=3, backoff_base=0.01, backoff_cap=0.05
-            )
-            await manager.start()
-            try:
-                job, _ = manager.submit(self._payload())
-                for _ in range(400):
-                    if job.terminal:
-                        break
-                    await asyncio.sleep(0.02)
-                assert job.state == "failed"
-                assert "retry budget exhausted" in job.error
-                assert len(calls) == 3
-            finally:
-                await manager.stop()
-            states = [record["state"] for record in store.iter_journal()
-                      if record.get("job") == job.id]
-            assert states.count("retrying") == 2
-            assert states[-1] == "failed"
-            return True
-
-        assert run(body())
-
     def test_deterministic_error_fails_fast_no_retry(self, tmp_path, monkeypatch):
         from repro.service import jobs as jobs_mod
 
@@ -194,7 +151,7 @@ class TestManager:
         monkeypatch.setattr(jobs_mod, "execute_spec", always_boom)
 
         async def body():
-            manager = JobManager(JobStore(str(tmp_path)), retry_budget=3)
+            manager = JobManager(JobStore(str(tmp_path)))
             await manager.start()
             try:
                 job, _ = manager.submit(self._payload())
@@ -322,6 +279,65 @@ class TestRecovery:
                 assert executed == [11]
             finally:
                 await manager.stop()
+            return True
+
+        assert run(body())
+
+    def test_retrying_journal_from_earlier_release_recovers(
+        self, tmp_path, monkeypatch
+    ):
+        """Earlier releases retried jobs themselves and journaled a live
+        ``retrying`` state.  A journal that ends a job there re-admits
+        it as queued, and it runs to completion."""
+        from repro.service import jobs as jobs_mod
+
+        executed = []
+
+        def fake_execute(spec, *, checkpoint=None, recorder=None):
+            executed.append(spec.params["seed"])
+            return {"ok": True, "result": {}}
+
+        monkeypatch.setattr(jobs_mod, "execute_spec", fake_execute)
+        # Verbatim, as the earlier release wrote it.
+        lines = (
+            '{"cache_key": "4294ba48478c4ce76787e021f8e74f77d9a7b3048ed66627'
+            '4fcb9dd75da7f9f3", "job": "job-4294ba48478c4ce7", '
+            '"journal_version": 1, "payload": {"kind": "chaos", "spec": '
+            '{"adversary": "random", "engine": "auto", "fraction": 0.125, '
+            '"ns": [8], "period_factor": 2.0, "protocols": ["ciw"], '
+            '"recovery_budget_factor": 50.0, "seed": 12, "strikes": 3, '
+            '"trials": 1}}, "state": "queued", "ts": 1792201604.719}\n'
+            '{"attempt": 1, "job": "job-4294ba48478c4ce7", '
+            '"journal_version": 1, "state": "running", "ts": 1792201604.72}\n'
+            '{"attempt": 1, "backoff_seconds": 34.623, "error": "worker pool '
+            'broke 3 time(s); 1 trial(s) never completed: [0]", "job": '
+            '"job-4294ba48478c4ce7", "journal_version": 1, "state": '
+            '"retrying", "ts": 1792201604.72}\n'
+        )
+        store = JobStore(str(tmp_path))
+        with open(store.journal_path, "w", encoding="utf8") as handle:
+            handle.write(lines)
+
+        async def body():
+            store = JobStore(str(tmp_path))
+            manager = JobManager(store)
+            recovered = await manager.start()
+            try:
+                assert recovered == 1
+                job = manager.get("job-4294ba48478c4ce7")
+                assert job is not None
+                for _ in range(400):
+                    if job.terminal:
+                        break
+                    await asyncio.sleep(0.02)
+                assert job.state == "done"
+                assert job.attempt == 2
+                assert executed == [12]
+            finally:
+                await manager.stop()
+            states = [record["state"] for record in store.iter_journal()
+                      if record.get("job") == job.id]
+            assert states[-3:] == ["queued", "running", "done"]
             return True
 
         assert run(body())
@@ -529,52 +545,6 @@ class TestSpanTelemetry:
                 assert all(r["status"] == "cancelled" for r in ends)
                 # Innermost-first unwind: attempt closes before job.
                 assert [r["kind"] for r in ends] == ["attempt", "job"]
-            finally:
-                await manager.stop()
-            return True
-
-        assert run(body())
-
-    def test_retried_job_reopens_same_identity(self, tmp_path, monkeypatch):
-        from repro.core.parallel import PoolExhaustedError
-        from repro.obs import validate_spans
-        from repro.service import jobs as jobs_mod
-
-        calls = []
-
-        def flaky(spec, *, checkpoint=None, recorder=None):
-            calls.append(1)
-            if len(calls) == 1:
-                raise PoolExhaustedError([0], rounds=3)
-            return {"ok": True, "result": {}}
-
-        monkeypatch.setattr(jobs_mod, "execute_spec", flaky)
-
-        async def body():
-            manager = JobManager(
-                JobStore(str(tmp_path)), retry_budget=3,
-                backoff_base=0.01, backoff_cap=0.05,
-            )
-            await manager.start()
-            try:
-                job, _ = manager.submit(self._payload(seed=13))
-                for _ in range(400):
-                    if job.terminal:
-                        break
-                    await asyncio.sleep(0.02)
-                assert job.state == "done"
-                spans = self._span_records(job)
-                assert validate_spans(spans) == []
-                ends = [r for r in spans if r.get("op") == "end"]
-                # Attempt 1 unwound as retried, attempt 2 completed ok.
-                assert [(r["kind"], r["status"]) for r in ends] == [
-                    ("attempt", "retried"), ("job", "retried"),
-                    ("attempt", "ok"), ("job", "ok"),
-                ]
-                begins = [r for r in spans if r.get("op") == "begin"]
-                assert [r["id"] for r in begins] == [
-                    job.id, f"{job.id}/a1", job.id, f"{job.id}/a2",
-                ]
             finally:
                 await manager.stop()
             return True

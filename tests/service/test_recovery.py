@@ -10,6 +10,7 @@ from the result cache with zero trial executions.
 
 import json
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -22,10 +23,14 @@ from repro.service import client
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-#: Multi-trial sweep: long enough that SIGKILL reliably lands mid-run,
-#: small enough to finish quickly on resume.
-JOB_SPEC = {"protocols": ["ciw"], "ns": [16], "trials": 8, "seed": 101}
+#: Multi-trial sweep: about a second of serial trials (n=64), long
+#: enough that SIGKILL lands mid-run, small enough to finish quickly on
+#: resume.
+JOB_SPEC = {"protocols": ["ciw"], "ns": [64], "trials": 8, "seed": 101}
 TRIALS = JOB_SPEC["trials"]
+
+#: Poll period while waiting for the kill window, in seconds.
+POLL_SECONDS = 0.005
 
 
 def _free_port():
@@ -72,7 +77,10 @@ def test_kill9_resume_bit_identical_and_cached(tmp_path):
     ledger_path = str(tmp_path / "ledger.jsonl")
     port = _free_port()
 
-    # -- first life: submit, wait for the first checkpointed trial, kill -9
+    journal = os.path.join(store_root, "jobs.jsonl")
+
+    # -- first life: submit, wait until the job is running with at least
+    # one checkpointed trial, kill -9
     process, base_url = _start_server(port, store_root, ledger_path)
     try:
         document = client.submit_job(base_url, "chaos", JOB_SPEC)
@@ -80,26 +88,35 @@ def test_kill9_resume_bit_identical_and_cached(tmp_path):
         checkpoint = os.path.join(store_root, "checkpoints", f"{job_id}.pkl")
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            if os.path.exists(checkpoint) and os.path.getsize(checkpoint) > 0:
+            if (
+                _last_state(journal, job_id) == "running"
+                and _checkpoint_records(checkpoint) >= 1
+            ):
                 break
-            time.sleep(0.05)
+            time.sleep(POLL_SECONDS)
         else:
-            pytest.fail("no trial reached the checkpoint journal in time")
+            pytest.fail("the job never ran with a checkpointed trial in time")
     finally:
         os.kill(process.pid, signal.SIGKILL)
         process.wait(timeout=30)
 
-    # Appends are single os.write calls, so whatever the kill left
-    # behind is whole records: at least one trial survived the crash.
-    killed_size = os.path.getsize(checkpoint)
-    assert killed_size > 0
+    # The precondition, read from what the dead process left on disk:
+    # the kill landed mid-sweep.  Appends are single os.write calls, so
+    # the checkpoint holds whole records only.
+    killed_state = _last_state(journal, job_id)
+    killed_records = _checkpoint_records(checkpoint)
+    assert killed_state == "running" and 1 <= killed_records < TRIALS, (
+        f"SIGKILL did not land mid-sweep (journal state {killed_state!r}, "
+        f"{killed_records}/{TRIALS} trials checkpointed); the test cannot "
+        "show a resume"
+    )
 
     # -- second life: the journal re-admits the job, the checkpoint
     # resumes the sweep, and the job completes.
     process, base_url = _start_server(port, store_root, ledger_path)
     try:
         recovered = client.get_job(base_url, job_id)
-        assert recovered["state"] in ("queued", "running", "retrying", "done")
+        assert recovered["state"] in ("queued", "running", "done")
         final = client.wait_for_job(base_url, job_id, timeout=300)
         assert final["state"] == "done"
         assert final["ok"] is True
@@ -128,7 +145,6 @@ def test_kill9_resume_bit_identical_and_cached(tmp_path):
 
         # -- dedupe half of the criterion: an identical submission is
         # served from the result cache with zero trial executions.
-        journal = os.path.join(store_root, "jobs.jsonl")
         running_before = _count_running(journal, job_id)
         checkpoint_size_before = os.path.getsize(checkpoint)
         duplicate = client.submit_job(base_url, "chaos", dict(JOB_SPEC))
@@ -150,17 +166,46 @@ def test_kill9_resume_bit_identical_and_cached(tmp_path):
             process.wait(timeout=15)
 
 
-def _count_running(journal_path, job_id):
-    count = 0
+def _journal_records(journal_path, job_id):
+    """The job's journal records; a torn final line is skipped."""
+    if not os.path.exists(journal_path):
+        return []
+    records = []
     with open(journal_path, encoding="utf8") as handle:
         for line in handle:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if record.get("job") == job_id and record.get("state") == "running":
-                count += 1
-    return count
+            if record.get("job") == job_id:
+                records.append(record)
+    return records
+
+
+def _last_state(journal_path, job_id):
+    states = [r["state"] for r in _journal_records(journal_path, job_id)]
+    return states[-1] if states else None
+
+
+def _checkpoint_records(path):
+    """Whole trial records in a checkpoint journal (0 if absent)."""
+    if not os.path.exists(path):
+        return 0
+    count = 0
+    with open(path, "rb") as handle:
+        while True:
+            try:
+                pickle.load(handle)
+            except (EOFError, pickle.UnpicklingError):
+                return count
+            count += 1
+
+
+def _count_running(journal_path, job_id):
+    return sum(
+        1 for record in _journal_records(journal_path, job_id)
+        if record.get("state") == "running"
+    )
 
 
 @pytest.mark.slow
