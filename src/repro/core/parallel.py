@@ -60,11 +60,11 @@ the same seed.  Shard files stay on disk next to the parent trace for
 postmortems unless the recorder sets ``keep_shards=False``, in which
 case each shard is unlinked once merged.  Every traced trial also opens
 and closes a ``trial`` span (see :mod:`repro.obs.spans`) inside its
-shard; untraced recorded runs get harvest-time trial spans on the
-parent recorder instead, which is how the service streams per-trial
-progress.  With no trace attached, nothing changes: pooled workers
-start with no recorder and the hot paths keep their single ``None``
-check.
+shard; untraced recorded runs get trial spans on the parent recorder
+instead (opened before the trial on the serial path, at harvest on the
+pooled one), which is how the service streams per-trial progress.  With
+no trace attached, nothing changes: pooled workers start with no
+recorder and the hot paths keep their single ``None`` check.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ import pickle
 import random
 import time
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import (
     Any,
     Callable,
@@ -133,7 +133,7 @@ class _SignalDrain(BaseException):
 
 
 class _TrialFailure:
-    """Picklable record of a worker-side exception (no exception objects
+    """Picklable record of a trial's exception (no exception objects
     cross the pipe: user exception classes may not unpickle cleanly)."""
 
     __slots__ = ("kind", "message", "remote_traceback")
@@ -144,9 +144,15 @@ class _TrialFailure:
         self.remote_traceback = remote_traceback
 
 
-def _run_trial(task: TrialTask, seed: int, labels: Tuple[Label, ...], index: int) -> Any:
-    """Top-level worker body (must be importable for pickling)."""
-    return task(make_rng(seed, *labels, index))
+class _TrialTiming:
+    """Picklable envelope of a finished trial: its value and wall/CPU seconds."""
+
+    __slots__ = ("value", "wall_seconds", "cpu_seconds")
+
+    def __init__(self, value: Any, wall_seconds: float, cpu_seconds: float):
+        self.value = value
+        self.wall_seconds = wall_seconds
+        self.cpu_seconds = cpu_seconds
 
 
 class _ShardSpec:
@@ -182,9 +188,9 @@ def _trial_shard_scope(
 ) -> Any:
     """Context manager: a fresh shard recorder installed as ambient.
 
-    Used identically by the serial loop and the pooled worker body --
-    sharing one code path is what makes the two merge outputs
-    byte-identical.
+    Entered by :func:`_run_trial`, hence identically by the serial loop
+    and the pooled worker -- sharing one code path is what makes the
+    two merge outputs byte-identical.
     """
     from contextlib import ExitStack
 
@@ -242,76 +248,40 @@ def _trial_shard_scope(
     return stack
 
 
-def _run_trial_sharded(
+def _run_trial(
     task: TrialTask,
     seed: int,
     labels: Tuple[Label, ...],
     index: int,
-    spec: _ShardSpec,
-) -> Any:
-    """Worker body for traced pooled runs: guarded, under a shard recorder."""
+    spec: Optional[_ShardSpec],
+) -> Union[_TrialTiming, _TrialFailure]:
+    """The one trial body: run in-process by the serial path, in a worker
+    by the pool (so it must stay importable for pickling).
+
+    Traced runs (``spec`` set) record the trial under its own shard
+    recorder.  A task exception comes back as a :class:`_TrialFailure`
+    value rather than through the future's exception channel, which
+    keeps it cleanly distinguishable from pool infrastructure failures
+    (a dead worker also surfaces as a future exception --
+    ``BrokenProcessPool``).  Workers never see the parent's recorder, so
+    timing comes back as data too and the parent emits the ``trial``
+    events when it finishes the trial.
+    """
     try:
-        with _trial_shard_scope(spec, seed, labels, index):
+        with (
+            _trial_shard_scope(spec, seed, labels, index)
+            if spec is not None
+            else nullcontext()
+        ):
             wall = time.perf_counter()
             cpu = time.process_time()
             value = task(make_rng(seed, *labels, index))
-            wall = time.perf_counter() - wall
-            cpu = time.process_time() - cpu
+            return _TrialTiming(
+                value, time.perf_counter() - wall, time.process_time() - cpu
+            )
+    except (KeyboardInterrupt, SystemExit, _SignalDrain):
+        raise
     except BaseException as exc:  # noqa: B036 - reported, not swallowed
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
-        return _TrialFailure(type(exc).__name__, str(exc), traceback.format_exc())
-    if spec.profile:
-        return _TrialTiming(value, wall, cpu)
-    return value
-
-
-class _TrialTiming:
-    """Picklable per-trial timing envelope (profiled pooled runs only)."""
-
-    __slots__ = ("value", "wall_seconds", "cpu_seconds")
-
-    def __init__(self, value: Any, wall_seconds: float, cpu_seconds: float):
-        self.value = value
-        self.wall_seconds = wall_seconds
-        self.cpu_seconds = cpu_seconds
-
-
-def _run_trial_timed(
-    task: TrialTask, seed: int, labels: Tuple[Label, ...], index: int
-) -> Any:
-    """Worker body wrapping :func:`_run_trial_guarded` in wall/CPU timers.
-
-    Workers never see the parent's recorder (the ambient context is
-    process-local by design), so timing crosses the pipe as data and the
-    parent emits the ``trial`` events at harvest time.
-    """
-    wall = time.perf_counter()
-    cpu = time.process_time()
-    value = _run_trial_guarded(task, seed, labels, index)
-    if isinstance(value, _TrialFailure):
-        return value
-    return _TrialTiming(
-        value, time.perf_counter() - wall, time.process_time() - cpu
-    )
-
-
-def _run_trial_guarded(
-    task: TrialTask, seed: int, labels: Tuple[Label, ...], index: int
-) -> Any:
-    """Worker body that captures task exceptions as data.
-
-    An exception raised *by the task* comes back as a
-    :class:`_TrialFailure` value rather than through the future's
-    exception channel, which keeps it cleanly distinguishable from pool
-    infrastructure failures (a dead worker also surfaces as a future
-    exception -- ``BrokenProcessPool``).
-    """
-    try:
-        return task(make_rng(seed, *labels, index))
-    except BaseException as exc:  # noqa: B036 - reported, not swallowed
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
         return _TrialFailure(type(exc).__name__, str(exc), traceback.format_exc())
 
 
@@ -329,11 +299,12 @@ class ParallelTrialRunner:
         appended as they complete; a later call with the same ``seed``
         and ``labels`` loads them and computes only the missing ones.
 
-    The ambient recorder installed at :meth:`map_trials` time (see
-    :mod:`repro.obs.context`) receives ``checkpoint-write`` and
+    Both paths run the same trial body (:func:`_run_trial`) and finish
+    each trial through :meth:`_finish_trial`; the serial path is a pool
+    of zero.  The ambient recorder installed at :meth:`map_trials` time
+    (see :mod:`repro.obs.context`) receives ``checkpoint-write`` and
     ``worker-retry`` events, and -- with ``recorder.profile`` --
-    per-trial ``trial`` events carrying wall/CPU seconds.  Worker
-    processes stay uninstrumented; timing crosses the pipe as data.
+    per-trial ``trial`` events carrying wall/CPU seconds.
     """
 
     def __init__(
@@ -346,10 +317,13 @@ class ParallelTrialRunner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers or 1
         self.checkpoint = checkpoint
-        self._obs: Optional[Any] = None  # resolved per map_trials call
-        self._shard_spec: Optional[_ShardSpec] = None  # ditto
-        self._run_key: Optional[_RunKey] = None  # ditto
-        self._parent_span: Optional[str] = None  # ditto
+        # Per-call state, resolved once by each map_trials call.
+        self._obs: Optional[Any] = None
+        self._shard_spec: Optional[_ShardSpec] = None
+        self._run_key: _RunKey = ()
+        self._parent_span: Optional[str] = None
+        self._trial_spans = False
+        self._profiling = False
 
     @property
     def parallel(self) -> bool:
@@ -375,33 +349,33 @@ class ParallelTrialRunner:
         label_path: Tuple[Label, ...] = tuple(labels)
         # The git SHA completes the provenance triple: trials journaled
         # by one source tree must not satisfy a resume from another.
-        run_key: _RunKey = (seed, label_path, provenance.git_sha())
-        self._run_key = run_key
-        self._obs = current_recorder()
-        trace = getattr(self._obs, "trace", None)
+        self._run_key = (seed, label_path, provenance.git_sha())
+        obs = self._obs = current_recorder()
+        trace = getattr(obs, "trace", None)
         # Trial spans parent under whatever span the caller has open --
         # the job attempt when the service runs us, nothing for a bare
         # CLI run.  Innermost open span wins (dict preserves open order).
-        open_spans = getattr(self._obs, "open_spans", None)
-        parent_span: Optional[str] = (
-            next(reversed(open_spans)) if open_spans else None
-        )
-        self._parent_span = parent_span
+        open_spans = getattr(obs, "open_spans", None)
+        self._parent_span = next(reversed(open_spans)) if open_spans else None
+        self._profiling = bool(getattr(obs, "profile", False))
         self._shard_spec = (
             _ShardSpec(
-                trace.path,
-                self._obs.sample_every,
-                bool(getattr(self._obs, "profile", False)),
-                parent_span,
+                trace.path, obs.sample_every, self._profiling, self._parent_span
             )
             if trace is not None
             else None
         )
+        # Untraced recorded runs get their trial spans on the parent
+        # recorder (the service path: spans stream to SSE subscribers);
+        # traced runs record them inside the shard scope instead.
+        self._trial_spans = trace is None and hasattr(obs, "begin_span")
         done: Dict[int, Any] = {}
         if self.checkpoint:
             done = {
                 index: value
-                for index, value in _load_checkpoint(self.checkpoint, run_key).items()
+                for index, value in _load_checkpoint(
+                    self.checkpoint, self._run_key
+                ).items()
                 if 0 <= index < trials
             }
         pending = [index for index in range(trials) if index not in done]
@@ -411,10 +385,9 @@ class ParallelTrialRunner:
             )
             with self._graceful_signal_scope():
                 if pooled:
-                    fresh = self._map_pooled(task, seed, label_path, pending)
+                    self._map_pooled(task, seed, label_path, pending, done)
                 else:
-                    fresh = self._map_serial(task, seed, label_path, pending)
-            done.update(fresh)
+                    self._map_serial(task, seed, label_path, pending, done)
             if self._shard_spec is not None:
                 self._merge_shards(pending)
         return [done[index] for index in range(trials)]
@@ -507,6 +480,65 @@ class ParallelTrialRunner:
                     continue
             _LOG.debug("removed %d merged shard file(s)", removed)
 
+    # -- one trial, either path -----------------------------------------
+
+    def _begin_trial_span(
+        self, seed: int, labels: Tuple[Label, ...], index: int
+    ) -> Optional[str]:
+        """Open trial ``index``'s span on the parent recorder, if it takes one."""
+        if not self._trial_spans:
+            return None
+        from repro.obs.trace import span_id
+
+        span = span_id(seed, labels, index)
+        self._obs.begin_span("trial", span, parent=self._parent_span, trial=index)
+        return span
+
+    def _finish_trial(
+        self,
+        index: int,
+        outcome: Union[_TrialTiming, _TrialFailure],
+        span: Optional[str],
+        results: Dict[int, Any],
+        *,
+        pooled: bool,
+    ) -> None:
+        """Finish one trial: the same step for the serial and pooled paths.
+
+        A failure raises :class:`TrialTaskError` at once -- no rerun
+        will fix a deterministic trial, and masking the error hides the
+        bug.  A success emits the profiled ``trial`` event, closes the
+        span and keeps the result.
+        """
+        if isinstance(outcome, _TrialFailure):
+            if span is not None:
+                self._obs.end_span(span, status="failed")
+            raise TrialTaskError(
+                index,
+                f"{outcome.kind}: {outcome.message}",
+                outcome.remote_traceback,
+            )
+        if self._profiling:
+            self._obs.event(
+                "trial",
+                index=index,
+                wall_seconds=outcome.wall_seconds,
+                cpu_seconds=outcome.cpu_seconds,
+                pooled=pooled,
+            )
+        if span is not None:
+            self._obs.end_span(span)
+        self._keep(index, outcome.value, results)
+
+    def _keep(self, index: int, value: Any, results: Dict[int, Any]) -> None:
+        """Store a finished trial's value and journal it."""
+        results[index] = value
+        if self.checkpoint and _append_checkpoint(
+            self.checkpoint, self._run_key, index, value
+        ):
+            if self._obs is not None:
+                self._obs.event("checkpoint-write", index=index)
+
     # -- serial path ----------------------------------------------------
 
     def _map_serial(
@@ -515,65 +547,14 @@ class ParallelTrialRunner:
         seed: int,
         labels: Tuple[Label, ...],
         pending: Sequence[int],
-    ) -> Dict[int, Any]:
-        results: Dict[int, Any] = {}
-        run_key = self._run_key or (seed, labels, provenance.git_sha())
-        obs = self._obs
-        spec = self._shard_spec
-        profiling = obs is not None and getattr(obs, "profile", False)
-        # Untraced recorded runs get their trial spans on the parent
-        # recorder (the service path: spans stream to SSE subscribers);
-        # traced runs record them inside the shard scope instead.
-        emit_spans = (
-            obs is not None and spec is None and hasattr(obs, "begin_span")
-        )
-        if emit_spans:
-            from repro.obs.trace import span_id as trial_span_id
+        results: Dict[int, Any],
+    ) -> None:
         for index in pending:
-            trial_span: Optional[str] = None
-            if emit_spans:
-                trial_span = trial_span_id(seed, labels, index)
-                obs.begin_span(
-                    "trial", trial_span, parent=self._parent_span, trial=index
-                )
-            wall = time.perf_counter() if profiling else 0.0
-            cpu = time.process_time() if profiling else 0.0
-            try:
-                if spec is not None:
-                    # Traced runs shard serially too: the trial records
-                    # into its own span exactly as a pooled worker
-                    # would, so serial and pooled merges are
-                    # byte-comparable.
-                    with _trial_shard_scope(spec, seed, labels, index):
-                        value = _run_trial(task, seed, labels, index)
-                else:
-                    value = _run_trial(task, seed, labels, index)
-            except Exception as exc:
-                if trial_span is not None:
-                    obs.end_span(trial_span, status="failed")
-                raise TrialTaskError(
-                    index, f"{type(exc).__name__}: {exc}", traceback.format_exc()
-                ) from exc
-            if profiling:
-                obs.event(
-                    "trial",
-                    index=index,
-                    wall_seconds=time.perf_counter() - wall,
-                    cpu_seconds=time.process_time() - cpu,
-                    pooled=False,
-                )
-            if trial_span is not None:
-                obs.end_span(trial_span)
-            results[index] = value
-            if self.checkpoint:
-                self._checkpoint_write(run_key, index, value)
-        return results
-
-    def _checkpoint_write(self, run_key: "_RunKey", index: int, value: Any) -> None:
-        assert self.checkpoint is not None
-        if _append_checkpoint(self.checkpoint, run_key, index, value):
-            if self._obs is not None:
-                self._obs.event("checkpoint-write", index=index)
+            # The span opens before the trial runs in-process, so the
+            # trial's own engine events nest inside it.
+            span = self._begin_trial_span(seed, labels, index)
+            outcome = _run_trial(task, seed, labels, index, self._shard_spec)
+            self._finish_trial(index, outcome, span, results, pooled=False)
 
     # -- pooled path ----------------------------------------------------
 
@@ -583,13 +564,13 @@ class ParallelTrialRunner:
         seed: int,
         labels: Tuple[Label, ...],
         pending: Sequence[int],
-    ) -> Dict[int, Any]:
-        results: Dict[int, Any] = {}
+        results: Dict[int, Any],
+    ) -> None:
         missing = list(pending)
         attempts = POOL_RETRIES + 1
         for round_index in range(attempts):
             if not missing:
-                return results
+                return
             try:
                 self._run_pool_round(task, seed, labels, missing, results)
             except _PoolBroken:
@@ -615,11 +596,10 @@ class ParallelTrialRunner:
                 if backoff > 0 and round_index + 1 < attempts:
                     time.sleep(backoff)
                 continue
-            return results
+            return
         # Pool keeps breaking (or never started): trials are pure, so
         # finish the missing ones serially.
-        results.update(self._map_serial(task, seed, labels, missing))
-        return results
+        self._map_serial(task, seed, labels, missing, results)
 
     def _run_pool_round(
         self,
@@ -631,23 +611,12 @@ class ParallelTrialRunner:
     ) -> None:
         """One pool lifetime: submit ``indices``, harvest into ``results``.
 
-        Raises :class:`_PoolBroken` on pool infrastructure failures.
-        Task failures (captured in-worker) raise
-        :class:`TrialTaskError` immediately -- no rerun will fix a
-        deterministic trial, and masking the error hides the bug.
+        Raises :class:`_PoolBroken` on pool infrastructure failures;
+        task failures raise :class:`TrialTaskError` from
+        :meth:`_finish_trial`.
         """
         import concurrent.futures as cf
 
-        run_key = self._run_key or (seed, labels, provenance.git_sha())
-        obs = self._obs
-        spec = self._shard_spec
-        profiling = obs is not None and getattr(obs, "profile", False)
-        emit_spans = (
-            obs is not None and spec is None and hasattr(obs, "begin_span")
-        )
-        if emit_spans:
-            from repro.obs.trace import span_id as trial_span_id
-        worker_body = _run_trial_timed if profiling else _run_trial_guarded
         try:
             pool = cf.ProcessPoolExecutor(
                 max_workers=min(self.workers, len(indices))
@@ -656,18 +625,12 @@ class ParallelTrialRunner:
             raise _PoolBroken() from exc
         try:
             try:
-                if spec is not None:
-                    futures = {
-                        index: pool.submit(
-                            _run_trial_sharded, task, seed, labels, index, spec
-                        )
-                        for index in indices
-                    }
-                else:
-                    futures = {
-                        index: pool.submit(worker_body, task, seed, labels, index)
-                        for index in indices
-                    }
+                futures = {
+                    index: pool.submit(
+                        _run_trial, task, seed, labels, index, self._shard_spec
+                    )
+                    for index in indices
+                }
             except cf.BrokenExecutor as exc:
                 raise _PoolBroken() from exc
             try:
@@ -676,64 +639,32 @@ class ParallelTrialRunner:
                     # open as the harvest loop reaches the trial and
                     # close when its result lands, so SSE subscribers
                     # see per-trial progress without worker plumbing.
-                    trial_span: Optional[str] = None
-                    if emit_spans:
-                        trial_span = trial_span_id(seed, labels, index)
-                        obs.begin_span(
-                            "trial",
-                            trial_span,
-                            parent=self._parent_span,
-                            trial=index,
-                        )
+                    span = self._begin_trial_span(seed, labels, index)
                     try:
-                        value = future.result()
+                        outcome = future.result()
                     except (cf.BrokenExecutor, OSError) as exc:
                         # The trial itself is fine -- the pool broke --
                         # so the span closes "retried": the next round
                         # re-begins the same identity.
-                        if trial_span is not None:
-                            obs.end_span(trial_span, status="retried")
+                        if span is not None:
+                            self._obs.end_span(span, status="retried")
                         raise _PoolBroken() from exc
-                    if isinstance(value, _TrialFailure):
-                        if trial_span is not None:
-                            obs.end_span(trial_span, status="failed")
-                        raise TrialTaskError(
-                            index,
-                            f"{value.kind}: {value.message}",
-                            value.remote_traceback,
-                        )
-                    if isinstance(value, _TrialTiming):
-                        obs.event(
-                            "trial",
-                            index=index,
-                            wall_seconds=value.wall_seconds,
-                            cpu_seconds=value.cpu_seconds,
-                            pooled=True,
-                        )
-                        value = value.value
-                    if trial_span is not None:
-                        obs.end_span(trial_span)
-                    results[index] = value
-                    if self.checkpoint:
-                        self._checkpoint_write(run_key, index, value)
+                    self._finish_trial(index, outcome, span, results, pooled=True)
             except _SignalDrain:
-                self._drain_completed(futures, results, run_key)
+                self._drain_completed(futures, results)
                 raise
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def _drain_completed(
-        self,
-        futures: Dict[int, Any],
-        results: Dict[int, Any],
-        run_key: "_RunKey",
+        self, futures: Dict[int, Any], results: Dict[int, Any]
     ) -> None:
         """Journal every already-finished future before the signal wins.
 
         The harvest loop walks futures in index order, so a completed
         trial with a higher index than the one being waited on has a
         result nobody journaled yet.  A polite kill (SIGTERM) must not
-        waste that work: everything ``done()`` is harvested into
+        waste that work: every successful ``done()`` trial is kept in
         ``results`` and the checkpoint journal; running and queued
         trials are left to the pool shutdown's ``cancel_futures``.
         """
@@ -741,16 +672,11 @@ class ParallelTrialRunner:
             if index in results or not future.done() or future.cancelled():
                 continue
             try:
-                value = future.result(timeout=0)
+                outcome = future.result(timeout=0)
             except Exception:
-                continue  # broken/failed future: nothing worth saving
-            if isinstance(value, _TrialFailure):
-                continue
-            if isinstance(value, _TrialTiming):
-                value = value.value
-            results[index] = value
-            if self.checkpoint:
-                self._checkpoint_write(run_key, index, value)
+                continue  # broken future: nothing worth saving
+            if isinstance(outcome, _TrialTiming):
+                self._keep(index, outcome.value, results)
 
 
 class _PoolBroken(Exception):

@@ -686,6 +686,36 @@ def _finish_recorder(args: argparse.Namespace, recorder: Optional[Any]) -> None:
         print(f"obs: wrote trace to {args.trace}")
 
 
+class _Stamp:
+    """Wall and CPU clocks of one ledgered invocation, started on creation.
+
+    perf_counter, not time.time: elapsed is a duration, and time.time
+    can step backwards under clock adjustment (wall-clock timestamps
+    live in results.build_manifest and the ledger's provenance stamp).
+    """
+
+    def __init__(self) -> None:
+        self.wall_started = time.perf_counter()
+        self.cpu_started = time.process_time()
+
+    def elapsed(self) -> float:
+        return time.perf_counter() - self.wall_started
+
+    def record(self, kind: str, path: Optional[str], **fields: Any) -> None:
+        """Append ``kind``'s ledger entry, timed to now (no-op without a path)."""
+        if not path:
+            return
+        from repro.obs.ledger import record_invocation
+
+        record_invocation(
+            kind,
+            path=path,
+            **fields,
+            wall_seconds=round(self.elapsed(), 6),
+            cpu_seconds=round(time.process_time() - self.cpu_started, 6),
+        )
+
+
 def _run_one(
     experiment_id: str,
     seed: int,
@@ -697,31 +727,22 @@ def _run_one(
     recorder: Optional[Any] = None,
     engine: Optional[str] = None,
 ) -> bool:
-    # perf_counter, not time.time: elapsed is a duration, and time.time
-    # can step backwards under clock adjustment (wall-clock timestamps
-    # live in results.build_manifest and the ledger's provenance stamp).
-    started = time.perf_counter()
-    cpu_started = time.process_time()
+    stamp = _Stamp()
     report = run_experiment(
         experiment_id, seed=seed, quick=quick, workers=workers, engine=engine
     )
-    elapsed = time.perf_counter() - started
-    if ledger_path:
-        from repro.obs.ledger import record_invocation
-
-        record_invocation(
-            "run",
-            path=ledger_path,
-            recorder=recorder,
-            experiment=experiment_id,
-            seed=seed,
-            quick=quick,
-            workers=workers,
-            engine=engine,
-            all_passed=report.all_passed,
-            wall_seconds=round(elapsed, 6),
-            cpu_seconds=round(time.process_time() - cpu_started, 6),
-        )
+    elapsed = stamp.elapsed()
+    stamp.record(
+        "run",
+        ledger_path,
+        recorder=recorder,
+        experiment=experiment_id,
+        seed=seed,
+        quick=quick,
+        workers=workers,
+        engine=engine,
+        all_passed=report.all_passed,
+    )
     if csv_dir:
         from repro.experiments.results import write_artifacts
 
@@ -819,8 +840,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         with ExitStack() as stack:
             recorder = _install_recorder(args, stack)
-            started = time.perf_counter()
-            cpu_started = time.process_time()
+            stamp = _Stamp()
             try:
                 result = run_chaos(
                     protocols=args.protocol,
@@ -841,25 +861,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             except ValueError as exc:
                 print(f"chaos: {exc}", file=sys.stderr)
                 return 2
-            ledger_path = _ledger_path(args)
-            if ledger_path:
-                from repro.obs.ledger import record_invocation
-
-                record_invocation(
-                    "chaos",
-                    path=ledger_path,
-                    recorder=recorder,
-                    protocols=list(args.protocol),
-                    n=list(args.n),
-                    adversary=args.adversary,
-                    trials=args.trials,
-                    seed=args.seed,
-                    engine=args.engine,
-                    workers=args.workers,
-                    all_recovered=result.all_recovered,
-                    wall_seconds=round(time.perf_counter() - started, 6),
-                    cpu_seconds=round(time.process_time() - cpu_started, 6),
-                )
+            stamp.record(
+                "chaos",
+                _ledger_path(args),
+                recorder=recorder,
+                protocols=list(args.protocol),
+                n=list(args.n),
+                adversary=args.adversary,
+                trials=args.trials,
+                seed=args.seed,
+                engine=args.engine,
+                workers=args.workers,
+                all_recovered=result.all_recovered,
+            )
             print(result.render())
             if args.json_path:
                 write_json(result, args.json_path)
@@ -1015,8 +1029,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         kwargs["seed"] = args.seed
     if args.z is not None:
         kwargs["z"] = args.z
-    started = time.perf_counter()
-    cpu_started = time.process_time()
+    stamp = _Stamp()
     code = oracle.main(
         args.protocols or None,
         n=args.n,
@@ -1024,23 +1037,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         output=args.output,
         **kwargs,
     )
-    ledger_path = _ledger_path(args)
-    if ledger_path:
-        from repro.obs.ledger import record_invocation
-
-        record_invocation(
-            "verify",
-            path=ledger_path,
-            protocols=args.protocols or None,
-            n=args.n,
-            trials=args.trials,
-            seed=args.seed,
-            z=args.z,
-            solver=args.solver,
-            ok=code == 0,
-            wall_seconds=round(time.perf_counter() - started, 6),
-            cpu_seconds=round(time.process_time() - cpu_started, 6),
-        )
+    stamp.record(
+        "verify",
+        _ledger_path(args),
+        protocols=args.protocols or None,
+        n=args.n,
+        trials=args.trials,
+        seed=args.seed,
+        z=args.z,
+        solver=args.solver,
+        ok=code == 0,
+    )
     return code
 
 
@@ -1049,8 +1056,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     # Imported lazily: synthesis pulls in the protocol stack.
     from repro.statics import synth
 
-    started = time.perf_counter()
-    cpu_started = time.process_time()
+    stamp = _Stamp()
     code = synth.main(
         args.specs or None,
         n=args.n,
@@ -1058,21 +1064,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         solver=args.solver,
         output=args.output,
     )
-    ledger_path = _ledger_path(args)
-    if ledger_path:
-        from repro.obs.ledger import record_invocation
-
-        record_invocation(
-            "synth",
-            path=ledger_path,
-            specs=args.specs or None,
-            n=args.n,
-            grid=args.grid,
-            solver=args.solver,
-            ok=code == 0,
-            wall_seconds=round(time.perf_counter() - started, 6),
-            cpu_seconds=round(time.process_time() - cpu_started, 6),
-        )
+    stamp.record(
+        "synth",
+        _ledger_path(args),
+        specs=args.specs or None,
+        n=args.n,
+        grid=args.grid,
+        solver=args.solver,
+        ok=code == 0,
+    )
     return code
 
 
@@ -1088,27 +1088,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             suite = suites[name]
             print(f"{name:<12} {len(suite.cells):>2} cell(s)  {suite.description}")
         return 0
-    selected = args.suite or sorted(suites)
-    unknown = [name for name in selected if name not in suites]
-    if unknown:
-        print(
-            f"bench: unknown suite(s) {', '.join(unknown)}; "
-            f"discovered: {', '.join(sorted(suites)) or 'none'}",
-            file=sys.stderr,
+    try:
+        selected = bench_mod.select_suites(
+            suites, args.suite or sorted(suites), args.cells
         )
+    except ValueError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
         return 2
     ledger_path = _ledger_path(args)
     flagged = 0
     missing_baseline = False
     documents = []
-    for name in selected:
-        try:
-            result = bench_mod.run_suite(
-                suites[name], seed=args.seed, repeats=args.repeats, cells=args.cells
-            )
-        except ValueError as exc:
-            print(f"bench: {exc}", file=sys.stderr)
-            return 2
+    for suite in selected:
+        name = suite.name
+        result = bench_mod.run_suite(
+            suite, seed=args.seed, repeats=args.repeats, cells=args.cells
+        )
         print(bench_mod.render_suite_result(result))
         comparison = None
         if args.compare_baseline:

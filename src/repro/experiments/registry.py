@@ -43,6 +43,26 @@ def get_experiment(experiment_id: str) -> Callable:
     return import_module(module_path).run
 
 
+def check_engine(experiment_id: str, engine: Optional[str]) -> None:
+    """Reject an ``engine`` the experiment cannot honor (``ValueError``).
+
+    ``None`` keeps the experiment's default.  Otherwise the name must be
+    a known engine and the experiment's runner must accept an ``engine``
+    keyword: an explicit engine is an error, never a silent default.
+    """
+    if engine is None:
+        return
+    from repro.experiments.common import ENGINES
+
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {list(ENGINES)}, got {engine!r}")
+    if "engine" not in signature(get_experiment(experiment_id)).parameters:
+        raise ValueError(
+            f"experiment {experiment_id!r} does not support engine "
+            "selection; drop --engine"
+        )
+
+
 def run_experiment(
     experiment_id: str,
     *,
@@ -60,12 +80,13 @@ def run_experiment(
     without them are called with ``(seed, quick)`` only, so the global
     ``--workers`` / ``--engine`` flags stay safe across the registry.
     An explicit ``engine`` for an experiment that cannot honor it is an
-    error rather than a silent default.  ``checkpoint`` (a durable
-    trial-journal path, used by service jobs for crash recovery) is
-    forwarded to runners that accept it and silently dropped otherwise
-    -- an unsupported checkpoint degrades to recomputation, never to an
-    error.
+    error (:func:`check_engine`) rather than a silent default.
+    ``checkpoint`` (a durable trial-journal path, used by service jobs
+    for crash recovery) is forwarded to runners that accept it and
+    silently dropped otherwise -- an unsupported checkpoint degrades to
+    recomputation, never to an error.
     """
+    check_engine(experiment_id, engine)
     run = get_experiment(experiment_id)
     params = signature(run).parameters
     kwargs = {}
@@ -75,10 +96,5 @@ def run_experiment(
     if checkpoint is not None and "checkpoint" in params:
         kwargs["checkpoint"] = checkpoint
     if engine is not None:
-        if "engine" not in params:
-            raise ValueError(
-                f"experiment {experiment_id!r} does not support engine "
-                "selection; drop --engine"
-            )
         kwargs["engine"] = engine
     return run(seed=seed, quick=quick, **kwargs)

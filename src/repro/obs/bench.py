@@ -50,6 +50,7 @@ __all__ = [
     "load_baseline",
     "run_suite",
     "save_baseline",
+    "select_suites",
 ]
 
 #: Version of the suite-result / baseline format; bump on changes.
@@ -186,6 +187,41 @@ def discover_suites(bench_dir: str = "benchmarks") -> Dict[str, BenchSuite]:
     return suites
 
 
+def select_suites(
+    suites: Dict[str, BenchSuite],
+    names: Sequence[str],
+    cells: Optional[Sequence[str]] = None,
+) -> List[BenchSuite]:
+    """The suites called ``names``, each checked to hold every ``cells`` name.
+
+    The one suite and cell lookup: ``repro bench`` and the job service
+    (at submission and again at execution) resolve names here, so a
+    name that cannot run is refused before any work starts.  Raises
+    ``ValueError`` naming what is unknown.
+    """
+    unknown = [name for name in names if name not in suites]
+    if unknown:
+        raise ValueError(
+            f"unknown suite(s) {', '.join(unknown)}; "
+            f"discovered: {', '.join(sorted(suites)) or 'none'}"
+        )
+    selected = [suites[name] for name in names]
+    for suite in selected:
+        _check_cells(suite, cells)
+    return selected
+
+
+def _check_cells(suite: BenchSuite, cells: Optional[Sequence[str]]) -> None:
+    if cells is None:
+        return
+    unknown = set(cells) - {cell.name for cell in suite.cells}
+    if unknown:
+        raise ValueError(
+            f"suite {suite.name!r} has no cell(s) {sorted(unknown)}; "
+            f"known: {[cell.name for cell in suite.cells]}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Running a suite
 # ---------------------------------------------------------------------------
@@ -211,13 +247,7 @@ def run_suite(
     reports the per-repeat values plus mean/stdev, which is what the
     bootstrap comparison consumes.
     """
-    if cells is not None:
-        unknown = set(cells) - {cell.name for cell in suite.cells}
-        if unknown:
-            raise ValueError(
-                f"suite {suite.name!r} has no cell(s) {sorted(unknown)}; "
-                f"known: {[cell.name for cell in suite.cells]}"
-            )
+    _check_cells(suite, cells)
     results: List[Dict[str, Any]] = []
     suite_started = time.perf_counter()
     for cell in suite.cells:

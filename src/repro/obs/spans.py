@@ -14,14 +14,17 @@ Span taxonomy
 ``job``
     One submitted service job (id = the job id, ``job-<key16>``).
 ``attempt``
-    One execution attempt of a job (id = ``<job>/a<attempt>``); a
-    retried job closes its attempt span with status ``retried`` and
-    opens a fresh one on the next attempt.
+    One execution attempt of a job (id = ``<job>/a<attempt>``); it
+    closes ``ok``, ``failed`` or ``cancelled`` -- the service never
+    retries a job, so a re-admitted job (after a restart) opens a fresh
+    attempt under a higher number.
 ``trial``
     One seeded trial inside a sweep.  The span id *is* the PR-5 shard
     identity :func:`repro.obs.trace.span_id` --
     ``"<seed>:<label path>:<index>"`` -- so the span naming a trial's
-    randomness also names its trace records.
+    randomness also names its trace records.  The only span that closes
+    ``retried``: when its pool round breaks, it re-begins under the same
+    id in the next round.
 ``stage``
     One profiled engine stage aggregated over a trial (id =
     ``<trial span>#<stage name>``).  Emitted only under profiling,

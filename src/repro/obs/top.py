@@ -10,8 +10,7 @@ The screen has three bands:
 * **Header** -- service address, health status (degraded reasons
   surface here), uptime, queue depth / capacity / concurrency.
 * **Counters** -- the lifetime counters that matter operationally
-  (submitted / completed / retried / cancelled / 429s, trial
-  completions) plus a trials-per-second rate derived from successive
+  (submitted / completed / cancelled / 429s, trial completions) plus a trials-per-second rate derived from successive
   ``/metrics`` scrapes -- counters are monotone, so the difference
   over the poll interval *is* the throughput.
 * **Jobs** -- one row per job, newest last: state, attempt, a progress

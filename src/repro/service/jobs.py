@@ -229,22 +229,17 @@ class JobSpec:
             experiment = params.get("experiment")
             if not experiment:
                 raise JobValidationError("run job: 'experiment' is required")
-            from repro.experiments.registry import all_experiments
+            from repro.experiments.registry import all_experiments, check_engine
 
             if experiment not in all_experiments():
                 raise JobValidationError(
                     f"run job: unknown experiment {experiment!r}; "
                     f"known: {', '.join(all_experiments())}"
                 )
-            engine = params.get("engine")
-            if engine is not None:
-                from repro.experiments.common import ENGINES
-
-                if engine not in ENGINES:
-                    raise JobValidationError(
-                        f"run job: engine must be one of {list(ENGINES)}, "
-                        f"got {engine!r}"
-                    )
+            try:
+                check_engine(experiment, params.get("engine"))
+            except ValueError as exc:
+                raise JobValidationError(f"run job: {exc}") from None
         elif kind == "chaos":
             from repro.experiments.chaos import check_chaos_params
 
@@ -258,6 +253,7 @@ class JobSpec:
         elif kind == "bench":
             if not params.get("suite"):
                 raise JobValidationError("bench job: 'suite' is required")
+            _bench_suite(params)
         for name in ("workers",):
             value = params.get(name)
             if value is not None and value < 1:
@@ -403,19 +399,27 @@ def _execute_run(spec: JobSpec, checkpoint: Optional[str]) -> Dict[str, Any]:
     }
 
 
+def _bench_suite(params: Dict[str, Any]) -> Any:
+    """The bench job's suite, its ``cells`` checked (or JobValidationError)."""
+    from repro.obs import bench as bench_mod
+
+    try:
+        (suite,) = bench_mod.select_suites(
+            bench_mod.discover_suites("benchmarks"),
+            [params["suite"]],
+            params.get("cells"),
+        )
+    except ValueError as exc:
+        raise JobValidationError(f"bench job: {exc}") from None
+    return suite
+
+
 def _execute_bench(spec: JobSpec) -> Dict[str, Any]:
     from repro.obs import bench as bench_mod
 
     params = spec.params
-    suites = bench_mod.discover_suites("benchmarks")
-    name = params["suite"]
-    if name not in suites:
-        raise JobValidationError(
-            f"bench job: unknown suite {name!r}; "
-            f"discovered: {', '.join(sorted(suites)) or 'none'}"
-        )
     result = bench_mod.run_suite(
-        suites[name],
+        _bench_suite(params),
         seed=params["seed"],
         repeats=params.get("repeats"),
         cells=params.get("cells"),

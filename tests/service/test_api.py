@@ -175,6 +175,26 @@ class TestRoutes:
         journal = os.path.join(server.root, "jobs.jsonl")
         assert not os.path.exists(journal) or os.path.getsize(journal) == 0
 
+    @pytest.mark.parametrize(
+        "kind, spec, needle",
+        [
+            ("bench", {"suite": "nope"}, "unknown suite(s) nope"),
+            ("bench", {"suite": "engine", "cells": ["nope"]}, "no cell(s) ['nope']"),
+            ("run", {"experiment": "figure1", "engine": "count"},
+             "does not support engine selection"),
+        ],
+    )
+    def test_unrunnable_specs_are_400(self, server, kind, spec, needle):
+        """A spec that could only fail inside execution -- an unknown
+        bench suite or cell, an engine the experiment ignores -- is
+        refused at submission, and nothing is journaled for it."""
+        with pytest.raises(client.ServiceClientError) as info:
+            client.submit_job(server.base_url, kind, spec)
+        assert info.value.status == 400
+        assert needle in str(info.value)
+        journal = os.path.join(server.root, "jobs.jsonl")
+        assert not os.path.exists(journal) or os.path.getsize(journal) == 0
+
     def test_removed_priority_field_is_400(self, server):
         with pytest.raises(client.ServiceClientError) as info:
             client.submit_job(

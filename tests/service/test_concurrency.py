@@ -375,7 +375,7 @@ class TestAdmission:
             # Not started: submissions stay queued.
             manager = JobManager(JobStore(str(tmp_path)), max_queue=2)
             # A bench suite takes one slot, like any other job.
-            manager.submit({"kind": "bench", "spec": {"suite": "engines"}})
+            manager.submit({"kind": "bench", "spec": {"suite": "engine"}})
             small, _ = manager.submit(chaos_payload(seed=1))
             assert manager.backlog() == 2
             with pytest.raises(AdmissionError) as info:

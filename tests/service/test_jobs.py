@@ -447,10 +447,9 @@ class TestSpanTelemetry:
 
     Contracts: a completed job publishes a well-formed span stream
     (job -> attempt -> ... all closed ``ok``), a cancelled mid-run job
-    closes every open span ``cancelled`` on the way out, a retried job
-    closes its first attempt ``retried`` and re-begins the same job
-    identity, and the manager's telemetry registry counts the
-    lifecycle as monotone Prometheus counters.
+    closes every open span ``cancelled`` on the way out, and the
+    manager's telemetry registry counts the lifecycle as monotone
+    Prometheus counters.
     """
 
     def _payload(self, **spec):
