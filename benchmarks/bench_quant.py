@@ -18,7 +18,10 @@ magnitude in configuration count):
 * ``solve-ciw-n6-fallback`` -- the pure-python Gauss-Seidel fallback on
   the n=6 space, so the no-scipy path is under the same gate;
 * ``distribution-ciw-n5`` -- transient powering of the full hitting-time
-  pmf to a 1e-9 tail.
+  pmf to a 1e-9 tail;
+* ``witness-ciw-n64``     -- the reachable chain of the paper's
+  Omega(n^2) witness at n=64 (pair table, chain, both moments): the
+  exact oracle ``repro run table1 --quick`` pays once per pass.
 
 Entry points::
 
@@ -32,6 +35,7 @@ import statistics
 import sys
 import time
 
+from repro.core.fastpath import worst_case_ciw_counts
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.parameters import OptimalSilentParameters, ResetParameters
@@ -59,6 +63,26 @@ def _solve_cell(protocol, *, solver: str = "auto", label: str) -> dict:
         "solver": moments.solver,
         "configs": chain.size,
         "worst_case_interactions": worst,
+        "build_seconds": round(built - start, 6),
+        "seconds": round(elapsed, 6),
+        "configs_per_second": chain.size / elapsed,
+    }
+
+
+def _witness_cell(n: int) -> dict:
+    """Build the witness's reachable chain and solve both moments, timed."""
+    protocol = SilentNStateSSR(n)
+    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
+    start = time.perf_counter()
+    chain = build_chain(protocol, starts=[states])
+    built = time.perf_counter()
+    moments = hitting_moments(chain)
+    elapsed = time.perf_counter() - start
+    return {
+        "cell": f"witness-ciw-n{n}",
+        "solver": moments.solver,
+        "configs": chain.size,
+        "worst_case_interactions": moments.expected_from_states(states),
         "build_seconds": round(built - start, 6),
         "seconds": round(elapsed, 6),
         "configs_per_second": chain.size / elapsed,
@@ -150,6 +174,13 @@ def bench_suite():
         metric="steps_per_second",
         higher_is_better=True,
     )
+    suite.cell(
+        "witness-ciw-n64",
+        lambda seed, repeat: _witness_cell(64)["configs_per_second"],
+        repeats=2,
+        metric="configs_per_second",
+        higher_is_better=True,
+    )
     return suite
 
 
@@ -193,6 +224,7 @@ def main(argv=None) -> int:
             args.repeats,
         ),
         _repeat_cell(lambda: _distribution_cell(5), args.repeats),
+        _repeat_cell(lambda: _witness_cell(64), args.repeats),
     ]
 
     summary = {

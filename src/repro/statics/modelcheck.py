@@ -44,7 +44,18 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.statics.schema import StateSchema, schema_for
 
@@ -127,6 +138,9 @@ class StateSpace:
         #: (i, j) -> outcome; pairs with closure/determinism violations
         #: are absent.
         self.pairs: Dict[Tuple[int, int], PairOutcome] = {}
+        #: partners[i]: the responders j whose pair (i, j) changes state
+        #: or is absent from ``pairs``; every other pair is null.
+        self.partners: List[FrozenSet[int]] = []
         self.closure_witnesses: List[str] = []
         self.determinism_witnesses: List[str] = []
         self.null_witnesses: List[str] = []
@@ -204,6 +218,13 @@ class StateSpace:
                                 f"{self._describe_pair(i, j)}: claimed "
                                 "non-null but the transition changes nothing"
                             )
+            self.partners.append(
+                frozenset(
+                    j
+                    for j in range(size)
+                    if (i, j) not in self.pairs or self.pairs[(i, j)].changed
+                )
+            )
 
     @property
     def pair_table_complete(self) -> bool:
@@ -245,6 +266,32 @@ class StateSpace:
                     pairs.add((a, b))
         return pairs
 
+    def active_pairs(
+        self, config: Tuple[int, ...]
+    ) -> Iterator[Tuple[Tuple[int, int], int]]:
+        """Schedulable pairs of ``config`` that change it, or are missing.
+
+        Yields ``((i, j), c_i (c_j - delta_ij))`` in ascending ``(i, j)``
+        order for every pair with positive weight whose responder is in
+        ``partners[i]``; the pairs not yielded are null.  Per initiator it
+        scans the partner set or the present states, whichever is
+        shorter, so the cost follows the state-changing pairs rather than
+        all ``k^2`` ordered pairs of the ``k`` present states.
+        """
+        counts: Dict[int, int] = {}
+        for i in config:
+            counts[i] = counts.get(i, 0) + 1
+        for i, count_i in counts.items():
+            partners = self.partners[i]
+            if len(partners) < len(counts):
+                responders = sorted(j for j in partners if j in counts)
+            else:
+                responders = [j for j in counts if j in partners]
+            for j in responders:
+                weight = count_i * (counts[j] - (1 if i == j else 0))
+                if weight:
+                    yield (i, j), weight
+
     def successor(
         self, config: Tuple[int, ...], pair: Tuple[int, int]
     ) -> Tuple[int, ...]:
@@ -257,7 +304,7 @@ class StateSpace:
 
     def is_sink(self, config: Tuple[int, ...]) -> bool:
         """No schedulable ordered pair changes any state."""
-        return all(not self.pairs[pair].changed for pair in self.ordered_pairs(config))
+        return all(not self.pairs[pair].changed for pair, _ in self.active_pairs(config))
 
     def is_correct(self, config: Tuple[int, ...]) -> bool:
         return bool(self.protocol.is_correct(self.states_of(config)))
@@ -327,14 +374,15 @@ def check_silence(
         if not space.is_correct(config):
             continue
         correct_count += 1
-        for pair in space.ordered_pairs(config):
-            if space.pairs[pair].changed:
-                if len(witnesses) < MAX_WITNESSES:
-                    witnesses.append(
-                        f"{space.describe_configuration(config)} "
-                        f"[enabled change: {space._describe_pair(*pair)}]"
-                    )
-                break
+        if space.is_sink(config) or len(witnesses) >= MAX_WITNESSES:
+            continue
+        pair = next(
+            pair for pair in space.ordered_pairs(config) if space.pairs[pair].changed
+        )
+        witnesses.append(
+            f"{space.describe_configuration(config)} "
+            f"[enabled change: {space._describe_pair(*pair)}]"
+        )
     if witnesses:
         return RuleOutcome(
             RULE_SILENCE,
@@ -362,9 +410,7 @@ def check_stabilization(
     }
     for config in configs:
         sink = True
-        for pair in space.ordered_pairs(config):
-            if not space.pairs[pair].changed:
-                continue
+        for pair, _ in space.active_pairs(config):
             sink = False
             predecessors[space.successor(config, pair)].append(config)
         if sink:

@@ -89,43 +89,38 @@ class QuantError(ModelCheckError):
 # ---------------------------------------------------------------------------
 
 
-def _counts(config: Config) -> Dict[int, int]:
-    counts: Dict[int, int] = {}
-    for index in config:
-        counts[index] = counts.get(index, 0) + 1
-    return counts
-
-
 def transition_distribution(
     space: StateSpace, config: Config
 ) -> List[Tuple[Config, Fraction]]:
     """Exact one-interaction distribution over successor configurations.
 
-    Aggregates the pair-selection probabilities
-    ``c_i (c_j - delta_ij) / (n (n - 1))`` by successor configuration
-    (null pairs contribute to the self-loop).  The result sums to 1
+    Sums the integer pair weights ``c_i (c_j - delta_ij)`` by successor
+    over the state-changing pairs only (:meth:`StateSpace.active_pairs`);
+    the self-loop takes the remainder of the ``n (n - 1)`` ordered agent
+    pairs, which is exactly the null pairs' weight.  Each successor then
+    gets one ``Fraction(weight, n (n - 1))``.  The result sums to 1
     exactly and is sorted by configuration for determinism.
     """
     n = space.protocol.n
     denominator = n * (n - 1)
-    counts = _counts(config)
-    distribution: Dict[Config, Fraction] = {}
-    for i, count_i in counts.items():
-        for j, count_j in counts.items():
-            weight = count_i * (count_j - (1 if i == j else 0))
-            if weight == 0:
-                continue
-            outcome = space.pairs.get((i, j))
-            if outcome is None:
-                raise QuantError(
-                    "pair table is incomplete at "
-                    f"({space._describe_pair(i, j)}); fix closure/determinism "
-                    "before quantitative analysis"
-                )
-            successor = space.successor(config, (i, j)) if outcome.changed else config
-            probability = Fraction(weight, denominator)
-            distribution[successor] = distribution.get(successor, Fraction(0)) + probability
-    return sorted(distribution.items())
+    weights: Dict[Config, int] = {}
+    moved = 0
+    for pair, weight in space.active_pairs(config):
+        if pair not in space.pairs:
+            raise QuantError(
+                "pair table is incomplete at "
+                f"({space._describe_pair(*pair)}); fix closure/determinism "
+                "before quantitative analysis"
+            )
+        successor = space.successor(config, pair)
+        weights[successor] = weights.get(successor, 0) + weight
+        moved += weight
+    if moved < denominator:
+        weights[config] = weights.get(config, 0) + denominator - moved
+    return sorted(
+        (successor, Fraction(weight, denominator))
+        for successor, weight in weights.items()
+    )
 
 
 def _target_predicate(
@@ -252,6 +247,9 @@ def build_chain(
     predicate, target_kind = _target_predicate(space, target)
 
     configs: List[Config]
+    # Reachable mode keeps each explored distribution for its row, so
+    # every configuration's distribution is computed exactly once.
+    distributions: Dict[Config, List[Tuple[Config, Fraction]]] = {}
     if starts is None:
         configs = list(space.configurations(max_configs))
         coverage = "full"
@@ -261,7 +259,9 @@ def build_chain(
         frontier = list(seeds)
         while frontier:
             config = frontier.pop()
-            for successor, _ in transition_distribution(space, config):
+            distribution = transition_distribution(space, config)
+            distributions[config] = distribution
+            for successor, _ in distribution:
                 if successor not in seen:
                     if len(seen) >= max_configs:
                         raise QuantError(
@@ -277,8 +277,11 @@ def build_chain(
     index = {config: i for i, config in enumerate(configs)}
     rows: List[List[Tuple[int, Fraction]]] = []
     for config in configs:
+        distribution = distributions.pop(config, None)
+        if distribution is None:
+            distribution = transition_distribution(space, config)
         row: List[Tuple[int, Fraction]] = []
-        for successor, probability in transition_distribution(space, config):
+        for successor, probability in distribution:
             column = index.get(successor)
             if column is None:
                 # Only possible with coverage="full" and a closed space,

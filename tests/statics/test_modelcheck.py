@@ -55,6 +55,26 @@ class TestStateSpace:
         assert space.ordered_pairs((0, 0)) == {(0, 0)}
         assert space.ordered_pairs((0, 1)) == {(0, 1), (1, 0)}
 
+    @pytest.mark.parametrize(
+        "protocol",
+        [SilentNStateSSR(4), NondeterministicRankingSSR(4), LooselyStabilizingLE(3, t_max=2)],
+        ids=["ciw", "nondeterministic", "loose"],
+    )
+    def test_active_pairs_are_the_changing_or_missing_ones(self, protocol):
+        # The partner index must select exactly the schedulable pairs a
+        # k^2 scan would find changing (or absent from the table), with
+        # their pair weights, in ascending pair order.
+        space = StateSpace(protocol)
+        for config in space.configurations():
+            expected = []
+            for pair in sorted(space.ordered_pairs(config)):
+                outcome = space.pairs.get(pair)
+                if outcome is None or outcome.changed:
+                    i, j = pair
+                    weight = config.count(i) * (config.count(j) - (i == j))
+                    expected.append((pair, weight))
+            assert list(space.active_pairs(config)) == expected
+
     def test_non_enumerable_schema_refused(self):
         with pytest.raises(ModelCheckError):
             StateSpace(SublinearTimeSSR(3))

@@ -21,10 +21,14 @@ from repro.analysis.exact import (
     successors,
     worst_case_expected_interactions,
 )
+from repro.core.fastpath import worst_case_ciw_counts
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.loose_stabilization import LooselyStabilizingLE
+from repro.protocols.optimal_silent import OptimalSilentSSR
+from repro.protocols.parameters import OptimalSilentParameters, ResetParameters
+from repro.statics import quant
 from repro.statics.modelcheck import ModelCheckError, StateSpace
-from repro.statics.mutants import SluggishRankingSSR
+from repro.statics.mutants import NondeterministicRankingSSR, SluggishRankingSSR
 from repro.statics.prism import export_prism
 from repro.statics.quant import (
     QuantError,
@@ -67,6 +71,67 @@ def old_exact_solver(start):
                 matrix[row, index[nxt]] -= move_weight / weight
     solution = np.linalg.solve(matrix, constant)
     return float(solution[index[start]])
+
+
+def old_transition_distribution(space, config):
+    """The k^2 pair scan ``transition_distribution`` replaced: one
+    Fraction per schedulable ordered state pair, null pairs included."""
+    n = space.protocol.n
+    counts = {}
+    for index in config:
+        counts[index] = counts.get(index, 0) + 1
+    distribution = {}
+    for i, count_i in counts.items():
+        for j, count_j in counts.items():
+            weight = count_i * (count_j - (1 if i == j else 0))
+            if weight == 0:
+                continue
+            outcome = space.pairs[(i, j)]
+            successor = space.successor(config, (i, j)) if outcome.changed else config
+            probability = Fraction(weight, n * (n - 1))
+            distribution[successor] = distribution.get(successor, Fraction(0)) + probability
+    return sorted(distribution.items())
+
+
+def old_chain(space, starts=None, target="correct-sink"):
+    """Reference ``(configs, rows, target)`` from the k^2 scan, exploring
+    reachable chains with one pass and building rows with another."""
+    if starts is None:
+        configs = space.configurations()
+    else:
+        seen = {config_of(space, states) for states in starts}
+        frontier = list(seen)
+        while frontier:
+            for successor, _ in old_transition_distribution(space, frontier.pop()):
+                if successor not in seen:
+                    seen.add(successor)
+                    frontier.append(successor)
+        configs = sorted(seen)
+    index = {config: i for i, config in enumerate(configs)}
+    rows = [
+        [(index[successor], p) for successor, p in old_transition_distribution(space, c)]
+        for c in configs
+    ]
+
+    def is_sink(config):
+        return all(not space.pairs[pair].changed for pair in space.ordered_pairs(config))
+
+    if target == "correct-sink":
+        flags = [is_sink(c) and space.is_correct(c) for c in configs]
+    else:
+        flags = [space.is_correct(c) for c in configs]
+    return configs, rows, flags
+
+
+def tiny_optimal(n):
+    return OptimalSilentSSR(
+        n, OptimalSilentParameters(reset=ResetParameters(r_max=2, d_max=2), e_max=2)
+    )
+
+
+def ciw_witness(n):
+    protocol = SilentNStateSSR(n)
+    return protocol, protocol.counts_to_configuration(worst_case_ciw_counts(n))
 
 
 class TestChainConstruction:
@@ -125,6 +190,67 @@ class TestChainConstruction:
         start = [protocol.initial_state(rng) for _ in range(4)]
         with pytest.raises(QuantError, match="ill-posed"):
             build_chain(protocol, starts=[start], target="correct")
+
+
+class TestChangingPairChain:
+    """The chain built from state-changing pairs only is the k^2 scan's
+    chain, Fraction for Fraction, and each row is computed once."""
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [SilentNStateSSR(n) for n in range(3, 7)] + [SluggishRankingSSR(4), tiny_optimal(3)],
+        ids=["ciw-n3", "ciw-n4", "ciw-n5", "ciw-n6", "sluggish-n4", "optimal-n3"],
+    )
+    def test_full_chain_matches_reference(self, protocol):
+        chain = build_chain(protocol)
+        configs, rows, target = old_chain(chain.space)
+        assert chain.configs == configs
+        assert chain.rows == rows
+        assert chain.target == target
+
+    def test_loose_reachable_chain_matches_reference(self):
+        chain, cold = TestUnreachable().make_chain()
+        configs, rows, target = old_chain(
+            chain.space, starts=[cold, chain.space.protocol.ideal_configuration()],
+            target="correct",
+        )
+        assert chain.coverage == "reachable"
+        assert chain.configs == configs
+        assert chain.rows == rows
+        assert chain.target == target
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_witness_chain_matches_reference(self, n):
+        protocol, states = ciw_witness(n)
+        chain = build_chain(protocol, starts=[states])
+        configs, rows, target = old_chain(chain.space, starts=[states])
+        assert chain.configs == configs
+        assert chain.rows == rows
+        assert chain.target == target
+
+    def test_incomplete_table_semantics(self):
+        # Same-rank collisions replay differently, so every (i, i) pair
+        # is missing from the table: a configuration that can schedule
+        # one refuses, one that cannot is an exact self-loop.
+        space = StateSpace(NondeterministicRankingSSR(4))
+        with pytest.raises(QuantError, match="pair table is incomplete"):
+            transition_distribution(space, (0, 0, 1, 2))
+        assert transition_distribution(space, (0, 1, 2, 3)) == [
+            ((0, 1, 2, 3), Fraction(1))
+        ]
+
+    def test_each_distribution_computed_once(self, monkeypatch):
+        calls = []
+        original = quant.transition_distribution
+
+        def counted(space, config):
+            calls.append(config)
+            return original(space, config)
+
+        monkeypatch.setattr(quant, "transition_distribution", counted)
+        protocol, states = ciw_witness(8)
+        chain = build_chain(protocol, starts=[states])
+        assert len(calls) == chain.size
 
 
 class TestConfigurationCap:
