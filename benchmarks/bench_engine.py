@@ -2,10 +2,11 @@
 
 These quantify the simulator itself: interactions/second of the generic
 sequential engine on each protocol, effective interactions/second of the
-exact-jump fast path and the count-based engine, and the history-tree
-operations that dominate Sublinear-Time-SSR's cost.  They are the
-numbers that justify the fast-path design (see DESIGN.md, "repro_why"
-note, and docs/performance.md).
+exact-jump fast path and the count-based engine, wall seconds of the
+Optimal-Silent-SSR array simulator behind ``repro run whp``, and the
+history-tree operations that dominate Sublinear-Time-SSR's cost.  They
+are the numbers that justify the fast-path design (see DESIGN.md,
+"repro_why" note, and docs/performance.md).
 
 Three entry points:
 
@@ -32,6 +33,7 @@ import pytest
 
 from repro.core.countsim import CountSimulation
 from repro.core.fastpath import CiwJumpSimulator, worst_case_ciw_counts
+from repro.core.fastpath_optimal_silent import OptimalSilentFastSim
 from repro.core.kernel import numpy_available, select_count_engine
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
@@ -50,6 +52,8 @@ MIN_VECTOR_SPEEDUP = 10.0
 #: Interleaved unrecorded/recorded pass pairs behind the smoke's
 #: recording-overhead figure.
 RECORDING_PAIRS = 10
+#: Random-start trials per pass of the Optimal-Silent fast-simulator cell.
+FASTSIM_TRIALS = 10
 
 
 @pytest.mark.benchmark(group="engine-throughput")
@@ -247,6 +251,32 @@ def _smoke_vector(n: int, seed: int) -> dict:
     }
 
 
+def _smoke_fastsim(n: int, seed: int) -> dict:
+    """Time ``OptimalSilentFastSim`` over seed-pinned random-start trials.
+
+    The workload of ``repro run whp`` and Table 1 row 2: each trial runs
+    to a correct ranking, one simulated interaction at a time, so the
+    interaction total is the same on every pass and wall seconds are the
+    gated figure.
+    """
+    start = time.perf_counter()
+    interactions = 0
+    for trial in range(FASTSIM_TRIALS):
+        sim = OptimalSilentFastSim(n, make_rng(seed, "smoke-fastsim", n, trial))
+        sim.random_start()
+        interactions += sim.run_to_convergence(50_000 * n * n)
+    elapsed = time.perf_counter() - start
+    return {
+        "engine": "fastsim",
+        "protocol": "OptimalSilentSSR",
+        "n": n,
+        "trials": FASTSIM_TRIALS,
+        "interactions": interactions,
+        "seconds": round(elapsed, 6),
+        "interactions_per_second": interactions / elapsed,
+    }
+
+
 def _smoke_count_recording(n: int, seed: int) -> dict:
     """The n=1024 count cell re-run with a live metrics recorder.
 
@@ -276,12 +306,16 @@ def _summarize(cell: dict, rates: list) -> dict:
 
 
 def _repeat_cell(fn, repeats: int) -> dict:
-    """Run one smoke cell ``repeats`` times; report per-repeat rates."""
+    """Run one smoke cell ``repeats`` times; report per-repeat rates and
+    wall seconds."""
     rates = []
+    seconds = []
     cell = {}
     for _ in range(repeats):
         cell = fn()
         rates.append(cell["interactions_per_second"])
+        seconds.append(cell["seconds"])
+    cell["seconds_values"] = seconds
     return _summarize(cell, rates)
 
 
@@ -362,6 +396,13 @@ def bench_suite():
         metric="interactions_per_second",
         higher_is_better=True,
     )
+    suite.cell(
+        "fastsim-optimal-silent-n128",
+        lambda seed, repeat: _smoke_fastsim(128, seed)["seconds"],
+        repeats=3,
+        metric="seconds",
+        higher_is_better=False,
+    )
     if numpy_available():
         # Vector-kernel cells are registered only when numpy is present:
         # the fallback would silently re-run the count engine (fine at
@@ -428,6 +469,7 @@ def main(argv=None) -> int:
         recorded_cell,
         _repeat_cell(lambda: _smoke_vector(8192, args.seed), max(2, args.repeats)),
         _repeat_cell(lambda: _smoke_vector(10**6, args.seed), 1),
+        _repeat_cell(lambda: _smoke_fastsim(128, args.seed), max(3, args.repeats)),
     ]
     generic_rate = cells[0]["interactions_per_second"]
     count_rate = cells[1]["interactions_per_second"]
@@ -478,6 +520,12 @@ def main(argv=None) -> int:
             f"(stdev {cell['interactions_per_second_stdev']:.2e}, "
             f"n={cell['repeats']})"
         )
+    fastsim = cells[6]
+    print(
+        f"fastsim n={fastsim['n']}: {statistics.median(fastsim['seconds_values']):.2f} s "
+        f"median wall for {fastsim['trials']} random-start trials "
+        f"({fastsim['interactions']} interactions, n={fastsim['repeats']})"
+    )
     print(f"count/generic speedup at n=1024: {speedup:.1f}x (required >= {MIN_COUNT_SPEEDUP:.0f}x)")
     print(
         f"recording overhead at n=1024: {recording_overhead_pct:+.1f}% "

@@ -33,6 +33,7 @@ from repro.analysis.statecount import (
 )
 from repro.analysis.stats import TrialSummary, summarize_trials
 from repro.core.fastpath import worst_case_ciw_counts
+from repro.core.fastpath_optimal_silent import random_start_time
 from repro.core.kernel import select_count_engine
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
@@ -96,14 +97,6 @@ def _ciw_times(
     return results
 
 
-def _optimal_silent_trial(n: int, rng: random.Random) -> float:
-    from repro.core.fastpath_optimal_silent import OptimalSilentFastSim
-
-    sim = OptimalSilentFastSim(n, rng)
-    sim.random_start()
-    return sim.run_to_convergence(50_000 * n * n) / n
-
-
 def _optimal_silent_times(
     ns: Sequence[int], trials: int, seed: int, runner: ParallelTrialRunner
 ) -> Dict[int, TrialSummary]:
@@ -119,7 +112,7 @@ def _optimal_silent_times(
     results: Dict[int, TrialSummary] = {}
     for n in ns:
         times = runner.map_trials(
-            partial(_optimal_silent_trial, n),
+            partial(random_start_time, n),
             seed=seed,
             labels=(f"optimal-silent-{n}",),
             trials=trials,

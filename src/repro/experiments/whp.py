@@ -31,7 +31,7 @@ from typing import Dict, List
 
 from repro.analysis.scaling import fit_power_law
 from repro.analysis.stats import quantile, summarize_trials
-from repro.core.fastpath_optimal_silent import OptimalSilentFastSim
+from repro.core.fastpath_optimal_silent import random_start_time
 from repro.core.rng import DEFAULT_SEED, make_rng
 from repro.experiments.common import ExperimentReport
 
@@ -40,13 +40,9 @@ TITLE = "Optimal-Silent-SSR: Theta(n) mean vs Theta(n log n) WHP tail"
 
 
 def stabilization_times(n: int, trials: int, seed: int) -> List[float]:
-    times: List[float] = []
-    budget = 50_000 * n * max(1, n)
-    for trial in range(trials):
-        sim = OptimalSilentFastSim(n, make_rng(seed, "whp", n, trial))
-        sim.random_start()
-        times.append(sim.run_to_convergence(budget) / n)
-    return times
+    return [
+        random_start_time(n, make_rng(seed, "whp", n, trial)) for trial in range(trials)
+    ]
 
 
 def tail_scale(times: List[float]) -> float:
