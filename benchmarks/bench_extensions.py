@@ -7,7 +7,7 @@ and the synthetic-coin derandomization of the renaming step.
 
 import pytest
 
-from repro.core.faults import FaultSchedule, measure_recovery
+from repro.core.chaos import BurstProcess, measure_recovery
 from repro.core.rng import make_rng
 from repro.experiments.ablation import run as run_ablation
 from repro.experiments.faults import run as run_faults
@@ -26,7 +26,7 @@ def test_recovery_from_total_corruption(benchmark, seed):
         rng = make_rng(seed, "bench-recovery")
         report = measure_recovery(
             protocol,
-            FaultSchedule.periodic(period=100.0, agents=24, count=1),
+            BurstProcess.periodic(period=100.0, agents=24, count=1),
             rng=rng,
             settle_time=20_000.0,
             max_recovery_time=20_000.0,
@@ -97,7 +97,7 @@ def bench_suite():
         rng = make_rng(seed, "bench-recovery")
         report = measure_recovery(
             protocol,
-            FaultSchedule.periodic(period=100.0, agents=24, count=1),
+            BurstProcess.periodic(period=100.0, agents=24, count=1),
             rng=rng,
             settle_time=20_000.0,
             max_recovery_time=20_000.0,

@@ -3,9 +3,8 @@
 Quantifies :mod:`repro.statics.quant` -- the wall time of building the
 explicit configuration chain and solving the expected-hitting-time
 system, as a function of the configuration-set size.  These are the
-numbers that bound how far ``repro verify`` / ``repro synth`` scale
-before an external model checker (the Prism export) takes over, and the
-``repro bench --suite quant`` cells put the solver under the PR-5
+numbers that bound how far ``repro verify`` / ``repro synth`` scale,
+and the ``repro bench --suite quant`` cells put the solver under the
 statistical regression gate alongside the engines it validates.
 
 Cells (sizes chosen to finish in seconds while spanning two orders of

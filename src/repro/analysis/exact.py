@@ -18,8 +18,8 @@ where ``W = sum_r c_r (c_r - 1)``.  The count-vector combinatorics above
 are kept here as the worked example (and for the closed-form worst-case
 assertion); the linear system itself is solved by the *generic* exact
 subsystem, :mod:`repro.statics.quant`, which builds the same chain from
-the protocol's declared schema -- so this module, ``repro verify``, and
-the Prism export all share one solver.  The result is ground-truth
+the protocol's declared schema -- so this module and ``repro verify``
+share one solver.  The result is ground-truth
 expected stabilization times (in interactions) that the test suite uses
 to validate both the sequential engine and the exact-jump fast path to
 within Monte-Carlo error -- and exact Table 1 row 1 constants at toy

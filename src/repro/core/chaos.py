@@ -1,4 +1,4 @@
-"""Composable adversary processes for chaos experiments.
+"""Transient faults: composable adversaries and recovery measurement.
 
 Self-stabilization promises recovery from *arbitrary* transient faults,
 so a single fault model (uniform victims overwritten with random states)
@@ -7,7 +7,7 @@ orthogonal, composable pieces:
 
 * **When** faults strike -- a :class:`FaultProcess` yielding timed
   :class:`FaultEvent` instances: scripted bursts (:class:`BurstProcess`,
-  the generalization of ``FaultSchedule``) or memoryless continuous
+  e.g. :meth:`BurstProcess.periodic`) or memoryless continuous
   corruption (:class:`PoissonProcess`).
 * **Who** gets hit -- a :class:`VictimSelector`: uniform random agents,
   the current leader(s) (lowest ranks first), or the max-rank agents.
@@ -19,11 +19,16 @@ orthogonal, composable pieces:
 An :class:`Adversary` bundles a selector with a corruption model;
 :data:`ADVERSARIES` registers the named combinations the CLI and the
 experiments expose.  Adversaries act through a :class:`FaultSurface`, an
-engine-neutral view of a running population with implementations for
-both the generic per-agent :class:`~repro.core.simulation.Simulation`
-(:class:`SimulationSurface`) and the count engine's multiset
-(:class:`CountSurface`) -- the latter is what makes large-n chaos runs
-affordable.
+engine-neutral view of a running population that both strikes and
+steps it, with implementations for the generic per-agent
+:class:`~repro.core.simulation.Simulation` (:class:`SimulationSurface`)
+and the count engine's multiset (:class:`CountSurface`) -- the latter is
+what makes large-n chaos runs affordable.
+
+:func:`measure_recovery` runs a fault process against a protocol on
+either engine and reports per-strike recovery times plus availability;
+the ``faults`` experiment, the ``repro chaos`` CLI subcommand and the
+job service all measure recovery through it.
 
 Interaction-level faults (the scheduler misbehaving rather than memory
 being corrupted) are modeled separately by
@@ -39,11 +44,12 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
+    ContextManager,
     Dict,
     Iterator,
     List,
@@ -51,19 +57,26 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
+from repro.core.configuration import is_silent
+from repro.core.countsim import CountSimulation, count_engine_eligible
+from repro.core.kernel import select_count_engine
 from repro.core.protocol import PopulationProtocol
 from repro.core.scheduler import Pair, Scheduler
 from repro.core.simulation import Simulation
+from repro.obs.context import current_recorder
 from repro.obs.log import get_logger
+from repro.obs.metrics import SampledMetricsMonitor
+from repro.protocols.base import RankingProtocol
 
 _LOG = get_logger("chaos")
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.countsim import CountSimulation
-
 S = TypeVar("S")
+
+#: Engines :func:`measure_recovery` can drive.
+ENGINES = ("auto", "generic", "count", "vector")
 
 __all__ = [
     "ADVERSARIES",
@@ -72,6 +85,7 @@ __all__ = [
     "CloneCorruption",
     "CorruptionModel",
     "CountSurface",
+    "ENGINES",
     "FaultEvent",
     "FaultProcess",
     "FaultSurface",
@@ -80,12 +94,14 @@ __all__ = [
     "MaxRankVictims",
     "PoissonProcess",
     "RandomStateCorruption",
+    "RecoveryRecord",
+    "RecoveryReport",
     "SimulationSurface",
     "UniformVictims",
     "VictimSelector",
     "adversary_names",
-    "as_fault_process",
     "make_adversary",
+    "measure_recovery",
 ]
 
 
@@ -122,7 +138,7 @@ class FaultProcess(ABC):
 
 
 class BurstProcess(FaultProcess):
-    """A fixed script of bursts -- ``FaultSchedule``, generalized."""
+    """A fixed script of bursts (:meth:`periodic` is the common case)."""
 
     def __init__(self, events: Sequence[FaultEvent]):
         times = [event.at for event in events]
@@ -175,26 +191,6 @@ class PoissonProcess(FaultProcess):
             yield FaultEvent(at=at, agents=self.agents)
 
 
-def as_fault_process(schedule: Any) -> FaultProcess:
-    """Coerce a ``FaultSchedule`` (or any burst holder) into a process.
-
-    Accepts a :class:`FaultProcess` unchanged, or any object with a
-    ``bursts`` attribute of ``(at, agents)`` records -- in particular
-    :class:`repro.core.faults.FaultSchedule` (kept as the stable public
-    burst vocabulary; this module deliberately does not import it).
-    """
-    if isinstance(schedule, FaultProcess):
-        return schedule
-    bursts = getattr(schedule, "bursts", None)
-    if bursts is not None:
-        return BurstProcess(
-            [FaultEvent(at=b.at, agents=b.agents) for b in bursts]
-        )
-    raise TypeError(
-        f"expected a FaultProcess or a burst schedule, got {type(schedule).__name__}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # The surface adversaries act on
 # ---------------------------------------------------------------------------
@@ -203,10 +199,11 @@ def as_fault_process(schedule: Any) -> FaultProcess:
 class FaultSurface(ABC):
     """Engine-neutral view of a running population for fault injection.
 
-    Victim references are opaque to selectors and corruption models:
-    agent indices on the generic engine, slot ids (with multiplicity)
-    on the count engine.  The number of references equals the number of
-    victim *agents* either way.
+    A surface both strikes and steps its engine.  Victim references are
+    opaque to selectors and corruption models: agent indices on the
+    generic engine, slot ids (with multiplicity) on the count engine.
+    The number of references equals the number of victim *agents*
+    either way.
     """
 
     def __init__(self, protocol: PopulationProtocol[Any]):
@@ -238,6 +235,22 @@ class FaultSurface(ABC):
     @abstractmethod
     def overwrite(self, victims: Sequence[Any], new_states: Sequence[Any]) -> None:
         """Overwrite the victims' states and resync all bookkeeping."""
+
+    @abstractmethod
+    def ticks(self) -> int:
+        """Interactions elapsed so far, silent dwell included."""
+
+    @abstractmethod
+    def advance(self, interactions: int) -> None:
+        """Let ``interactions`` more interactions happen."""
+
+    @abstractmethod
+    def correct(self) -> bool:
+        """Whether the configuration is currently correct."""
+
+    @abstractmethod
+    def stabilized(self) -> bool:
+        """Correct and, for silent protocols, provably silent."""
 
 
 class SimulationSurface(FaultSurface):
@@ -289,6 +302,20 @@ class SimulationSurface(FaultSurface):
         for monitor in self.sim.monitors:
             monitor.on_start(self.sim.states)
 
+    def ticks(self) -> int:
+        return self.sim.interactions
+
+    def advance(self, interactions: int) -> None:
+        self.sim.run(interactions)
+
+    def correct(self) -> bool:
+        return self.protocol.is_correct(self.sim.states)
+
+    def stabilized(self) -> bool:
+        return self.correct() and (
+            not self.protocol.silent or is_silent(self.protocol, self.sim.states)
+        )
+
 
 class CountSurface(FaultSurface):
     """Fault surface over the count engine's ``{state: count}`` multiset.
@@ -296,11 +323,18 @@ class CountSurface(FaultSurface):
     Victim references are slot ids with multiplicity; the heavy lifting
     (Fenwick/monitor/partition resync) is
     :meth:`repro.core.countsim.CountSimulation.corrupt`.
+
+    Once the configuration is provably silent, ``CountSimulation.run``
+    returns without consuming its budget (nothing can change until the
+    next fault); :meth:`advance` credits the unconsumed interactions to
+    a virtual clock, so fault timelines and availability accounting see
+    the same parallel time the generic engine would.
     """
 
-    def __init__(self, sim: "CountSimulation"):
+    def __init__(self, sim: CountSimulation):
         super().__init__(sim.protocol)
         self.sim = sim
+        self._skipped = 0
 
     def sample_victims(self, count: int, rng: random.Random) -> List[int]:
         return self.sim.sample_victim_slots(count, rng)
@@ -338,6 +372,24 @@ class CountSurface(FaultSurface):
     def overwrite(self, victims: Sequence[int], new_states: Sequence[Any]) -> None:
         self.sim.corrupt(victims, new_states)
         self.injected += len(victims)
+
+    def ticks(self) -> int:
+        return self.sim.interactions + self._skipped
+
+    def advance(self, interactions: int) -> None:
+        before = self.sim.interactions
+        self.sim.run(interactions)
+        consumed = self.sim.interactions - before
+        if consumed < interactions and self.sim.silent:
+            # Provably silent: the rest of the budget is null
+            # interactions, skipped on the virtual clock.
+            self._skipped += interactions - consumed
+
+    def correct(self) -> bool:
+        return self.sim.correct
+
+    def stabilized(self) -> bool:
+        return self.sim.correct and (not self.protocol.silent or self.sim.silent)
 
 
 # ---------------------------------------------------------------------------
@@ -576,3 +628,200 @@ class FaultySchedulerAdapter(Scheduler):
             self.dropped += 1
             return None
         return pair
+
+
+# ---------------------------------------------------------------------------
+# Recovery measurement
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RecoveryRecord:
+    """Outcome of one strike: when it hit, whether/when the system recovered."""
+
+    event: FaultEvent
+    broke_correctness: bool
+    recovered: bool
+    recovery_time: float  # parallel time from strike to re-stabilization
+    injected: int = 0  # agents actually corrupted (targeted strikes may hit fewer)
+
+
+@dataclass
+class RecoveryReport:
+    """All strikes of one run plus aggregate availability accounting."""
+
+    records: List[RecoveryRecord] = field(default_factory=list)
+    total_time: float = 0.0
+    correct_time: float = 0.0
+
+    @property
+    def availability(self) -> float:
+        """Fraction of parallel time spent in a correct configuration."""
+        if self.total_time <= 0:
+            return 0.0
+        return self.correct_time / self.total_time
+
+    @property
+    def worst_recovery(self) -> float:
+        recoveries = [r.recovery_time for r in self.records if r.recovered]
+        return max(recoveries) if recoveries else float("nan")
+
+
+def measure_recovery(
+    protocol: RankingProtocol[S],
+    process: FaultProcess,
+    *,
+    rng: random.Random,
+    settle_time: float,
+    max_recovery_time: float,
+    initial_states: Optional[Sequence[S]] = None,
+    engine: str = "auto",
+    adversary: Union[None, str, Adversary] = None,
+    recorder: Optional[Any] = None,
+) -> RecoveryReport:
+    """Run a fault process and measure per-strike recovery times.
+
+    The protocol first stabilizes from ``initial_states`` (default: a
+    clean start); each event of ``process`` then strikes the
+    *stabilized* population and the time back to a correct (and, for
+    silent protocols, silent) configuration is recorded.
+    ``settle_time`` bounds the initial stabilization,
+    ``max_recovery_time`` each recovery.  Correctness is probed once per
+    unit of parallel time, and availability is credited per probe
+    interval, so the accounting error per strike is at most one unit.
+
+    engine:
+        ``"generic"``, ``"count"``, ``"vector"``, or ``"auto"``
+        (default): pick the count engine when the protocol is silent
+        and schema-eligible.  The count engine also fast-forwards
+        silent dwell between strikes, so long quiet periods cost O(1).
+        ``"vector"`` drives the batched numpy kernel (same fault
+        surface, inherited from the count engine), falling back to
+        ``"count"`` without numpy.
+    adversary:
+        ``None`` (the uniform random-state adversary), a registered
+        name (see :func:`adversary_names`), or an :class:`Adversary`.
+    recorder:
+        Optional :class:`~repro.obs.metrics.MetricsRecorder`; defaults
+        to the ambient recorder.  When present, strikes and recoveries
+        are recorded as events, the live ``fault_backlog`` gauge tracks
+        unrecovered strikes, the settle / recover / dwell phases are
+        timed, and the engine underneath samples its time-series.
+
+    Raises ``RuntimeError`` if the protocol fails to settle initially.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if adversary is None:
+        adversary = make_adversary("random")
+    elif isinstance(adversary, str):
+        adversary = make_adversary(adversary)
+    if engine in ("count", "vector") and not count_engine_eligible(protocol):
+        raise ValueError(
+            f"{type(protocol).__name__} is not count-engine eligible "
+            "(needs a registered lossless state schema)"
+        )
+    use_count = engine in ("count", "vector") or (
+        engine == "auto" and protocol.silent and count_engine_eligible(protocol)
+    )
+    obs = recorder if recorder is not None else current_recorder()
+    n = protocol.n
+
+    def phase(name: str) -> ContextManager[None]:
+        return obs.phase(name) if obs is not None else nullcontext()
+
+    surface: FaultSurface
+    if use_count:
+        mode = (
+            "active"
+            if protocol.silent and getattr(protocol, "silent_class", None)
+            else "auto"
+        )
+        engine_cls = select_count_engine("vector" if engine == "vector" else "count")
+        surface = CountSurface(
+            engine_cls(
+                protocol,
+                list(initial_states) if initial_states is not None else None,
+                rng=rng,
+                mode=mode,
+                recorder=obs,
+            )
+        )
+    else:
+        monitors: List[Any] = []
+        if obs is not None:
+            monitor = protocol.convergence_monitor()
+            monitor.recorder = obs
+            monitors = [monitor, SampledMetricsMonitor(obs, monitor, n)]
+        surface = SimulationSurface(
+            Simulation(
+                protocol, initial_states, rng=rng, monitors=monitors, recorder=obs
+            )
+        )
+
+    report = RecoveryReport()
+
+    def advance_chunk(limit_ticks: int) -> None:
+        """One probe chunk (never past ``limit_ticks``), crediting availability."""
+        before = surface.ticks()
+        surface.advance(min(n, limit_ticks - before))
+        advanced = (surface.ticks() - before) / n
+        report.total_time += advanced
+        if surface.correct():
+            report.correct_time += advanced
+
+    def advance_until_stable(budget_time: float) -> float:
+        """Advance to stabilization; return the parallel time it took."""
+        start = surface.ticks()
+        deadline = start + max(1, int(round(budget_time * n)))
+        while not surface.stabilized():
+            if surface.ticks() >= deadline:
+                return float("nan")
+            advance_chunk(deadline)
+        return (surface.ticks() - start) / n
+
+    with phase("settle"):
+        first = advance_until_stable(settle_time)
+    if first != first:  # NaN: never settled
+        raise RuntimeError(
+            f"protocol failed to stabilize within settle_time={settle_time}"
+        )
+
+    # Strikes fire on a timeline anchored at the initial stabilization, so
+    # the population dwells (accruing availability) between strikes.
+    origin = surface.ticks()
+    for event in process.events(rng):
+        target = origin + int(round(event.at * n))
+        with phase("dwell"):
+            while surface.ticks() < target:
+                advance_chunk(target)
+        struck = adversary.strike(surface, event.agents, rng)
+        broke = not surface.correct()
+        if obs is not None:
+            obs.inc_gauge("fault_backlog")
+            obs.event(
+                "strike",
+                t=surface.ticks() / n,
+                agents=event.agents,
+                injected=struck,
+                broke_correctness=broke,
+                adversary=adversary.name,
+            )
+        with phase("recover"):
+            elapsed = advance_until_stable(max_recovery_time)
+        recovered = elapsed == elapsed  # not NaN
+        if obs is not None and recovered:
+            obs.inc_gauge("fault_backlog", -1.0)
+            obs.event("recovery", t=surface.ticks() / n, recovery_time=elapsed)
+        report.records.append(
+            RecoveryRecord(
+                event=event,
+                broke_correctness=broke,
+                recovered=recovered,
+                recovery_time=elapsed,
+                injected=struck,
+            )
+        )
+        if not recovered:
+            break
+    return report

@@ -67,7 +67,8 @@ Fault injection
 ---------------
 :meth:`CountSimulation.corrupt` edits the count multiset in place
 (decrement victim slots, increment corrupted-state slots) and resyncs
-every piece of incremental bookkeeping, which is what lets
+every piece of incremental bookkeeping.  Adversaries reach it through
+:class:`repro.core.chaos.CountSurface`, which is what lets
 ``measure_recovery(engine="count")`` run recovery experiments at
 n=8192+ instead of n~256.
 """
@@ -362,7 +363,8 @@ class CountSimulation:
         every remaining interaction would be null, so callers needing
         the full budget on their clock may simply add it (the engine
         does not, keeping ``interactions`` at the point silence was
-        established).
+        established; :meth:`repro.core.chaos.CountSurface.advance`
+        credits it to a virtual clock).
         """
         if self._obs is None:
             self._advance(interactions)

@@ -2,7 +2,7 @@
 
 Runs a named adversary (see :mod:`repro.core.chaos`) against one or
 more protocols across an n-sweep, measuring per-strike recovery time
-and availability with :func:`repro.core.faults.measure_recovery`, and
+and availability with :func:`repro.core.chaos.measure_recovery`, and
 renders a JSON + ascii-chart report.  Populations start in their stable
 ranked configuration -- chaos runs measure *recovery*, not initial
 convergence -- and trials fan out over worker processes with the usual
@@ -23,11 +23,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.chaos import PoissonProcess, adversary_names
-from repro.core.faults import (
+from repro.core.chaos import (
     ENGINES,
-    FaultSchedule,
+    BurstProcess,
+    FaultProcess,
+    PoissonProcess,
     RecoveryReport,
+    adversary_names,
     measure_recovery,
 )
 from repro.core.parallel import ParallelTrialRunner
@@ -64,27 +66,24 @@ def _chaos_trial(
     poisson_rate: Optional[float],
     engine: str,
     recovery_budget: float,
-    probe_resolution: float,
     rng: random.Random,
 ) -> RecoveryReport:
     """One seeded chaos run (top-level and picklable for the runner)."""
     protocol = CHAOS_PROTOCOLS[protocol_key](n)
+    process: FaultProcess
     if poisson_rate is not None:
-        schedule = PoissonProcess(
-            poisson_rate, agents=agents, horizon=period * strikes
-        )
+        process = PoissonProcess(poisson_rate, agents=agents, horizon=period * strikes)
     else:
-        schedule = FaultSchedule.periodic(period=period, agents=agents, count=strikes)
+        process = BurstProcess.periodic(period=period, agents=agents, count=strikes)
     return measure_recovery(
         protocol,
-        schedule,
+        process,
         rng=rng,
         initial_states=_stable_configuration(protocol),
         settle_time=10.0,  # starts stable; settling is a formality
         max_recovery_time=recovery_budget,
         engine=engine,
         adversary=adversary,
-        probe_resolution=probe_resolution,
     )
 
 
@@ -245,7 +244,6 @@ def run_chaos(
     engine: str = "auto",
     workers: Optional[int] = None,
     recovery_budget_factor: float = 50.0,
-    probe_resolution: float = 1.0,
     checkpoint: Optional[str] = None,
 ) -> ChaosResult:
     """Sweep ``adversary`` over ``protocols`` x ``ns``; aggregate recovery.
@@ -290,7 +288,6 @@ def run_chaos(
                 poisson_rate,
                 engine,
                 recovery_budget_factor * n,
-                probe_resolution,
             )
             cell_phase = (
                 obs.phase(f"chaos[{key},n={n}]")

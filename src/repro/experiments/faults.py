@@ -15,7 +15,7 @@ constant factor of the protocol's from-scratch stabilization time; and
 the faster protocol recovers faster, which is the paper's argument for
 caring about stabilization *time* at all.
 
-Trials run through :func:`repro.core.faults.measure_recovery` with
+Trials run through :func:`repro.core.chaos.measure_recovery` with
 ``engine="auto"`` (the count engine for the silent, schema-eligible
 protocols) and fan out over worker processes when ``workers`` is set;
 per-trial RNGs derive from ``(seed, "faults", protocol, fraction,
@@ -29,7 +29,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.stats import summarize_trials
-from repro.core.faults import FaultSchedule, RecoveryReport, measure_recovery
+from repro.core.chaos import BurstProcess, RecoveryReport, measure_recovery
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import ExperimentReport
@@ -65,7 +65,7 @@ def _fault_trial(
     protocol = factory()
     return measure_recovery(
         protocol,
-        FaultSchedule.periodic(period=10.0 * protocol.n, agents=agents, count=3),
+        BurstProcess.periodic(period=10.0 * protocol.n, agents=agents, count=3),
         rng=rng,
         settle_time=500.0 * protocol.n,
         max_recovery_time=500.0 * protocol.n,

@@ -7,7 +7,7 @@ a purely cross-cutting concern.  Instead the recorder is *ambient*:
 every engine (:class:`~repro.core.simulation.Simulation`,
 :class:`~repro.core.countsim.CountSimulation`,
 :class:`~repro.core.parallel.ParallelTrialRunner`,
-:func:`~repro.core.faults.measure_recovery`) consults
+:func:`~repro.core.chaos.measure_recovery`) consults
 :func:`current_recorder` once at construction time.
 
 The default is ``None`` -- no recorder, no hooks, unchanged hot paths.

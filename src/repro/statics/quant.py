@@ -15,9 +15,8 @@ the ordered state pair ``(i, j)`` with probability
 ``n (n - 1)`` ordered agent pairs).  Pushing each selected pair through
 the memoized pair table of :class:`~repro.statics.modelcheck.StateSpace`
 and aggregating by successor configuration yields the chain -- kept as
-:class:`fractions.Fraction` entries so the model is exact, deterministic,
-and exportable to external tools (:mod:`repro.statics.prism`) without
-floating-point drift.
+:class:`fractions.Fraction` entries so the model is exact and
+deterministic, without floating-point drift.
 
 On top of the chain this module computes:
 

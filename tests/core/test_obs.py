@@ -15,8 +15,8 @@ import random
 
 import pytest
 
+from repro.core.chaos import BurstProcess, measure_recovery
 from repro.core.countsim import CountSimulation
-from repro.core.faults import FaultSchedule, measure_recovery
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
@@ -378,7 +378,7 @@ class TestEngineWiring:
         with recording(recorder):
             report = measure_recovery(
                 protocol,
-                FaultSchedule.periodic(period=50.0, agents=4, count=2),
+                BurstProcess.periodic(period=50.0, agents=4, count=2),
                 rng=make_rng(6, "obs-recovery"),
                 settle_time=50_000.0,
                 max_recovery_time=50_000.0,

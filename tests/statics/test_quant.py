@@ -10,7 +10,6 @@ both simulation engines through the oracle's exact confidence bands.
 import random
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -29,7 +28,6 @@ from repro.protocols.parameters import OptimalSilentParameters, ResetParameters
 from repro.statics import quant
 from repro.statics.modelcheck import ModelCheckError, StateSpace
 from repro.statics.mutants import NondeterministicRankingSSR, SluggishRankingSSR
-from repro.statics.prism import export_prism
 from repro.statics.quant import (
     QuantError,
     build_chain,
@@ -548,29 +546,3 @@ class TestSynthesis:
 
         with pytest.raises(KeyError):
             run_synth("no-such-spec")
-
-
-class TestPrismExport:
-    def test_golden_file(self):
-        chain = build_chain(SilentNStateSSR(3))
-        golden = Path(__file__).parent / "data" / "ciw_n3.pm"
-        assert export_prism(chain) == golden.read_text()
-
-    def test_probabilities_are_exact_fractions(self):
-        chain = build_chain(SilentNStateSSR(3))
-        text = export_prism(chain)
-        assert "2/3 : (c'=1)" in text
-        # Every transition row carries exact fractions, never floats.
-        for line in text.splitlines():
-            if "->" in line:
-                assert "0." not in line
-
-    def test_custom_start(self):
-        chain = build_chain(SilentNStateSSR(3))
-        text = export_prism(chain, start=(0, 1, 2))
-        assert "init 4;" in text
-
-    def test_unknown_start_rejected(self):
-        chain = build_chain(SilentNStateSSR(3))
-        with pytest.raises(QuantError):
-            export_prism(chain, start=(9, 9, 9))
