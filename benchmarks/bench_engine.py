@@ -1,10 +1,13 @@
 """Engine-throughput benchmarks (not a paper artifact).
 
 These quantify the simulator itself: interactions/second of the generic
-sequential engine on each protocol, effective interactions/second of the
-exact-jump fast path and the count-based engine, wall seconds of the
-Optimal-Silent-SSR array simulator behind ``repro run whp``, and the
-history-tree operations that dominate Sublinear-Time-SSR's cost.  They
+sequential engine on each protocol, effective events/second and
+construction/run wall seconds of the count-based engines' jump mode,
+wall seconds of the Optimal-Silent-SSR array simulator behind ``repro
+run whp``, and the history-tree operations that dominate
+Sublinear-Time-SSR's cost.  A jump-mode cell also records the
+interactions it accounted for, as context: that figure grows with the
+jump length, not with engine speed, so it is never a rate.  They
 are the numbers that justify the fast-path design (see DESIGN.md,
 "repro_why" note, and docs/performance.md).
 
@@ -13,9 +16,10 @@ Three entry points:
 * ``pytest benchmarks/ --benchmark-only`` — full pytest-benchmark run.
 * ``python benchmarks/bench_engine.py --json BENCH_engine.json`` — quick
   smoke (repeated timed passes per cell, reporting mean/stdev) that
-  records interactions/second per engine and the count/generic speedup
-  ratio; CI runs this and fails if the count engine falls below 50x
-  the generic engine on SilentNStateSSR at n=1024.
+  records each cell's rate and the count/generic speedup (the wall-time
+  ratio for the same accounted interactions); CI runs this and fails if
+  the count engine falls below 50x the generic engine on
+  SilentNStateSSR at n=1024.
 * ``repro bench --suite engine`` — the ledgered harness entry point
   (:func:`bench_suite` below): the same cells with repeats, gated
   statistically against a stored baseline by
@@ -196,58 +200,39 @@ def _smoke_generic(n: int, steps: int, seed: int) -> dict:
     }
 
 
-def _smoke_count(n: int, seed: int, recorder=None) -> dict:
-    """Time the count engine to silence from the CIW worst case.
+def _smoke_jump(engine: str, n: int, seed: int, recorder=None) -> dict:
+    """Time a count engine in jump mode from the CIW worst case to silence.
 
-    The timed region includes construction (pair classification is the
-    one-time O(k^2) cost that dominates at large n), so the reported
-    rate is a conservative end-to-end figure.
+    Construction (slot tables and, for the count engine, the O(k^2) pair
+    classification that dominates at large n) and the run are timed
+    separately; ``events_per_second`` is events over run seconds, the
+    rate of the jump loop itself.  Both engines use the same seed
+    labels and jump mode is scalar in both, so they replay the
+    identical trajectory and their ratio is a pure engine comparison.
+    Without numpy ``"vector"`` falls back to the count engine; the
+    ``numpy`` field records which one ran.
     """
     protocol = SilentNStateSSR(n)
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
     rng = make_rng(seed, "smoke-count", n)
+    engine_cls = select_count_engine(engine)
     start = time.perf_counter()
-    sim = CountSimulation(protocol, states, rng=rng, mode="jump", recorder=recorder)
+    sim = engine_cls(protocol, states, rng=rng, mode="jump", recorder=recorder)
+    built = time.perf_counter()
     sim.run_until_silent()
-    elapsed = time.perf_counter() - start
+    done = time.perf_counter()
     return {
-        "engine": "count",
+        "engine": engine,
+        "numpy": numpy_available(),
         "protocol": "SilentNStateSSR",
         "n": n,
         "recording": recorder is not None,
         "interactions": sim.interactions,
         "events": sim.events,
-        "seconds": round(elapsed, 6),
-        "interactions_per_second": sim.interactions / elapsed,
-    }
-
-
-def _smoke_vector(n: int, seed: int) -> dict:
-    """Time the vector kernel to silence from the CIW worst case.
-
-    Same seed labels as :func:`_smoke_count`, and jump mode is scalar
-    in both engines, so both cells account for the identical trajectory
-    (same interaction total); the rate ratio is the engine speedup with
-    no workload noise.  Without numpy the kernel falls back to the
-    count engine -- the cell document records which one actually ran.
-    """
-    protocol = SilentNStateSSR(n)
-    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    rng = make_rng(seed, "smoke-count", n)
-    engine_cls = select_count_engine("vector")
-    start = time.perf_counter()
-    sim = engine_cls(protocol, states, rng=rng, mode="jump")
-    sim.run_until_silent()
-    elapsed = time.perf_counter() - start
-    return {
-        "engine": "vector",
-        "numpy": numpy_available(),
-        "protocol": "SilentNStateSSR",
-        "n": n,
-        "interactions": sim.interactions,
-        "events": sim.events,
-        "seconds": round(elapsed, 6),
-        "interactions_per_second": sim.interactions / elapsed,
+        "construct_seconds": round(built - start, 6),
+        "run_seconds": round(done - built, 6),
+        "seconds": round(done - start, 6),
+        "events_per_second": sim.events / (done - built),
     }
 
 
@@ -277,6 +262,10 @@ def _smoke_fastsim(n: int, seed: int) -> dict:
     }
 
 
+def _smoke_count(n: int, seed: int) -> dict:
+    return _smoke_jump("count", n, seed)
+
+
 def _smoke_count_recording(n: int, seed: int) -> dict:
     """The n=1024 count cell re-run with a live metrics recorder.
 
@@ -287,21 +276,28 @@ def _smoke_count_recording(n: int, seed: int) -> dict:
     from repro.obs import MetricsRecorder
 
     recorder = MetricsRecorder(sample_every=4096)
-    cell = _smoke_count(n, seed, recorder=recorder)
+    cell = _smoke_jump("count", n, seed, recorder=recorder)
     cell["recorder_aggregates"] = recorder.aggregates()
     return cell
 
 
-def _summarize(cell: dict, rates: list) -> dict:
-    """Fold per-repeat rates into ``cell`` (the last repeat's document:
-    the interaction counts are identical across repeats -- same seed,
-    same work) as the variance summary a single timing cannot provide."""
+def _rate(cell: dict) -> str:
+    """The cell's headline rate: events/s for jump mode, where accounted
+    interactions are not work, and interactions/s otherwise."""
+    return "events_per_second" if "events_per_second" in cell else "interactions_per_second"
+
+
+def _summarize(cell: dict, rates: list, seconds: list) -> dict:
+    """Fold per-repeat rates and wall seconds into ``cell`` (the last
+    repeat's document: the work is identical across repeats -- same
+    seed, same trajectory) as the variance summary a single timing
+    cannot provide."""
+    metric = _rate(cell)
     cell["repeats"] = len(rates)
-    cell["interactions_per_second_values"] = rates
-    cell["interactions_per_second"] = sum(rates) / len(rates)
-    cell["interactions_per_second_stdev"] = (
-        statistics.stdev(rates) if len(rates) > 1 else 0.0
-    )
+    cell[f"{metric}_values"] = rates
+    cell[metric] = sum(rates) / len(rates)
+    cell[f"{metric}_stdev"] = statistics.stdev(rates) if len(rates) > 1 else 0.0
+    cell["seconds_values"] = seconds
     return cell
 
 
@@ -313,10 +309,9 @@ def _repeat_cell(fn, repeats: int) -> dict:
     cell = {}
     for _ in range(repeats):
         cell = fn()
-        rates.append(cell["interactions_per_second"])
+        rates.append(cell[_rate(cell)])
         seconds.append(cell["seconds"])
-    cell["seconds_values"] = seconds
-    return _summarize(cell, rates)
+    return _summarize(cell, rates, seconds)
 
 
 def _paired_recording_cells(n: int, seed: int, pairs: int):
@@ -343,14 +338,13 @@ def _paired_recording_cells(n: int, seed: int, pairs: int):
         order.shuffle(variants)
         for recorded in variants:
             cell = cells[recorded] = runs[recorded](n, seed)
-            rate = cell["interactions_per_second"]
-            rates[recorded].append(rate)
-            seconds[recorded].append(cell["interactions"] / rate)
+            rates[recorded].append(cell["events_per_second"])
+            seconds[recorded].append(cell["seconds"])
     ratio = statistics.mean(seconds[True]) / statistics.mean(seconds[False])
     low, high = bootstrap_ratio_ci(seconds[False], seconds[True])
     return (
-        _summarize(cells[False], rates[False]),
-        _summarize(cells[True], rates[True]),
+        _summarize(cells[False], rates[False], seconds[False]),
+        _summarize(cells[True], rates[True], seconds[True]),
         100.0 * (ratio - 1.0),
         (100.0 * (low - 1.0), 100.0 * (high - 1.0)),
     )
@@ -362,7 +356,8 @@ def bench_suite():
 
     suite = BenchSuite(
         "engine",
-        description="engine throughput: generic vs count, recorded overhead",
+        description="engine throughput: generic interactions/s, jump-mode "
+        "events/s, recorded overhead",
     )
     suite.cell(
         "generic-ciw-n1024",
@@ -374,26 +369,24 @@ def bench_suite():
         higher_is_better=True,
     )
     suite.cell(
-        "count-ciw-n1024",
-        lambda seed, repeat: _smoke_count(1024, seed)["interactions_per_second"],
+        "count-jump-n1024",
+        lambda seed, repeat: _smoke_count(1024, seed)["events_per_second"],
         repeats=3,
-        metric="interactions_per_second",
+        metric="events_per_second",
         higher_is_better=True,
     )
     suite.cell(
-        "count-ciw-n8192",
-        lambda seed, repeat: _smoke_count(8192, seed)["interactions_per_second"],
+        "count-jump-n8192",
+        lambda seed, repeat: _smoke_count(8192, seed)["events_per_second"],
         repeats=2,
-        metric="interactions_per_second",
+        metric="events_per_second",
         higher_is_better=True,
     )
     suite.cell(
-        "count-ciw-n1024-recorded",
-        lambda seed, repeat: _smoke_count_recording(1024, seed)[
-            "interactions_per_second"
-        ],
+        "count-jump-n1024-recorded",
+        lambda seed, repeat: _smoke_count_recording(1024, seed)["events_per_second"],
         repeats=3,
-        metric="interactions_per_second",
+        metric="events_per_second",
         higher_is_better=True,
     )
     suite.cell(
@@ -409,21 +402,17 @@ def bench_suite():
         # n=8192, catastrophic at n=10^6 where the O(k^2) classification
         # is the very cost the kernel removes).
         suite.cell(
-            "vector-ciw-n8192",
-            lambda seed, repeat: _smoke_vector(8192, seed)[
-                "interactions_per_second"
-            ],
+            "vector-jump-n8192",
+            lambda seed, repeat: _smoke_jump("vector", 8192, seed)["events_per_second"],
             repeats=2,
-            metric="interactions_per_second",
+            metric="events_per_second",
             higher_is_better=True,
         )
         suite.cell(
-            "vector-ciw-n1e6",
-            lambda seed, repeat: _smoke_vector(10**6, seed)[
-                "interactions_per_second"
-            ],
-            repeats=1,
-            metric="interactions_per_second",
+            "vector-jump-n1e6",
+            lambda seed, repeat: _smoke_jump("vector", 10**6, seed)["events_per_second"],
+            repeats=2,
+            metric="events_per_second",
             higher_is_better=True,
         )
     return suite
@@ -446,8 +435,8 @@ def main(argv=None) -> int:
         type=int,
         default=3,
         help="timed passes per cell (default: %(default)s; the count n=8192 "
-        "cell always runs twice, the vector n=10^6 cell once, and the "
-        f"n=1024 count cells run {RECORDING_PAIRS} recorded/unrecorded pairs)",
+        f"cell always runs twice, and the n=1024 count cells run {RECORDING_PAIRS} "
+        "recorded/unrecorded pairs)",
     )
     args = parser.parse_args(argv)
 
@@ -467,33 +456,34 @@ def main(argv=None) -> int:
         count_cell,
         _repeat_cell(lambda: _smoke_count(8192, args.seed), 2),
         recorded_cell,
-        _repeat_cell(lambda: _smoke_vector(8192, args.seed), max(2, args.repeats)),
-        _repeat_cell(lambda: _smoke_vector(10**6, args.seed), 1),
+        _repeat_cell(lambda: _smoke_jump("vector", 8192, args.seed), max(2, args.repeats)),
         _repeat_cell(lambda: _smoke_fastsim(128, args.seed), max(3, args.repeats)),
     ]
+    # Wall time for the same accounted interactions: how much longer the
+    # generic engine would take to simulate the count cell's run.
     generic_rate = cells[0]["interactions_per_second"]
-    count_rate = cells[1]["interactions_per_second"]
+    count_rate = cells[1]["interactions"] / statistics.mean(cells[1]["seconds_values"])
     speedup = count_rate / generic_rate
 
     # Vector-vs-count at n=8192: both cells replay the identical
-    # trajectory (same seed, scalar jump mode), so the rate ratio is a
-    # pure engine comparison; the acceptance bar is the whole bootstrap
-    # CI of the ratio clearing MIN_VECTOR_SPEEDUP, not just the means.
+    # trajectory (same seed, scalar jump mode), so the ratio of their
+    # construct-plus-run wall seconds is a pure engine comparison (the
+    # kernel's gain is the O(k) classification, so run-only events/s
+    # would miss it); the acceptance bar is the whole bootstrap CI of
+    # the ratio clearing MIN_VECTOR_SPEEDUP, not just the means.
     from repro.obs.bench import bootstrap_ratio_ci
 
-    vector_speedup = (
-        cells[4]["interactions_per_second"] / cells[2]["interactions_per_second"]
+    vector_speedup = statistics.mean(cells[2]["seconds_values"]) / statistics.mean(
+        cells[4]["seconds_values"]
     )
-    vector_ci = bootstrap_ratio_ci(
-        cells[2]["interactions_per_second_values"],
-        cells[4]["interactions_per_second_values"],
-    )
+    low, high = bootstrap_ratio_ci(cells[4]["seconds_values"], cells[2]["seconds_values"])
+    vector_ci = (low, high)
     vector_gated = numpy_available()
     vector_passed = (not vector_gated) or vector_ci[0] >= MIN_VECTOR_SPEEDUP
 
     summary = {
         "benchmark": "engine-throughput-smoke",
-        "schema_version": 2,
+        "schema_version": 3,
         **run_stamp(),
         "seed": args.seed,
         "cells": cells,
@@ -514,13 +504,19 @@ def main(argv=None) -> int:
         handle.write("\n")
 
     for cell in cells:
-        print(
-            f"{cell['engine']:>7} n={cell['n']:>7}: "
-            f"{cell['interactions_per_second']:.3e} interactions/s "
-            f"(stdev {cell['interactions_per_second_stdev']:.2e}, "
-            f"n={cell['repeats']})"
+        metric = _rate(cell)
+        unit = "events/s" if metric == "events_per_second" else "interactions/s"
+        line = (
+            f"{cell['engine']:>7} n={cell['n']:>7}: {cell[metric]:.3e} {unit} "
+            f"(stdev {cell[f'{metric}_stdev']:.2e}, n={cell['repeats']})"
         )
-    fastsim = cells[6]
+        if "construct_seconds" in cell:
+            line += (
+                f"; last pass construct {cell['construct_seconds']:.3f} s, "
+                f"run {cell['run_seconds']:.3f} s"
+            )
+        print(line)
+    fastsim = cells[5]
     print(
         f"fastsim n={fastsim['n']}: {statistics.median(fastsim['seconds_values']):.2f} s "
         f"median wall for {fastsim['trials']} random-start trials "

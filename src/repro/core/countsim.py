@@ -42,7 +42,15 @@ Modes
 ``jump``
     Geometric null-skipping over the effective-pair tree.  Requires a
     silent protocol (the analytic ``is_pair_null`` predicate classifies
-    pairs).  Fast only when effective pairs are rare.
+    pairs).  Fast only when effective pairs are rare.  Jump mode samples
+    only the pair tree, so it keeps ``_counts`` current but lets the
+    count Fenwick tree go *stale*: the first count change in jump mode
+    marks it stale, and the readers that need it (leaving jump mode,
+    :meth:`CountSimulation.sample_agent_slot`,
+    :meth:`CountSimulation.sample_victim_slots`) rebuild it from
+    ``_counts`` in O(k) first.  Outside jump mode the tree is always
+    current.  A rebuilt tree equals the incrementally updated one node
+    for node, so sampling is draw for draw the same either way.
 ``auto`` (default)
     Start in ``interaction`` mode; switch to ``jump`` once
     ``max(64, n)`` consecutive interactions changed nothing -- the
@@ -104,13 +112,26 @@ class _SpyRandom(random.Random):
     randomness to the wrapped RNG and detects any consumption.  Used to
     classify a transition's behaviour on one input pair: if the spy was
     never used, the observed result is deterministic for that pair and
-    can be memoized.
+    can be memoized.  Each engine keeps one spy and calls :meth:`rearm`
+    before every probe.
     """
 
     def __init__(self, inner: random.Random):
         super().__init__()
         self._inner = inner
         self.used = False
+
+    def rearm(self, inner: random.Random) -> None:
+        """Start a probe on ``inner``: clear ``used`` and ``gauss``'s cache.
+
+        ``Random.gauss`` keeps its second draw in ``gauss_next``; a
+        stale cached value would let the next probe draw a normal
+        without consulting the wrapped RNG, and memoize a randomized
+        pair as deterministic.
+        """
+        self._inner = inner
+        self.used = False
+        self.gauss_next = None
 
     def random(self) -> float:  # type: ignore[override]
         self.used = True
@@ -240,6 +261,8 @@ class CountSimulation:
                 "active mode needs the mutually-null class partition"
             )
         self._schema: StateSchema = schema
+        self._key = schema.key
+        self._spy = _SpyRandom(rng)
         self._clone = protocol.clone_state
         n = protocol.n
         self.n = n
@@ -257,6 +280,9 @@ class CountSimulation:
         self._reps: List[S] = []
         self._counts: List[int] = []
         self._count_tree = GrowableFenwick()
+        # Not maintained in jump mode (see the module docstring); built
+        # in one pass once the initial counts are in.
+        self._count_stale = True
         self._slot_rank: List[int] = []
         self._memo: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
 
@@ -292,9 +318,22 @@ class CountSimulation:
         self._switching = mode == "auto" and protocol.silent
         self._switch_after = switch_after if switch_after else max(64, n)
 
+        # Tally the initial states by key (slots in first-seen order),
+        # then set each slot's count once.
+        key = self._key
+        slot_of_key = self._slot_of_key
+        tally: List[int] = []
         for state in states:
-            slot = self._slot_for_state(state)
-            self._set_count(slot, self._counts[slot] + 1)
+            state_key = key(state)
+            slot = slot_of_key.get(state_key)
+            if slot is None:
+                slot = self._new_slot(state_key, state)
+                tally.append(0)
+            tally[slot] += 1
+        for slot, count in enumerate(tally):
+            self._set_count(slot, count)
+        if mode != "jump":
+            self._fresh_count_tree()
         self._refresh()
         if mode == "jump":
             self._enter_jump_mode()
@@ -486,34 +525,43 @@ class CountSimulation:
     # -- slots ---------------------------------------------------------
 
     def _slot_for_state(self, state: S) -> int:
-        key = self._schema.key(state)
+        key = self._key(state)
         slot = self._slot_of_key.get(key)
-        if slot is None:
-            slot = len(self._reps)
-            self._slot_of_key[key] = slot
-            self._reps.append(state)
-            self._counts.append(0)
+        return self._new_slot(key, state) if slot is None else slot
+
+    def _new_slot(self, key: Hashable, state: S) -> int:
+        """Create the slot for a state whose ``key`` has no slot yet."""
+        slot = len(self._reps)
+        self._slot_of_key[key] = slot
+        self._reps.append(state)
+        self._counts.append(0)
+        if not self._count_stale:
             self._count_tree.append(0)
-            self._adj.append([])
-            self._classified.append(False)
-            rank = 0
-            if self._rank_of is not None:
-                r = self._rank_of(state)
-                if isinstance(r, int) and 1 <= r <= self.n:
-                    rank = r
-            self._slot_rank.append(rank)
-            if self._active_mode:
-                assert self._class_of is not None
-                self._slot_class.append(self._class_of(state))
-                self._self_null.append(None)
-                self._active_tree.append(0)
-                self._passive_tree.append(0)
+        self._adj.append([])
+        self._classified.append(False)
+        rank = 0
+        if self._rank_of is not None:
+            r = self._rank_of(state)
+            if isinstance(r, int) and 1 <= r <= self.n:
+                rank = r
+        self._slot_rank.append(rank)
+        if self._active_mode:
+            assert self._class_of is not None
+            self._slot_class.append(self._class_of(state))
+            self._self_null.append(None)
+            self._active_tree.append(0)
+            self._passive_tree.append(0)
         return slot
 
     def _set_count(self, slot: int, new: int) -> None:
-        old = self._counts[slot]
-        self._counts[slot] = new
-        self._count_tree.set(slot, new)
+        counts = self._counts
+        old = counts[slot]
+        counts[slot] = new
+        if not self._count_stale:
+            if self._mode == "jump":
+                self._count_stale = True
+            else:
+                self._count_tree.set(slot, new)
         if (old == 0) != (new == 0):
             self._occupied += 1 if old == 0 else -1
         rank = self._slot_rank[slot]
@@ -530,9 +578,19 @@ class CountSimulation:
             self._activity_update(slot, old, new)
         elif self._mode == "jump" and old == 0 and new > 0 and not self._classified[slot]:
             # Slots are classified lazily, on first occupancy within the
-            # current jump period; pair weights are patched afterwards by
-            # the caller's reweigh pass (or are already current).
+            # current jump period; the new pairs enter the pair tree at
+            # weight zero and the caller's reweigh pass sets them.
             self._classify_slot(slot)
+            pair_tree = self._pair_tree
+            for _ in range(len(self._pair_list) - len(pair_tree)):
+                pair_tree.append(0)
+
+    def _fresh_count_tree(self) -> GrowableFenwick:
+        """The count tree, rebuilt from ``_counts`` first if stale."""
+        if self._count_stale:
+            self._count_tree.rebuild(self._counts)
+            self._count_stale = False
+        return self._count_tree
 
     def _refresh(self) -> None:
         now_correct = self._good == self.n
@@ -581,10 +639,19 @@ class CountSimulation:
             # First occurrence of this ordered state pair: probe it.
             initiator = self._clone(self._reps[si])
             responder = self._clone(self._reps[sj])
-            spy = _SpyRandom(self.rng)
+            spy = self._spy
+            spy.rearm(self.rng)
             out_a, out_b = self.protocol.transition(initiator, responder, spy)
-            ta = self._slot_for_state(out_a)
-            tb = self._slot_for_state(out_b)
+            key = self._key
+            slot_of_key = self._slot_of_key
+            key_a = key(out_a)
+            ta = slot_of_key.get(key_a)
+            if ta is None:
+                ta = self._new_slot(key_a, out_a)
+            key_b = key(out_b)
+            tb = slot_of_key.get(key_b)
+            if tb is None:
+                tb = self._new_slot(key_b, out_b)
             self._memo[(si, sj)] = _RANDOMIZED if spy.used else (ta, tb)
         elif entry is _RANDOMIZED:
             initiator = self._clone(self._reps[si])
@@ -599,30 +666,43 @@ class CountSimulation:
         self._apply(si, sj, ta, tb)
 
     def _apply(self, si: int, sj: int, ta: int, tb: int) -> None:
-        if (ta == si and tb == sj) or (ta == sj and tb == si):
-            return  # multiset unchanged: null in effect
-        delta: Dict[int, int] = {}
-        delta[si] = delta.get(si, 0) - 1
-        delta[sj] = delta.get(sj, 0) - 1
-        delta[ta] = delta.get(ta, 0) + 1
-        delta[tb] = delta.get(tb, 0) + 1
-        changed = [slot for slot, d in delta.items() if d]
-        if not changed:
-            return
+        # In jump mode a slot that fills up is classified on the spot,
+        # registering its pairs; the pair order fixes jump-mode
+        # sampling, so counts change in the order their slots first
+        # appear in (si, sj, ta, tb).
         profile = self._profile
-        start = time.perf_counter() if profile else 0.0
         counts = self._counts
-        for slot in changed:
-            self._set_count(slot, counts[slot] + delta[slot])
+        if ta == si or tb == sj:
+            # At most one agent changed state, from ``old`` to ``new``.
+            # Only ``new`` can fill up, so the order of the two updates
+            # cannot reorder registrations.
+            old, new = (sj, tb) if ta == si else (si, ta)
+            if old == new:
+                return  # null
+            start = time.perf_counter() if profile else 0.0
+            self._set_count(old, counts[old] - 1)
+            self._set_count(new, counts[new] + 1)
+            changed: Sequence[int] = (old, new)
+        else:
+            if ta == sj and tb == si:
+                return  # the two agents swapped states: null in effect
+            start = time.perf_counter() if profile else 0.0
+            delta: Dict[int, int] = {}
+            delta[si] = delta.get(si, 0) - 1
+            delta[sj] = delta.get(sj, 0) - 1
+            delta[ta] = delta.get(ta, 0) + 1
+            delta[tb] = delta.get(tb, 0) + 1
+            changed = [slot for slot, d in delta.items() if d]
+            for slot in changed:
+                self._set_count(slot, counts[slot] + delta[slot])
         if self._mode == "jump":
-            seen: Set[int] = set()
+            # A pair next to both changed slots is set twice; the
+            # second set is a no-op.
             pair_list = self._pair_list
             pair_tree = self._pair_tree
+            adj = self._adj
             for slot in changed:
-                for pidx in self._adj[slot]:
-                    if pidx in seen:
-                        continue
-                    seen.add(pidx)
+                for pidx in adj[slot]:
                     i, j = pair_list[pidx]
                     ci = counts[i]
                     weight = ci * (ci - 1) if i == j else ci * counts[j]
@@ -669,6 +749,11 @@ class CountSimulation:
         for slot in range(len(self._reps)):
             if counts[slot] > 0 and not self._classified[slot]:
                 self._classify_slot(slot)
+        # Weigh every registered pair in one linear rebuild.
+        self._pair_tree.rebuild([
+            counts[i] * (counts[i] - 1) if i == j else counts[i] * counts[j]
+            for i, j in self._pair_list
+        ])
 
     def _exit_jump_mode(self) -> None:
         """Drop the effective-pair cache and fall back to interaction mode.
@@ -679,6 +764,7 @@ class CountSimulation:
         pairs per new slot.  The auto-switch heuristic is re-armed, so
         the engine re-enters jump mode after the next long null gap.
         """
+        self._fresh_count_tree()
         self._mode = "interaction"
         self._pair_list = []
         self._adj = [[] for _ in self._reps]
@@ -708,15 +794,12 @@ class CountSimulation:
                     self._register_pair(j, m)
 
     def _register_pair(self, i: int, j: int) -> None:
+        """Add the effective pair ``(i, j)``; the caller weighs it."""
         pidx = len(self._pair_list)
         self._pair_list.append((i, j))
         self._adj[i].append(pidx)
         if j != i:
             self._adj[j].append(pidx)
-        counts = self._counts
-        ci = counts[i]
-        weight = ci * (ci - 1) if i == j else ci * counts[j]
-        self._pair_tree.append(weight)
 
     # -- active mode ---------------------------------------------------
 
@@ -771,7 +854,7 @@ class CountSimulation:
 
     def sample_agent_slot(self, rng: random.Random) -> int:
         """Slot of one uniformly random agent (weight = slot count)."""
-        return self._count_tree.sample(rng)
+        return self._fresh_count_tree().sample(rng)
 
     def sample_victim_slots(self, count: int, rng: random.Random) -> List[int]:
         """Slots of ``count`` distinct agents drawn without replacement.
@@ -783,7 +866,7 @@ class CountSimulation:
         slot lookup (a multivariate hypergeometric over slots).
         """
         count = min(count, self.n)
-        tree = self._count_tree
+        tree = self._fresh_count_tree()
         victims: List[int] = []
         for _ in range(count):
             slot = tree.sample(rng)

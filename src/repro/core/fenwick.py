@@ -15,7 +15,7 @@ rely on -- and both old import sites re-export them unchanged.
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Sequence
 
 __all__ = ["FenwickTree", "GrowableFenwick"]
 
@@ -92,8 +92,8 @@ class GrowableFenwick:
     Same sampling contract as :class:`FenwickTree` (``rng.randrange``
     followed by a bit descent, so two trees holding equal weights
     consume identical randomness and select the same index), plus
-    ``append`` with amortized O(1) capacity doubling and an O(1)
-    running total.
+    ``append`` with amortized O(1) capacity doubling, an O(1) running
+    total, and ``rebuild`` to replace every weight in linear time.
     """
 
     __slots__ = ("_capacity", "_tree", "_weights", "_total")
@@ -122,15 +122,36 @@ class GrowableFenwick:
 
     def _grow(self) -> None:
         self._capacity *= 2
-        tree = [0] * (self._capacity + 1)
+        self.rebuild(self._weights)
+
+    def rebuild(self, weights: Sequence[int]) -> None:
+        """Replace every weight at once, in O(capacity).
+
+        The capacity doubles, as ``append`` would, until it covers
+        ``weights``, and never shrinks.  A node's value depends only on
+        the weights and the capacity, so the rebuilt tree is node for
+        node the one incremental ``set`` calls would leave, and it
+        samples draw for draw identically.
+        """
+        values = list(weights)
+        if values and min(values) < 0:
+            raise ValueError(f"weights must be non-negative, got {min(values)}")
+        capacity = self._capacity
+        while capacity < len(values):
+            capacity *= 2
+        tree = [0] * (capacity + 1)
+        tree[1 : len(values) + 1] = values
         # Linear-time construction: push each node's sum to its parent.
-        for index, weight in enumerate(self._weights):
-            pos = index + 1
-            tree[pos] += weight
+        # Every position up to the capacity takes part, not just the
+        # filled ones: an empty position still relays its children's sums.
+        for pos in range(1, capacity):
             parent = pos + (pos & (-pos))
-            if parent <= self._capacity:
+            if parent <= capacity:
                 tree[parent] += tree[pos]
+        self._capacity = capacity
         self._tree = tree
+        self._weights = values
+        self._total = sum(values)
 
     def set(self, index: int, weight: int) -> None:
         if weight < 0:

@@ -142,19 +142,20 @@ class VectorSimulation(CountSimulation):
         if batch is not None and batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
         # Subclass state must exist before super().__init__ loads the
-        # initial configuration (it calls our _slot_for_state /
-        # _set_count / _classify_slot overrides).
+        # initial configuration (it calls our _classify_slot override).
         self._fixed_batch = batch
         self._batch_size = batch if batch is not None else INITIAL_BATCH
         self._scalar_only = batch == 1
         self._batch_disabled = False
         self._npg: Optional[Any] = None
         self._cum: Optional[Any] = None  # cached cumulative counts
+        # Counts change under the batched path only through a replayed
+        # event, a fault (``corrupt``) or jump mode (left only through
+        # ``_exit_jump_mode``); each of those marks the cache stale.
         self._cum_stale = True
         self._table_cap = 0
         self._table_a: Optional[Any] = None
         self._table_b: Optional[Any] = None
-        self._kernel_class: List[Optional[Hashable]] = []
         self._class_lists: Dict[Hashable, List[int]] = {}
         self._none_class: List[int] = []
         super().__init__(
@@ -166,19 +167,10 @@ class VectorSimulation(CountSimulation):
             recorder=recorder,
         )
 
-    # -- slot bookkeeping ----------------------------------------------
+    # -- count bookkeeping ---------------------------------------------
 
-    def _slot_for_state(self, state: Any) -> int:
-        known = len(self._reps)
-        slot = super()._slot_for_state(state)
-        if slot == known:  # a new slot was created
-            self._kernel_class.append(
-                self._class_of(state) if self._class_of is not None else None
-            )
-        return slot
-
-    def _set_count(self, slot: int, new: int) -> None:
-        super()._set_count(slot, new)
+    def corrupt(self, victims: Any, new_states: Any) -> None:
+        super().corrupt(victims, new_states)
         self._cum_stale = True
 
     # -- class-pruned jump classification ------------------------------
@@ -199,10 +191,10 @@ class VectorSimulation(CountSimulation):
             return
         classified = self._classified
         classified[m] = True
-        cm = self._kernel_class[m]
         is_pair_null = self.protocol.is_pair_null
         reps = self._reps
         a = reps[m]
+        cm = self._class_of(a)
         if cm is None:
             # Wildcard slot: may interact with anything; full scan, then
             # remember it as a candidate for every later slot.
@@ -220,8 +212,11 @@ class VectorSimulation(CountSimulation):
                         self._register_pair(j, m)
             bisect.insort(self._none_class, m)
             return
-        members = self._class_lists.setdefault(cm, [])
-        bisect.insort(members, m)
+        members = self._class_lists.get(cm)
+        if members is None:
+            members = self._class_lists[cm] = [m]
+        else:
+            bisect.insort(members, m)
         if self._none_class:
             candidates = sorted(members + self._none_class)
         else:
@@ -239,6 +234,7 @@ class VectorSimulation(CountSimulation):
 
     def _exit_jump_mode(self) -> None:
         super()._exit_jump_mode()
+        self._cum_stale = True
         self._class_lists = {}
         self._none_class = []
 
@@ -366,7 +362,10 @@ class VectorSimulation(CountSimulation):
                 self.interactions += stop + 1
                 self.events += stop + 1
                 a_slot, b_slot = int(si[stop]), int(sj[stop])
+                changes = self.changes
                 self._interact(a_slot, b_slot)
+                if self.changes != changes:
+                    self._cum_stale = True
                 self._sync_table(a_slot, b_slot)
                 if (
                     self._fixed_batch is None

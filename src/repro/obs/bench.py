@@ -431,8 +431,11 @@ def compare_suites(
 
     Cells present on only one side are reported (``added`` /
     ``removed``) but never flagged -- renaming a cell must not trip the
-    gate.  The comparison RNG is fixed, so verdicts are reproducible
-    for a given pair of result documents.
+    gate.  A cell whose ``metric`` changed is a different measurement
+    under an old name: its two values are in unlike units, so it is
+    reported as removed and added rather than compared.  The comparison
+    RNG is fixed, so verdicts are reproducible for a given pair of
+    result documents.
     """
     if baseline["suite"] != current["suite"]:
         raise ValueError(
@@ -440,18 +443,20 @@ def compare_suites(
             f"vs current {current['suite']!r}"
         )
     rng = random.Random(0xBE7C)
-    baseline_cells = {cell["cell"]: cell for cell in baseline["cells"]}
-    current_cells = {cell["cell"]: cell for cell in current["cells"]}
+    baseline_cells = {
+        (cell["cell"], cell["metric"]): cell for cell in baseline["cells"]
+    }
+    current_cells = {(cell["cell"], cell["metric"]): cell for cell in current["cells"]}
     verdicts = [
         compare_cells(
-            baseline_cells[name],
-            current_cells[name],
+            baseline_cells[key],
+            current_cells[key],
             rel_threshold=rel_threshold,
             sigma=sigma,
             rng=rng,
         )
-        for name in current_cells
-        if name in baseline_cells
+        for key in current_cells
+        if key in baseline_cells
     ]
     flagged = [verdict for verdict in verdicts if verdict["regression"]]
     return {
@@ -460,8 +465,8 @@ def compare_suites(
         "baseline_git_sha": baseline.get("git_sha"),
         "current_git_sha": current.get("git_sha"),
         "cells": verdicts,
-        "added": sorted(set(current_cells) - set(baseline_cells)),
-        "removed": sorted(set(baseline_cells) - set(current_cells)),
+        "added": sorted(name for name, _ in set(current_cells) - set(baseline_cells)),
+        "removed": sorted(name for name, _ in set(baseline_cells) - set(current_cells)),
         "regressions": len(flagged),
     }
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import product
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -261,6 +262,21 @@ def _default_extract(state: Any, field_name: str) -> Any:
     return getattr(state, field_name)
 
 
+def _compile_key(
+    index: int, names: Tuple[str, ...], extract: Callable[[Any, str], Any]
+) -> Callable[[Any], Tuple[Any, ...]]:
+    """One role's key function: ``(index,)`` plus its in-key field values."""
+    if extract is not _default_extract or not names:
+        if len(names) == 1:
+            (name,) = names
+            return lambda state: (index, extract(state, name))
+        return lambda state: (index,) + tuple([extract(state, name) for name in names])
+    getter = attrgetter(*names)
+    if len(names) == 1:
+        return lambda state: (index, getter(state))
+    return lambda state: (index,) + getter(state)
+
+
 class StateSchema:
     """The declared state space of one protocol *instance*.
 
@@ -283,6 +299,20 @@ class StateSchema:
         self.roles: Tuple[RoleSchema, ...] = tuple(roles)
         self.role_of = role_of
         self.extract = extract
+        # ``key`` is hot (the count engine calls it per new state, the
+        # exact-chain oracle per chain state), so each role's key
+        # function is compiled once.
+        self._key_plan: Tuple[Tuple[Any, Callable[[Any], Tuple[Any, ...]]], ...] = tuple(
+            (
+                role_schema.role,
+                _compile_key(
+                    index,
+                    tuple(spec.name for spec in role_schema.fields if spec.in_key),
+                    extract,
+                ),
+            )
+            for index, role_schema in enumerate(self.roles)
+        )
 
     # -- lookup ---------------------------------------------------------
 
@@ -327,15 +357,11 @@ class StateSchema:
         remainder.  The model checker uses it to index the enumerated
         state space.
         """
-        role_schema = self.role_schema(state)
-        if role_schema is None:
-            raise SchemaError(f"state has unknown role: {self.role_of(state)!r}")
-        index = self.roles.index(role_schema)
-        return (index,) + tuple(
-            self.extract(state, spec.name)
-            for spec in role_schema.fields
-            if spec.in_key
-        )
+        role = self.role_of(state)
+        for candidate, key_of in self._key_plan:
+            if candidate is role or candidate == role:
+                return key_of(state)
+        raise SchemaError(f"state has unknown role: {role!r}")
 
     # -- enumeration ----------------------------------------------------
 

@@ -190,6 +190,25 @@ class TestCompareSuites:
         assert comparison["added"] == ["new"]
         assert comparison["removed"] == ["old"]
 
+    def test_changed_metric_is_removed_and_added_not_compared(self):
+        """An interactions/s baseline against an events/s run is a ratio of
+        unlike units; the 10^6-fold "drop" must not be judged."""
+        base = _suite_doc([
+            _cell_doc("jump", [1e13, 1e13], metric="interactions_per_second",
+                      higher_is_better=True),
+            _cell_doc("same", [1.0, 1.0]),
+        ])
+        curr = _suite_doc([
+            _cell_doc("jump", [1e5, 1e5], metric="events_per_second",
+                      higher_is_better=True),
+            _cell_doc("same", [1.0, 1.0]),
+        ])
+        comparison = compare_suites(base, curr)
+        assert [verdict["cell"] for verdict in comparison["cells"]] == ["same"]
+        assert comparison["regressions"] == 0
+        assert comparison["added"] == ["jump"]
+        assert comparison["removed"] == ["jump"]
+
     def test_suite_mismatch_rejected(self):
         with pytest.raises(ValueError, match="suite mismatch"):
             compare_suites(_suite_doc([], suite="a"), _suite_doc([], suite="b"))
@@ -239,7 +258,7 @@ class TestDiscovery:
         suites = discover_suites("benchmarks")
         assert "engine" in suites
         names = {cell.name for cell in suites["engine"].cells}
-        assert "count-ciw-n1024" in names
+        assert "count-jump-n1024" in names
 
 
 class TestLedgerFields:

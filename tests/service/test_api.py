@@ -211,12 +211,23 @@ class TestRoutes:
 
 
 class TestAdmissionControl:
-    def test_full_queue_answers_429_with_retry_after(self, tmp_path):
+    def test_full_queue_answers_429_with_retry_after(self, tmp_path, monkeypatch):
+        import repro.experiments.chaos as chaos_module
+
         # A one-job queue keeps this test fast: the point is the 429,
-        # not the jobs.
+        # not the jobs.  A job takes about a millisecond, less than a
+        # submission round trip, so the worker holds its first trial
+        # until the test is done submitting: the queue then fills.
+        submitted = threading.Event()
+        trial = chaos_module._chaos_trial
+
+        def held_trial(*args, **kwargs):
+            submitted.wait(60)
+            return trial(*args, **kwargs)
+
+        monkeypatch.setattr(chaos_module, "_chaos_trial", held_trial)
         fixture = ServerFixture(tmp_path / "svc", max_queue=1).start()
         try:
-            # Fill the queue faster than the worker drains it.
             seeds = iter(range(100))
             saw_429 = None
             for _ in range(20):
@@ -231,6 +242,7 @@ class TestAdmissionControl:
             assert saw_429 is not None, "queue never filled"
             assert saw_429.retry_after >= 1.0
         finally:
+            submitted.set()
             fixture.stop()
 
 
@@ -249,13 +261,29 @@ class TestCancellationRoutes:
         assert info.value.body["state"] == "done"
 
     def test_delete_mid_sweep_cancels_and_resubmission_resumes(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         """The acceptance path end to end over HTTP: DELETE a chaos job
         mid-sweep, observe the journaled ``cancelled`` state, then
         resubmit the identical spec and watch it resume from the
         preserved checkpoint to a result bit-identical to an
         uninterrupted direct run."""
+        import repro.experiments.chaos as chaos_module
+
+        # The whole sweep takes a few milliseconds, less than the SSE
+        # round trip, so the second trial waits for the DELETE: the
+        # cancel then lands mid-sweep however fast the trials are.
+        delete_sent = threading.Event()
+        trial = chaos_module._chaos_trial
+        trials_started = []
+
+        def held_trial(*args, **kwargs):
+            if trials_started:
+                delete_sent.wait(60)
+            trials_started.append(True)
+            return trial(*args, **kwargs)
+
+        monkeypatch.setattr(chaos_module, "_chaos_trial", held_trial)
         fixture = ServerFixture(tmp_path / "svc").start()
         try:
             spec = {"protocols": ["ciw"], "ns": [16], "trials": 10,
@@ -270,6 +298,7 @@ class TestCancellationRoutes:
                 if event.get("kind") == "checkpoint-write":
                     break
             cancelled = client.cancel_job(fixture.base_url, job_id)
+            delete_sent.set()
             assert cancelled["cancel_requested"] is True
             final = client.wait_for_job(fixture.base_url, job_id, timeout=120)
             assert final["state"] == "cancelled"

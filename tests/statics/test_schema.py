@@ -175,3 +175,89 @@ class TestNonEnumerable:
         assert not schema.enumerable
         with pytest.raises(NotEnumerableError):
             schema.enumerate_states()
+
+
+class TestCompiledKeys:
+    """``key`` is compiled once per role.  It must return exactly the
+    tuples of its definition, because ``CountSimulation.occupancy`` and
+    the exact-chain oracle's state indices are built from them."""
+
+    @staticmethod
+    def reference_key(schema, state):
+        role_schema = schema.role_schema(state)
+        index = schema.roles.index(role_schema)
+        return (index,) + tuple(
+            schema.extract(state, spec.name) for spec in role_schema.fields if spec.in_key
+        )
+
+    @staticmethod
+    def protocols():
+        from repro.statics.mutants import BrokenRankingSSR, NondeterministicRankingSSR
+        from tests.statics.test_schema_coverage import FACTORIES
+
+        factories = dict(FACTORIES)
+        factories["BrokenRankingSSR"] = lambda: BrokenRankingSSR(4)
+        factories["NondeterministicRankingSSR"] = lambda: NondeterministicRankingSSR(4)
+        return factories
+
+    def test_every_enumerable_schema_keys_like_its_definition(self):
+        checked = []
+        for name, factory in sorted(self.protocols().items()):
+            schema = schema_for(factory())
+            if not schema.enumerable:
+                continue
+            for state in schema.enumerate_states():
+                key = schema.key(state)
+                assert type(key) is tuple
+                assert key == self.reference_key(schema, state), name
+            checked.append(name)
+        assert {"SilentNStateSSR", "OptimalSilentSSR", "BrokenRankingSSR"} <= set(checked)
+
+    def test_out_of_key_fields_stay_out(self):
+        """Non-enumerable schemas (rosters, history trees) on random states."""
+        import random
+
+        for name, factory in sorted(self.protocols().items()):
+            protocol = factory()
+            schema = schema_for(protocol)
+            if schema.enumerable:
+                continue
+            for state in protocol.random_configuration(random.Random(name)):
+                assert schema.key(state) == self.reference_key(schema, state), name
+
+    def test_every_key_shape(self):
+        """Default and custom extractors, with zero, one and several
+        in-key fields, on roles past the first."""
+        from types import SimpleNamespace
+
+        from repro.statics.schema import RoleSchema, StateSchema
+
+        roles = [
+            RoleSchema(role="a", fields=(FieldSpec("x", IntRange(0, 3)),)),
+            RoleSchema(role="b", fields=(FieldSpec("x", IntRange(0, 3)),
+                                         FieldSpec("tree", Anything(), in_key=False))),
+            RoleSchema(role="c", fields=(FieldSpec("x", IntRange(0, 3)),
+                                         FieldSpec("y", IntRange(0, 3)),
+                                         FieldSpec("tree", Anything(), in_key=False))),
+            RoleSchema(role="d", fields=(FieldSpec("tree", Anything(), in_key=False),)),
+        ]
+        states = [
+            SimpleNamespace(role=role, x=2, y=3, tree=object()) for role in "abcd"
+        ]
+        for schema in (
+            StateSchema("Attrs", roles),
+            StateSchema("Dict", roles, role_of=lambda s: s["role"],
+                        extract=lambda s, name: s[name]),
+        ):
+            for state in states:
+                if schema.protocol_name == "Dict":
+                    state = vars(state)
+                assert schema.key(state) == self.reference_key(schema, state)
+        assert [StateSchema("Attrs", roles).key(state) for state in states] == [
+            (0, 2), (1, 2), (2, 2, 3), (3,)
+        ]
+
+    def test_unknown_role_raises(self):
+        schema = schema_for(OptimalSilentSSR(4, tiny_params()))
+        with pytest.raises(SchemaError, match="unknown role"):
+            schema.key(object())
