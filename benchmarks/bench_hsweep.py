@@ -3,8 +3,13 @@
 One cell per history depth H, all at the planted-collision start whose
 detection time is the Theta(H * n^(1/(H+1))) quantity, plus the
 cross-validation cell for the sync-dictionary warm-up and the full
-quick-mode sweep with its shape checks.
+quick-mode sweep with its shape checks.  The ``repro bench`` suite also
+times Table 1's Sublinear row per layer: one random-start trial at
+H = ceil(log2 n), in interactions per second.
 """
+
+import math
+import time
 
 import pytest
 
@@ -18,6 +23,22 @@ from repro.experiments.hsweep import (
 from repro.experiments.common import measure_convergence
 from repro.protocols.sublinear.protocol import SubRole, SublinearTimeSSR
 from repro.protocols.sync_dictionary import SyncDictionarySSR
+
+
+def _sublinear_log_rate(n: int, seed: int) -> float:
+    """Interactions/s of one Table 1 Sublinear trial (random start, H = ceil(log2 n))."""
+    rng = make_rng(seed, f"bench-sublinear-log-n{n}")
+    protocol = SublinearTimeSSR(n, h=max(1, (n - 1).bit_length()))
+    states = protocol.random_configuration(rng)
+    start = time.perf_counter()
+    outcome = measure_convergence(
+        protocol,
+        states,
+        rng=rng,
+        max_time=4000.0 + 400.0 * math.log(n),
+        confirm_time=25.0 + 4.0 * math.log(n),
+    )
+    return outcome.interactions / (time.perf_counter() - start)
 
 
 def _detection_cell(n: int, h: int, seed: int, label: str) -> float:
@@ -71,7 +92,7 @@ def bench_suite():
 
     suite = BenchSuite(
         "hsweep",
-        description="Sublinear-Time-SSR planted-collision detection",
+        description="Sublinear-Time-SSR planted-collision detection and Table 1 trials",
     )
     suite.cell(
         "detection-h0-n32",
@@ -83,4 +104,12 @@ def bench_suite():
         lambda seed, repeat: (_detection_cell(32, 1, seed, "bench-h1"), None)[1],
         repeats=3,
     )
+    for n, repeats in ((8, 3), (12, 2)):
+        suite.cell(
+            f"sublinear-log-n{n}",
+            lambda seed, repeat, n=n: _sublinear_log_rate(n, seed),
+            repeats=repeats,
+            metric="interactions_per_second",
+            higher_is_better=True,
+        )
     return suite

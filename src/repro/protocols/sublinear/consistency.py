@@ -58,20 +58,21 @@ def check_path_consistency(
     # the protocol have at most one child per name under any node, but
     # adversarial initial trees may not; exploring every matching branch
     # keeps the check sound either way (any branch with a matching sync
-    # certifies consistency).
-    def walk(node: HistoryTree, position: int) -> bool:
-        # ``position`` indexes the path edge being compared next,
-        # from ``p`` down to ``1`` (1-based like the paper).
-        if position < 1:
-            return False
+    # certifies consistency).  The walk keeps an explicit stack of
+    # ``(node, position)`` pairs, where ``position`` indexes the path
+    # edge compared next, from ``p`` down to ``1`` (1-based like the
+    # paper); a recursive closure here would leave a reference cycle
+    # behind on every call.
+    stack = [(j_tree, len(path))]
+    while stack:
+        node, position = stack.pop()
         wanted = labels[position - 1]
-        found = False
+        sync = path[position - 1].sync
         for edge in node.edges:
             if edge.child.name != wanted:
                 continue
-            if edge.sync == path[position - 1].sync:
-                return True
-            found = walk(edge.child, position - 1) or found
-        return found
-
-    return CONSISTENT if walk(j_tree, len(path)) else INCONSISTENT
+            if edge.sync == sync:
+                return CONSISTENT
+            if position > 1:
+                stack.append((edge.child, position - 1))
+    return INCONSISTENT

@@ -22,8 +22,10 @@ On top of the chain this module computes:
 
 * **expected hitting times** of a target set (for silent protocols: the
   correct sinks, i.e. exact expected stabilization time in interactions),
-  via a sparse linear solve -- ``scipy.sparse`` when importable, a
-  pure-python Gauss-Seidel sweep ordered by distance-to-target otherwise;
+  via a linear solve -- a pure-python Gauss-Seidel sweep ordered by
+  distance-to-target when it certifies within a small work budget,
+  ``scipy.sparse`` LU otherwise (Gauss-Seidel to convergence without
+  scipy);
 * **second moments and variances** of the hitting time (same matrix,
   different right-hand side), which give the *exact* standard error of a
   Monte-Carlo mean -- the confidence bands :mod:`repro.statics.oracle`
@@ -72,8 +74,18 @@ Config = Tuple[int, ...]
 #: Target-set kinds understood by :func:`build_chain`.
 TARGET_KINDS = ("auto", "correct-sink", "correct", "sink", "incorrect")
 
-#: Linear-solver choices (``"auto"`` prefers scipy, falls back).
+#: Linear-solver choices (``"auto"``: budgeted Gauss-Seidel, then scipy).
 SOLVERS = ("auto", "scipy", "gauss-seidel")
+
+#: Work budget, in sweeps x (size + nonzeros), of the Gauss-Seidel
+#: attempt ``"auto"`` makes before it falls back to sparse LU.  The
+#: Table 1 witness chain (a line) certifies in one sweep up to ~10^4
+#: states without importing scipy; chains that need hundreds of sweeps
+#: give up after ~1-2 ms.
+GAUSS_SEIDEL_BUDGET = 20_000
+
+#: Sweep cap of the Gauss-Seidel solver when it runs to convergence.
+MAX_SWEEPS = 20_000
 
 #: Default cap shared with the qualitative checker; exceeding it raises.
 MAX_CONFIGS = 250_000
@@ -415,9 +427,9 @@ def _solve_gauss_seidel(
     rhs: Sequence[float],
     order: Sequence[int],
     *,
+    max_sweeps: int,
     tol: float = 1e-13,
-    max_sweeps: int = 20_000,
-) -> List[float]:
+) -> Optional[List[float]]:
     """Pure-python Gauss-Seidel for ``(I - Q) x = b``.
 
     ``I - Q`` of an absorbing chain (restricted to states that hit the
@@ -426,6 +438,8 @@ def _solve_gauss_seidel(
     distance-to-target order makes the iteration near-direct in
     practice.  Convergence is certified by the residual, not the update
     size, so a slow contraction cannot masquerade as convergence.
+    Returns ``None`` if the residual is not certified within
+    ``max_sweeps`` sweeps.
     """
     size = len(rhs)
     solution = [0.0] * size
@@ -445,10 +459,7 @@ def _solve_gauss_seidel(
             scale = max(scale, abs(rhs[i]))
         if residual <= tol * scale:
             return solution
-    raise QuantError(
-        f"Gauss-Seidel did not converge in {max_sweeps} sweeps "
-        f"(size {size}); install scipy or relax the tolerance"
-    )
+    return None
 
 
 def _solve(
@@ -460,11 +471,25 @@ def _solve(
 ) -> Tuple[List[float], str]:
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
-    if solver == "scipy" or (solver == "auto" and _scipy_available()):
-        if solver == "scipy" and not _scipy_available():
+    if solver == "auto":
+        work = max(1, len(rhs) + sum(len(row) for row in rows))
+        solution = _solve_gauss_seidel(
+            rows, diagonal, rhs, order, max_sweeps=GAUSS_SEIDEL_BUDGET // work
+        )
+        if solution is not None:
+            return solution, "gauss-seidel"
+        solver = "scipy" if _scipy_available() else "gauss-seidel"
+    if solver == "scipy":
+        if not _scipy_available():
             raise QuantError("solver='scipy' requested but scipy is not importable")
         return _solve_scipy(rows, diagonal, rhs), "scipy"
-    return _solve_gauss_seidel(rows, diagonal, rhs, order), "gauss-seidel"
+    solution = _solve_gauss_seidel(rows, diagonal, rhs, order, max_sweeps=MAX_SWEEPS)
+    if solution is None:
+        raise QuantError(
+            f"Gauss-Seidel did not converge in {MAX_SWEEPS} sweeps "
+            f"(size {len(rhs)}); use the sparse LU solver (needs scipy)"
+        )
+    return solution, "gauss-seidel"
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +626,10 @@ def hitting_moments(
         for column, probability in chain.rows[global_index]:
             accumulator += 2.0 * float(probability) * expected[column]
         second_rhs.append(accumulator)
-    second_local, _ = _solve(local_rows, diagonal, second_rhs, order, solver)
+    # Same matrix: where ``auto`` fell back to LU, Gauss-Seidel would
+    # spend its budget again for nothing.
+    second_solver = "scipy" if solver_used == "scipy" else solver
+    second_local, _ = _solve(local_rows, diagonal, second_rhs, order, second_solver)
 
     second = [0.0] * size
     for global_index, local in position.items():

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.rng import make_rng
 from repro.protocols.sublinear.consistency import (
     CONSISTENT,
     INCONSISTENT,
     check_path_consistency,
 )
 from repro.protocols.sublinear.history_tree import HistoryTree
+from repro.protocols.sublinear.protocol import SublinearTimeSSR
 
 
 def leaf(name):
@@ -106,3 +108,85 @@ class TestWalkSemantics:
         j_tree = leaf("j")
         j_tree.graft(leaf("i"), sync=4, expires=0)  # long expired
         assert check_path_consistency(j_tree, path_of(i_tree, "j"), "i") is CONSISTENT
+
+
+def reference_check(j_tree, path, i_name):
+    """The recursive walk ``check_path_consistency`` replaced, kept verbatim
+    as the verdict reference."""
+    labels = [i_name] + [edge.child.name for edge in path]
+
+    def walk(node, position):
+        if position < 1:
+            return False
+        wanted = labels[position - 1]
+        found = False
+        for edge in node.edges:
+            if edge.child.name != wanted:
+                continue
+            if edge.sync == path[position - 1].sync:
+                return True
+            found = walk(edge.child, position - 1) or found
+        return found
+
+    return CONSISTENT if walk(j_tree, len(path)) else INCONSISTENT
+
+
+class TestReferenceVerdicts:
+    """``check_path_consistency`` agrees with the reference on every pair."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_protocol_grown_trees(self, n):
+        protocol = SublinearTimeSSR(n)
+        rng = make_rng(n, "grown-verdicts")
+        agents = protocol.unique_names_configuration(rng)
+        # Two agents share a name so impostor verdicts occur too.
+        agents[-1] = protocol.unique_names_configuration(rng)[0]
+        agents[-1].name = agents[-1].tree.name = agents[0].name
+        for _ in range(40 * n):
+            i, j = rng.sample(range(n - 1), 2)
+            protocol.transition(agents[i], agents[j], rng)
+        verdicts = set()
+        for i in agents:
+            for j in agents:
+                if i is j or i.name == j.name:
+                    continue
+                for path in i.tree.paths_to_name(j.name, i.clock):
+                    expected = reference_check(j.tree, path, i.name)
+                    assert check_path_consistency(j.tree, path, i.name) is expected
+                    verdicts.add(expected)
+        assert verdicts == {CONSISTENT, INCONSISTENT}
+
+    def test_adversarial_random_trees(self):
+        # Accusers are the protocol's adversarial trees; each verifier is
+        # drawn from the path's own labels and syncs, so repeated child
+        # names, partial matches and mismatches all occur.
+        protocol = SublinearTimeSSR(16)
+        rng = make_rng(0, "adversarial-verdicts")
+        verdicts = []
+        for _ in range(300):
+            i_tree = protocol._random_tree("i", rng)
+            targets = {edge.child.name for edge in i_tree.iter_edges()} - {"i"}
+            for target in sorted(targets):
+                for path in i_tree.paths_to_name(target, 0):
+                    labels = ["i"] + [edge.child.name for edge in path]
+                    syncs = [edge.sync for edge in path] + [0]
+                    for _ in range(3):
+                        j_tree = random_verifier(target, labels, syncs, len(path), rng)
+                        expected = reference_check(j_tree, path, "i")
+                        got = check_path_consistency(j_tree, path, "i")
+                        assert got is expected
+                        verdicts.append(expected)
+        assert CONSISTENT in verdicts and INCONSISTENT in verdicts
+
+
+def random_verifier(name, labels, syncs, depth, rng):
+    """A verifier tree over ``labels`` and ``syncs``, up to three children each."""
+    node = leaf(name)
+    if depth > 0:
+        for _ in range(rng.randrange(4)):
+            node.graft(
+                random_verifier(rng.choice(labels), labels, syncs, depth - 1, rng),
+                sync=rng.choice(syncs),
+                expires=100,
+            )
+    return node

@@ -1,5 +1,6 @@
 """Tests for Protocol 7 (Detect-Name-Collision)."""
 
+import gc
 from dataclasses import dataclass, field
 
 from repro.core.rng import make_rng
@@ -157,3 +158,32 @@ class TestDetectNameCollision:
         a, b = Agent("a"), Agent("b")
         assert not detect_name_collision(a, b, PARAMS, make_rng(0, "d"))
         assert a.tree.find_child("b") is not None
+
+
+class TestNoCyclicGarbage:
+    def test_detect_and_merge_leave_no_reference_cycles(self):
+        """Detection and merging free everything by reference counting.
+
+        A reference cycle per call (e.g. a self-recursive closure) pins
+        tree edges until a full collection and makes the cyclic
+        collector a large share of the Sublinear row's wall time.
+        """
+        agents = [Agent(name) for name in "abcdefgh"]
+        rng = make_rng(4, "no-garbage")
+        for _ in range(400):
+            i, j = rng.sample(range(8), 2)
+            assert not find_collision(agents[i], agents[j])
+            merge_histories(agents[i], agents[j], PARAMS, rng)
+        pairs = [rng.sample(range(8), 2) for _ in range(100)]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for i, j in pairs[:50]:
+                find_collision(agents[i], agents[j])
+            for i, j in pairs[50:]:
+                merge_histories(agents[i], agents[j], PARAMS, rng)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

@@ -1,9 +1,12 @@
 """Tests for the history-tree data structure (Section 5.2)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rng import make_rng
 from repro.protocols.sublinear.history_tree import HistoryTree, TreeEdge, path_names
+from repro.protocols.sublinear.protocol import SublinearTimeSSR
 
 
 def leaf(name: str) -> HistoryTree:
@@ -227,3 +230,88 @@ class TestProperties:
             for path in tree.paths_to_name(target, clock):
                 assert path[-1].child.name == target
                 assert all(e.expires > clock for e in path)
+
+
+def reference_paths_to_name(tree, target, clock):
+    """The explicit-stack search ``paths_to_name`` replaced, kept verbatim
+    as the equivalence reference (same paths, same pre-order)."""
+    path = []
+    frames = [(tree, 0)]
+    while frames:
+        node, index = frames[-1]
+        if index >= len(node.edges):
+            frames.pop()
+            if path:
+                path.pop()
+            continue
+        frames[-1] = (node, index + 1)
+        edge = node.edges[index]
+        if edge.expires <= clock:
+            continue
+        path.append(edge)
+        if edge.child.name == target:
+            yield tuple(path)
+        frames.append((edge.child, 0))
+
+
+def edge_ids(paths):
+    return [tuple(id(edge) for edge in path) for path in paths]
+
+
+def tree_names(tree):
+    return {tree.name} | {edge.child.name for edge in tree.iter_edges()}
+
+
+def grown_population(n):
+    """Collecting agents after 40 n protocol interactions from unique names."""
+    protocol = SublinearTimeSSR(n)
+    rng = make_rng(n, "grown-trees")
+    agents = protocol.unique_names_configuration(rng)
+    for _ in range(40 * n):
+        i, j = rng.sample(range(n), 2)
+        protocol.transition(agents[i], agents[j], rng)
+    return agents
+
+
+def adversarial_trees(count):
+    """``SublinearTimeSSR._random_tree`` trees: dead edges, repeated names."""
+    protocol = SublinearTimeSSR(8)
+    rng = make_rng(0, "adversarial-trees")
+    own_names = ["a", "b", "c"]
+    return [protocol._random_tree(own_names[k % 3], rng) for k in range(count)]
+
+
+class TestPathsToNameReference:
+    """``paths_to_name`` yields the reference search's paths, in order."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_protocol_grown_trees(self, n):
+        agents = grown_population(n)
+        names = set().union(*(tree_names(agent.tree) for agent in agents))
+        checked = 0
+        for agent in agents:
+            for clock in (agent.clock, agent.clock + 5):
+                for target in sorted(names):
+                    expected = list(reference_paths_to_name(agent.tree, target, clock))
+                    got = agent.tree.paths_to_name(target, clock)
+                    assert edge_ids(got) == edge_ids(expected)
+                    checked += len(expected)
+        assert checked > 0
+
+    def test_adversarial_random_trees(self):
+        checked = 0
+        for tree in adversarial_trees(200):
+            for clock in (0, 3, 10):
+                for target in sorted(tree_names(tree)):
+                    expected = list(reference_paths_to_name(tree, target, clock))
+                    got = tree.paths_to_name(target, clock)
+                    assert edge_ids(got) == edge_ids(expected)
+                    checked += len(expected)
+        assert checked > 0
+
+    @given(tree=random_trees(), clock=st.integers(0, 25))
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_trees(self, tree, clock):
+        for target in "abcdefgh":
+            expected = list(reference_paths_to_name(tree, target, clock))
+            assert edge_ids(tree.paths_to_name(target, clock)) == edge_ids(expected)

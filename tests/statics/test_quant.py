@@ -7,7 +7,10 @@ at n=4 and n=6, against the paper's closed-form worst case, and against
 both simulation engines through the oracle's exact confidence bands.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -332,6 +335,59 @@ class TestSolvers:
         chain = build_chain(SilentNStateSSR(3))
         with pytest.raises(ValueError):
             hitting_moments(chain, solver="cholesky")
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_auto_certifies_witness_chain_with_gauss_seidel(self, n):
+        protocol = SilentNStateSSR(n)
+        start = protocol.counts_to_configuration(tuple(worst_case_ciw_counts(n)))
+        moments = hitting_moments(build_chain(protocol, starts=[start]))
+        assert moments.solver == "gauss-seidel"
+        assert moments.expected_from_states(start) == pytest.approx(
+            n * (n - 1) ** 2 / 2, rel=1e-9
+        )
+
+    @staticmethod
+    def verify_chain(n):
+        """The chain ``repro verify`` builds for Optimal-Silent at ``n``."""
+        from repro.statics.oracle import _TARGETS
+
+        target = _TARGETS["OptimalSilentSSR"]
+        protocol = target.make_protocol(n)
+        return build_chain(protocol, starts=[list(target.make_start(protocol))])
+
+    def test_auto_falls_back_to_scipy_past_the_budget(self):
+        pytest.importorskip("scipy")
+        chain = self.verify_chain(4)
+        assert chain.size >= 1265
+        assert hitting_moments(chain).solver == "scipy"
+
+    def test_gauss_seidel_failure_names_the_lu_solver(self, monkeypatch):
+        monkeypatch.setattr(quant, "MAX_SWEEPS", 1)
+        chain = self.verify_chain(3)
+        with pytest.raises(QuantError, match="sparse LU solver") as caught:
+            hitting_moments(chain, solver="gauss-seidel")
+        assert "tolerance" not in str(caught.value)
+
+    @pytest.mark.slow
+    def test_table1_quick_pass_does_not_import_scipy(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        script = (
+            "import sys\n"
+            "from repro.experiments.cli import main\n"
+            "main(['run', 'table1', '--quick', '--workers', '1', '--no-ledger',\n"
+            f"      '--csv', {str(tmp_path)!r}, '-o', {str(tmp_path / 't1.md')!r}])\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+            check=True,
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 class TestUnreachable:
