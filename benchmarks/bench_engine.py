@@ -19,7 +19,8 @@ Three entry points:
   records each cell's rate and the count/generic speedup (the wall-time
   ratio for the same accounted interactions); CI runs this and fails if
   the count engine falls below 50x the generic engine on
-  SilentNStateSSR at n=1024.
+  SilentNStateSSR at n=1024, or if class-pruned pair classification
+  falls below 10x a full scan at n=8192.
 * ``repro bench --suite engine`` — the ledgered harness entry point
   (:func:`bench_suite` below): the same cells with repeats, gated
   statistically against a stored baseline by
@@ -38,7 +39,6 @@ import pytest
 from repro.core.countsim import CountSimulation
 from repro.core.fastpath import CiwJumpSimulator, worst_case_ciw_counts
 from repro.core.fastpath_optimal_silent import OptimalSilentFastSim
-from repro.core.kernel import numpy_available, select_count_engine
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
@@ -50,9 +50,9 @@ from repro.protocols.sublinear.protocol import SublinearTimeSSR
 STEPS = 20_000
 SMOKE_SEED = 1234
 MIN_COUNT_SPEEDUP = 50.0
-#: The vector kernel must beat the count engine by at least this factor
-#: at n=8192 (ISSUE acceptance: bootstrap-CI separated, not just means).
-MIN_VECTOR_SPEEDUP = 10.0
+#: Class-pruned pair classification must beat a full scan by at least
+#: this factor at n=8192 (bootstrap-CI separated, not just means).
+MIN_PRUNING_SPEEDUP = 10.0
 #: Interleaved unrecorded/recorded pass pairs behind the smoke's
 #: recording-overhead figure.
 RECORDING_PAIRS = 10
@@ -116,35 +116,9 @@ def test_count_engine_ciw_1024(benchmark, seed):
 
 @pytest.mark.benchmark(group="engine-throughput")
 def test_count_engine_ciw_8192(benchmark, seed):
-    """Large-n cell; cost is dominated by one-time pair classification."""
+    """Large-n cell; class-pruned classification keeps entry cost O(k)."""
     interactions = benchmark.pedantic(
         _count_engine_convergence, args=(8192, seed), rounds=1, iterations=1
-    )
-    assert interactions > 10_000_000_000
-
-
-def _vector_engine_convergence(n: int, seed: int) -> int:
-    """Run the vector kernel to silence from the CIW worst case.
-
-    Same seed derivation as :func:`_count_engine_convergence`, and jump
-    mode is scalar in both engines, so the two benchmarks account for
-    the *identical* trajectory -- the rate ratio is a pure engine
-    comparison with zero workload variance.
-    """
-    protocol = SilentNStateSSR(n)
-    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    engine_cls = select_count_engine("vector")
-    sim = engine_cls(protocol, states, rng=make_rng(seed, "count-eng", n), mode="jump")
-    sim.run_until_silent()
-    return sim.interactions
-
-
-@pytest.mark.benchmark(group="engine-throughput")
-@pytest.mark.skipif(not numpy_available(), reason="vector kernel needs numpy")
-def test_vector_engine_ciw_8192(benchmark, seed):
-    """The class-pruned kernel removes the O(k^2) classification cost."""
-    interactions = benchmark.pedantic(
-        _vector_engine_convergence, args=(8192, seed), rounds=1, iterations=1
     )
     assert interactions > 10_000_000_000
 
@@ -200,30 +174,34 @@ def _smoke_generic(n: int, steps: int, seed: int) -> dict:
     }
 
 
-def _smoke_jump(engine: str, n: int, seed: int, recorder=None) -> dict:
-    """Time a count engine in jump mode from the CIW worst case to silence.
+class FullScanSilentNStateSSR(SilentNStateSSR):
+    """SilentNStateSSR without its class partition, so the count engine
+    classifies pairs by a full O(k^2) scan -- the baseline of the
+    pruning gate.  Same pairs, same order, same trajectory."""
 
-    Construction (slot tables and, for the count engine, the O(k^2) pair
-    classification that dominates at large n) and the run are timed
-    separately; ``events_per_second`` is events over run seconds, the
-    rate of the jump loop itself.  Both engines use the same seed
-    labels and jump mode is scalar in both, so they replay the
-    identical trajectory and their ratio is a pure engine comparison.
-    Without numpy ``"vector"`` falls back to the count engine; the
-    ``numpy`` field records which one ran.
+    silent_class = None
+
+
+def _smoke_jump(n: int, seed: int, recorder=None, full_scan: bool = False) -> dict:
+    """Time the count engine in jump mode from the CIW worst case to silence.
+
+    Construction (slot tables and pair classification) and the run are
+    timed separately; ``events_per_second`` is events over run seconds,
+    the rate of the jump loop itself.  ``full_scan`` drops the
+    ``silent_class`` pruning; both variants use the same seed labels
+    and replay the identical trajectory, so their wall-time ratio is
+    the pruning's gain alone.
     """
-    protocol = SilentNStateSSR(n)
+    protocol = (FullScanSilentNStateSSR if full_scan else SilentNStateSSR)(n)
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
     rng = make_rng(seed, "smoke-count", n)
-    engine_cls = select_count_engine(engine)
     start = time.perf_counter()
-    sim = engine_cls(protocol, states, rng=rng, mode="jump", recorder=recorder)
+    sim = CountSimulation(protocol, states, rng=rng, mode="jump", recorder=recorder)
     built = time.perf_counter()
     sim.run_until_silent()
     done = time.perf_counter()
     return {
-        "engine": engine,
-        "numpy": numpy_available(),
+        "engine": "count-full-scan" if full_scan else "count",
         "protocol": "SilentNStateSSR",
         "n": n,
         "recording": recorder is not None,
@@ -263,7 +241,7 @@ def _smoke_fastsim(n: int, seed: int) -> dict:
 
 
 def _smoke_count(n: int, seed: int) -> dict:
-    return _smoke_jump("count", n, seed)
+    return _smoke_jump(n, seed)
 
 
 def _smoke_count_recording(n: int, seed: int) -> dict:
@@ -276,7 +254,7 @@ def _smoke_count_recording(n: int, seed: int) -> dict:
     from repro.obs import MetricsRecorder
 
     recorder = MetricsRecorder(sample_every=4096)
-    cell = _smoke_jump("count", n, seed, recorder=recorder)
+    cell = _smoke_jump(n, seed, recorder=recorder)
     cell["recorder_aggregates"] = recorder.aggregates()
     return cell
 
@@ -396,25 +374,13 @@ def bench_suite():
         metric="seconds",
         higher_is_better=False,
     )
-    if numpy_available():
-        # Vector-kernel cells are registered only when numpy is present:
-        # the fallback would silently re-run the count engine (fine at
-        # n=8192, catastrophic at n=10^6 where the O(k^2) classification
-        # is the very cost the kernel removes).
-        suite.cell(
-            "vector-jump-n8192",
-            lambda seed, repeat: _smoke_jump("vector", 8192, seed)["events_per_second"],
-            repeats=2,
-            metric="events_per_second",
-            higher_is_better=True,
-        )
-        suite.cell(
-            "vector-jump-n1e6",
-            lambda seed, repeat: _smoke_jump("vector", 10**6, seed)["events_per_second"],
-            repeats=2,
-            metric="events_per_second",
-            higher_is_better=True,
-        )
+    suite.cell(
+        "count-jump-n1e6",
+        lambda seed, repeat: _smoke_count(10**6, seed)["events_per_second"],
+        repeats=2,
+        metric="events_per_second",
+        higher_is_better=True,
+    )
     return suite
 
 
@@ -434,7 +400,7 @@ def main(argv=None) -> int:
         "--repeats",
         type=int,
         default=3,
-        help="timed passes per cell (default: %(default)s; the count n=8192 "
+        help="timed passes per cell (default: %(default)s; the full-scan n=8192 "
         f"cell always runs twice, and the n=1024 count cells run {RECORDING_PAIRS} "
         "recorded/unrecorded pairs)",
     )
@@ -449,14 +415,14 @@ def main(argv=None) -> int:
     count_cell, recorded_cell, recording_overhead_pct, recording_ci = (
         _paired_recording_cells(1024, args.seed, RECORDING_PAIRS)
     )
-    # The count n=8192 cell runs twice so the vector-vs-count speedup
-    # below has per-repeat samples on both sides for the bootstrap CI.
+    # Both n=8192 cells run at least twice so the pruning speedup below
+    # has per-repeat samples on both sides for the bootstrap CI.
     cells = [
         _repeat_cell(lambda: _smoke_generic(1024, 200_000, args.seed), args.repeats),
         count_cell,
-        _repeat_cell(lambda: _smoke_count(8192, args.seed), 2),
+        _repeat_cell(lambda: _smoke_count(8192, args.seed), max(2, args.repeats)),
         recorded_cell,
-        _repeat_cell(lambda: _smoke_jump("vector", 8192, args.seed), max(2, args.repeats)),
+        _repeat_cell(lambda: _smoke_jump(8192, args.seed, full_scan=True), 2),
         _repeat_cell(lambda: _smoke_fastsim(128, args.seed), max(3, args.repeats)),
     ]
     # Wall time for the same accounted interactions: how much longer the
@@ -465,25 +431,23 @@ def main(argv=None) -> int:
     count_rate = cells[1]["interactions"] / statistics.mean(cells[1]["seconds_values"])
     speedup = count_rate / generic_rate
 
-    # Vector-vs-count at n=8192: both cells replay the identical
-    # trajectory (same seed, scalar jump mode), so the ratio of their
-    # construct-plus-run wall seconds is a pure engine comparison (the
-    # kernel's gain is the O(k) classification, so run-only events/s
-    # would miss it); the acceptance bar is the whole bootstrap CI of
-    # the ratio clearing MIN_VECTOR_SPEEDUP, not just the means.
+    # Pruned-vs-full-scan at n=8192: both cells replay the identical
+    # trajectory (same seed, same registered pairs in the same order),
+    # so the ratio of their construct-plus-run wall seconds is the
+    # pruning's gain alone (it is the O(k) classification, so run-only
+    # events/s would miss it); the acceptance bar is the whole bootstrap
+    # CI of the ratio clearing MIN_PRUNING_SPEEDUP, not just the means.
     from repro.obs.bench import bootstrap_ratio_ci
 
-    vector_speedup = statistics.mean(cells[2]["seconds_values"]) / statistics.mean(
-        cells[4]["seconds_values"]
+    pruning_speedup = statistics.mean(cells[4]["seconds_values"]) / statistics.mean(
+        cells[2]["seconds_values"]
     )
-    low, high = bootstrap_ratio_ci(cells[4]["seconds_values"], cells[2]["seconds_values"])
-    vector_ci = (low, high)
-    vector_gated = numpy_available()
-    vector_passed = (not vector_gated) or vector_ci[0] >= MIN_VECTOR_SPEEDUP
+    pruning_ci = bootstrap_ratio_ci(cells[2]["seconds_values"], cells[4]["seconds_values"])
+    pruning_passed = pruning_ci[0] >= MIN_PRUNING_SPEEDUP
 
     summary = {
         "benchmark": "engine-throughput-smoke",
-        "schema_version": 3,
+        "schema_version": 4,
         **run_stamp(),
         "seed": args.seed,
         "cells": cells,
@@ -493,11 +457,10 @@ def main(argv=None) -> int:
         "recording_overhead_pct_n1024": round(recording_overhead_pct, 2),
         "recording_overhead_pct_ci95_n1024": [round(v, 2) for v in recording_ci],
         "recording_pairs": RECORDING_PAIRS,
-        "numpy_available": numpy_available(),
-        "vector_vs_count_speedup_n8192": vector_speedup,
-        "vector_vs_count_speedup_ci95_n8192": list(vector_ci),
-        "min_required_vector_speedup": MIN_VECTOR_SPEEDUP,
-        "vector_speedup_check_passed": vector_passed,
+        "pruned_vs_full_scan_speedup_n8192": pruning_speedup,
+        "pruned_vs_full_scan_speedup_ci95_n8192": list(pruning_ci),
+        "min_required_pruning_speedup": MIN_PRUNING_SPEEDUP,
+        "pruning_speedup_check_passed": pruning_passed,
     }
     with open(args.json, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
@@ -507,7 +470,7 @@ def main(argv=None) -> int:
         metric = _rate(cell)
         unit = "events/s" if metric == "events_per_second" else "interactions/s"
         line = (
-            f"{cell['engine']:>7} n={cell['n']:>7}: {cell[metric]:.3e} {unit} "
+            f"{cell['engine']:>15} n={cell['n']:>7}: {cell[metric]:.3e} {unit} "
             f"(stdev {cell[f'{metric}_stdev']:.2e}, n={cell['repeats']})"
         )
         if "construct_seconds" in cell:
@@ -529,19 +492,17 @@ def main(argv=None) -> int:
         f"{RECORDING_PAIRS} interleaved pairs)"
     )
     print(
-        f"vector/count speedup at n=8192: {vector_speedup:.1f}x "
-        f"(CI95 [{vector_ci[0]:.1f}, {vector_ci[1]:.1f}], "
-        f"required CI-low >= {MIN_VECTOR_SPEEDUP:.0f}x"
-        + ("" if vector_gated else "; ungated: numpy unavailable, fallback ran")
-        + ")"
+        f"pruned/full-scan speedup at n=8192: {pruning_speedup:.1f}x "
+        f"(CI95 [{pruning_ci[0]:.1f}, {pruning_ci[1]:.1f}], "
+        f"required CI-low >= {MIN_PRUNING_SPEEDUP:.0f}x)"
     )
     if speedup < MIN_COUNT_SPEEDUP:
         print("FAIL: count engine below required speedup", file=sys.stderr)
         return 1
-    if not vector_passed:
+    if not pruning_passed:
         print(
-            "FAIL: vector kernel speedup CI does not clear "
-            f"{MIN_VECTOR_SPEEDUP:.0f}x at n=8192",
+            "FAIL: class-pruned classification speedup CI does not clear "
+            f"{MIN_PRUNING_SPEEDUP:.0f}x over a full scan at n=8192",
             file=sys.stderr,
         )
         return 1

@@ -61,8 +61,7 @@ from typing import (
 )
 
 from repro.core.configuration import is_silent
-from repro.core.countsim import CountSimulation, count_engine_eligible
-from repro.core.kernel import select_count_engine
+from repro.core.countsim import ENGINES, CountSimulation, count_engine_eligible
 from repro.core.protocol import PopulationProtocol
 from repro.core.scheduler import Pair, Scheduler
 from repro.core.simulation import Simulation
@@ -74,9 +73,6 @@ from repro.protocols.base import RankingProtocol
 _LOG = get_logger("chaos")
 
 S = TypeVar("S")
-
-#: Engines :func:`measure_recovery` can drive.
-ENGINES = ("auto", "generic", "count", "vector")
 
 __all__ = [
     "ADVERSARIES",
@@ -695,9 +691,9 @@ def measure_recovery(
         (default): pick the count engine when the protocol is silent
         and schema-eligible.  The count engine also fast-forwards
         silent dwell between strikes, so long quiet periods cost O(1).
-        ``"vector"`` drives the batched numpy kernel (same fault
-        surface, inherited from the count engine), falling back to
-        ``"count"`` without numpy.
+        ``"vector"`` is the count engine with batched sampling, which
+        only its interaction mode uses; silent protocols with a
+        ``silent_class`` run in active mode and never batch.
     adversary:
         ``None`` (the uniform random-state adversary), a registered
         name (see :func:`adversary_names`), or an :class:`Adversary`.
@@ -737,13 +733,13 @@ def measure_recovery(
             if protocol.silent and getattr(protocol, "silent_class", None)
             else "auto"
         )
-        engine_cls = select_count_engine("vector" if engine == "vector" else "count")
         surface = CountSurface(
-            engine_cls(
+            CountSimulation(
                 protocol,
                 list(initial_states) if initial_states is not None else None,
                 rng=rng,
                 mode=mode,
+                batched=engine == "vector",
                 recorder=obs,
             )
         )

@@ -147,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "generic", "count", "vector"),
         default=None,
         help="simulation engine for experiments that support selection "
-        "(e.g. table1, frontier); 'vector' is the batched numpy kernel "
-        "and falls back to 'count' without numpy",
+        "(e.g. table1, frontier); 'vector' is the count engine with "
+        "batched numpy sampling (unbatched without numpy)",
     )
     run_parser.add_argument(
         "-o",
@@ -343,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("auto", "generic", "count", "vector"),
         default="auto",
-        help="simulation engine (default: auto; 'vector' is the batched "
-        "numpy kernel, falling back to 'count' without numpy)",
+        help="simulation engine (default: auto; 'vector' is the count "
+        "engine with batched numpy sampling, unbatched without numpy)",
     )
     chaos_parser.add_argument(
         "--recovery-budget",

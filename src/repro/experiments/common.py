@@ -24,8 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.analysis.stats import TrialSummary, summarize_trials
 from repro.core.configuration import is_silent
-from repro.core.countsim import count_engine_eligible
-from repro.core.kernel import select_count_engine
+from repro.core.countsim import ENGINES, CountSimulation, count_engine_eligible
 from repro.core.monitors import Monitor
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.simulation import Simulation
@@ -34,9 +33,6 @@ from repro.obs.metrics import SampledMetricsMonitor
 from repro.protocols.base import RankingProtocol
 
 S = TypeVar("S")
-
-#: Engine choices accepted by :func:`measure_convergence`.
-ENGINES = ("auto", "generic", "count", "vector")
 
 
 @dataclass(frozen=True)
@@ -85,9 +81,9 @@ def measure_convergence(
         is silent, silence probing is enabled, and the protocol's schema
         admits lossless state keys (:func:`count_engine_eligible`);
         otherwise the generic agent-array engine runs.  ``"generic"``
-        and ``"count"`` force one side; ``"vector"`` forces the batched
-        numpy kernel (:class:`repro.core.kernel.VectorSimulation`),
-        falling back to the count engine when numpy is unavailable.
+        and ``"count"`` force one side; ``"vector"`` forces the count
+        engine with batched numpy sampling (``batched=True``; the scalar
+        path when numpy is unavailable).
         All engines produce the same outcome *distribution* (enforced
         by the equivalence tests), but per-seed trajectories differ, so
         comparisons across engines must be distributional.
@@ -166,13 +162,11 @@ def _measure_convergence_counted(
     A silent protocol stabilizes exactly when it is correct and silent,
     so the measurement is simply "run until provably silent"; the
     confirmation-window machinery never applies here.  ``engine``
-    selects the count representation: the pure-python count engine
-    (``"count"``, also what ``"auto"`` resolves to) or the vectorized
-    kernel (``"vector"``).
+    ``"vector"`` turns on batched sampling; ``"count"`` and ``"auto"``
+    run unbatched.
     """
     n = protocol.n
-    engine_cls = select_count_engine("vector" if engine == "vector" else "count")
-    sim = engine_cls(protocol, list(states), rng=rng)
+    sim = CountSimulation(protocol, list(states), rng=rng, batched=engine == "vector")
     max_interactions = int(max_time * n)
     # Match the generic path's time-zero probe: an initially silent and
     # correct configuration stabilized at time 0 regardless of budget.

@@ -2,15 +2,16 @@
 
 Table 1 measures Silent-n-state-SSR from the paper's worst-case witness
 up to n = 512; the count engine's exact-jump mode made n ~ 10^4
-reachable, and the vectorized kernel's class-pruned classification
-(:class:`repro.core.kernel.VectorSimulation`) removes the remaining
-O(k^2) entry cost, extending the *same measurement* -- identical
-per-seed trajectories, see :func:`repro.experiments.table1._ciw_trial`
--- to n = 10^7 on one core.  Each trial accounts for ~n^3/2 scheduler
-interactions (5 * 10^20 at n = 10^7), which is the sense in which this
-row walks toward the n = 10^9 frontier: the per-interaction cost is
-already sub-femtosecond-equivalent, and what remains at 10^9 is the
-O(n) per-slot python bookkeeping.
+reachable, and its class-pruned pair classification (the
+``silent_class`` contract, see :mod:`repro.core.countsim`) removes the
+remaining O(k^2) entry cost, extending the *same measurement* --
+identical per-seed trajectories, see
+:func:`repro.experiments.table1._ciw_trial` -- to n = 10^7 on one core.
+Each trial accounts for ~n^3/2 scheduler interactions (5 * 10^20 at
+n = 10^7), which is the sense in which this row walks toward the
+n = 10^9 frontier: the per-interaction cost is already
+sub-femtosecond-equivalent, and what remains at 10^9 is the O(n)
+per-slot python bookkeeping.
 
 The check against ground truth is the closed form validated by
 :func:`repro.analysis.exact.worst_case_expected_interactions` at small
@@ -28,8 +29,8 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.scaling import fit_power_law
+from repro.core.countsim import CountSimulation
 from repro.core.fastpath import worst_case_ciw_counts
-from repro.core.kernel import numpy_available, select_count_engine
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import ExperimentReport
@@ -43,9 +44,10 @@ def _frontier_trial(n: int, engine: str, rng: random.Random) -> Dict[str, float]
     """One timed worst-case CIW run; returns measurement + wall time."""
     protocol = SilentNStateSSR(n)
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    engine_cls = select_count_engine(engine)
     started = time.perf_counter()
-    sim = engine_cls(protocol, states, rng=rng, mode="jump")
+    sim = CountSimulation(
+        protocol, states, rng=rng, mode="jump", batched=engine == "vector"
+    )
     sim.run_until_silent()
     wall = time.perf_counter() - started
     return {
@@ -67,10 +69,9 @@ def run(
     """Extend the Table 1 CIW row to mega-scale n.
 
     ``quick`` uses n up to 10^4 (seconds; what CI exercises); the full
-    run reaches n = 10^7.  ``engine`` defaults to ``"vector"`` -- the
-    experiment exists because of it -- but accepts ``"count"`` for
-    cross-checking at the quick sizes (at the full sizes the count
-    engine's O(k^2) classification is days of work, which is the point).
+    run reaches n = 10^7.  ``engine`` is ``"vector"`` (default) or
+    ``"count"``; jump mode never batches, so both give the same rows at
+    the same speed.
     """
     if engine not in ("count", "vector"):
         raise ValueError(
@@ -136,11 +137,6 @@ def run(
         measured=round(fit.exponent, 3),
         expected="Theta(n^2): exponent ~ 2 persists at mega-scale",
     )
-    if engine == "vector" and not numpy_available():
-        report.notes.append(
-            "numpy unavailable: engine='vector' fell back to the pure-python "
-            "count engine (same trajectories, much slower)."
-        )
     report.notes.append(
         "Same measurement as the Table 1 CIW row (identical per-seed "
         "trajectories across engines on this row); only the engine and "

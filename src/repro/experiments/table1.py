@@ -32,9 +32,9 @@ from repro.analysis.statecount import (
     sublinear_state_log2_estimate,
 )
 from repro.analysis.stats import TrialSummary, summarize_trials
+from repro.core.countsim import CountSimulation
 from repro.core.fastpath import worst_case_ciw_counts
 from repro.core.fastpath_optimal_silent import random_start_time
-from repro.core.kernel import select_count_engine
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
@@ -58,16 +58,15 @@ def _ciw_trial(n: int, engine: str, rng: random.Random) -> float:
     :class:`repro.core.fastpath.CiwJumpSimulator` for the same seed
     (both draw one geometric and one Fenwick sample per effective
     event, over identical weight tables) -- enforced by the equivalence
-    tests, so this engine swap changed no reported Table 1 value.  The
-    vector kernel (``engine="vector"``) keeps the identical trajectory
-    here too (jump mode is scalar; only pair *classification* is
-    pruned, preserving registration order), which is what lets the
-    frontier experiment extend this row to n >= 10^7.
+    tests, so this engine swap changed no reported Table 1 value.
+    ``engine="vector"`` keeps the identical trajectory here too: jump
+    mode never batches.
     """
     protocol = SilentNStateSSR(n)
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    engine_cls = select_count_engine(engine)
-    sim = engine_cls(protocol, states, rng=rng, mode="jump")
+    sim = CountSimulation(
+        protocol, states, rng=rng, mode="jump", batched=engine == "vector"
+    )
     sim.run_until_silent()
     return sim.parallel_time
 
@@ -184,10 +183,9 @@ def run(
     process pool; results are bit-identical to the serial run (per-trial
     RNG streams are derived inside the workers from the same label
     paths).  ``engine`` selects the count representation for the CIW
-    row: ``"count"`` (default, the historical engine) or ``"vector"``
-    (the batched kernel -- same per-seed trajectories on this row, so
-    the reported values are unchanged; see
-    :mod:`repro.experiments.frontier` for the sizes that *need* it).
+    row: ``"count"`` (default) or ``"vector"`` (batched sampling --
+    which this row's jump mode never uses, so the reported values are
+    the same).
     """
     if engine not in ("count", "vector"):
         raise ValueError(

@@ -75,9 +75,10 @@ class VerifyTarget:
     make_start: Callable[[Any], List[Any]]
     make_reference: Optional[Callable[[int], Any]] = None
     #: Engines to exercise; filtered by count-engine eligibility at run
-    #: time.  ``vector`` is the batched numpy kernel: per-seed it is not
-    #: the count engine's trajectory (independent scheduling draws), so
-    #: it earns its own Monte-Carlo band against the exact chain.
+    #: time.  ``vector`` is the count engine with batched sampling: per
+    #: seed it is not the unbatched trajectory (independent scheduling
+    #: draws), so it earns its own Monte-Carlo band against the exact
+    #: chain.
     engines: Tuple[str, ...] = ("generic", "count", "vector")
 
 
