@@ -19,8 +19,10 @@ Three entry points:
   records each cell's rate and the count/generic speedup (the wall-time
   ratio for the same accounted interactions); CI runs this and fails if
   the count engine falls below 50x the generic engine on
-  SilentNStateSSR at n=1024, or if class-pruned pair classification
-  falls below 10x a full scan at n=8192.
+  SilentNStateSSR at n=1024, if class-pruned pair classification
+  falls below 10x a full scan at n=8192, or if the count engine holds
+  more than 450 traced bytes per slot after a jump-mode witness run at
+  n=8192.
 * ``repro bench --suite engine`` — the ledgered harness entry point
   (:func:`bench_suite` below): the same cells with repeats, gated
   statistically against a stored baseline by
@@ -33,6 +35,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -53,6 +56,10 @@ MIN_COUNT_SPEEDUP = 50.0
 #: Class-pruned pair classification must beat a full scan by at least
 #: this factor at n=8192 (bootstrap-CI separated, not just means).
 MIN_PRUNING_SPEEDUP = 10.0
+#: Most tracemalloc-traced bytes per slot the count engine may hold
+#: after a jump-mode run from the CIW witness at n=8192 (flat slot
+#: tables: ~376; the earlier per-slot tuples and lists: ~673).
+MAX_BYTES_PER_SLOT = 450
 #: Interleaved unrecorded/recorded pass pairs behind the smoke's
 #: recording-overhead figure.
 RECORDING_PAIRS = 10
@@ -214,6 +221,39 @@ def _smoke_jump(n: int, seed: int, recorder=None, full_scan: bool = False) -> di
     }
 
 
+def _smoke_memory(n: int, seed: int) -> dict:
+    """Traced bytes per slot the count engine holds after a jump-mode
+    run from the CIW worst case to silence.
+
+    The configuration and the RNG are built before tracing starts, so
+    the figure is what the engine itself allocates and keeps: slot
+    tables, memo, pair columns and Fenwick trees.  tracemalloc counts
+    requested bytes, so the figure repeats exactly in a given process
+    state; tuples reused from CPython's free lists are not traced, so a
+    process that has already run other cells reads up to ~15 B/slot
+    lower than a fresh one.
+    """
+    protocol = SilentNStateSSR(n)
+    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
+    rng = make_rng(seed, "smoke-memory", n)
+    tracemalloc.start()
+    try:
+        sim = CountSimulation(protocol, states, rng=rng, mode="jump")
+        sim.run_until_silent()
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    slots = len(sim._reps)
+    return {
+        "engine": "count",
+        "protocol": "SilentNStateSSR",
+        "n": n,
+        "slots": slots,
+        "traced_bytes": traced,
+        "bytes_per_slot": traced / slots,
+    }
+
+
 def _smoke_fastsim(n: int, seed: int) -> dict:
     """Time ``OptimalSilentFastSim`` over seed-pinned random-start trials.
 
@@ -335,7 +375,7 @@ def bench_suite():
     suite = BenchSuite(
         "engine",
         description="engine throughput: generic interactions/s, jump-mode "
-        "events/s, recorded overhead",
+        "events/s, recorded overhead; count-engine bytes per slot",
     )
     suite.cell(
         "generic-ciw-n1024",
@@ -359,6 +399,13 @@ def bench_suite():
         repeats=2,
         metric="events_per_second",
         higher_is_better=True,
+    )
+    suite.cell(
+        "count-memory-n8192",
+        lambda seed, repeat: _smoke_memory(8192, seed)["bytes_per_slot"],
+        repeats=1,
+        metric="bytes_per_slot",
+        higher_is_better=False,
     )
     suite.cell(
         "count-jump-n1024-recorded",
@@ -445,9 +492,13 @@ def main(argv=None) -> int:
     pruning_ci = bootstrap_ratio_ci(cells[2]["seconds_values"], cells[4]["seconds_values"])
     pruning_passed = pruning_ci[0] >= MIN_PRUNING_SPEEDUP
 
+    # One pass: traced bytes do not vary between repeats.
+    memory = _smoke_memory(8192, args.seed)
+    memory_passed = memory["bytes_per_slot"] <= MAX_BYTES_PER_SLOT
+
     summary = {
         "benchmark": "engine-throughput-smoke",
-        "schema_version": 4,
+        "schema_version": 5,
         **run_stamp(),
         "seed": args.seed,
         "cells": cells,
@@ -461,6 +512,9 @@ def main(argv=None) -> int:
         "pruned_vs_full_scan_speedup_ci95_n8192": list(pruning_ci),
         "min_required_pruning_speedup": MIN_PRUNING_SPEEDUP,
         "pruning_speedup_check_passed": pruning_passed,
+        "count_memory_n8192": memory,
+        "max_bytes_per_slot": MAX_BYTES_PER_SLOT,
+        "memory_check_passed": memory_passed,
     }
     with open(args.json, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
@@ -496,6 +550,10 @@ def main(argv=None) -> int:
         f"(CI95 [{pruning_ci[0]:.1f}, {pruning_ci[1]:.1f}], "
         f"required CI-low >= {MIN_PRUNING_SPEEDUP:.0f}x)"
     )
+    print(
+        f"count engine memory at n=8192: {memory['bytes_per_slot']:.0f} traced B/slot "
+        f"over {memory['slots']} slots (required <= {MAX_BYTES_PER_SLOT})"
+    )
     if speedup < MIN_COUNT_SPEEDUP:
         print("FAIL: count engine below required speedup", file=sys.stderr)
         return 1
@@ -503,6 +561,13 @@ def main(argv=None) -> int:
         print(
             "FAIL: class-pruned classification speedup CI does not clear "
             f"{MIN_PRUNING_SPEEDUP:.0f}x over a full scan at n=8192",
+            file=sys.stderr,
+        )
+        return 1
+    if not memory_passed:
+        print(
+            f"FAIL: count engine holds {memory['bytes_per_slot']:.0f} B/slot at n=8192, "
+            f"above {MAX_BYTES_PER_SLOT}",
             file=sys.stderr,
         )
         return 1

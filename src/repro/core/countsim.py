@@ -100,6 +100,23 @@ is distributional (KS-tested, and checked against the exact-chain
 oracle by ``repro verify``).  Jump and active mode never batch.  numpy
 is optional: without it ``batched=True`` takes the scalar path.
 
+Slot tables
+-----------
+Every distinct state key ever seen gets an int slot id, and per-slot
+data lives in flat storage indexed by it, so a slot costs ~376 traced
+bytes (n=8192 witness run; see docs/performance.md, "Engine memory").
+``_counts`` and ``_reps`` are lists, ``_slot_rank`` an ``array('q')``
+and ``_classified`` a ``bytearray``.  The memo maps the packed ordered
+pair ``si << 32 | sj`` to the packed outputs ``ta << 32 | tb`` (or
+``_RANDOMIZED``), so slot ids must stay below 2**32.  Jump mode stores
+effective pair ``p`` as ``(_pair_a[p], _pair_b[p])``, two
+``array('q')`` columns, and threads each slot's pairs through an
+intrusive linked list: ``_adj_head[slot]`` is the slot's first link,
+link ``2p`` / ``2p + 1`` is pair ``p`` seen from its first / second
+endpoint, ``_adj_next[link]`` is the next link, and -1 ends a list.
+``_class_lists`` maps a ``silent_class`` to its only classified slot
+id, or to a sorted list from the second member on.
+
 Fault injection
 ---------------
 :meth:`CountSimulation.corrupt` edits the count multiset in place
@@ -115,7 +132,19 @@ from __future__ import annotations
 import bisect
 import random
 import time
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
+from array import array
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.core.errors import NotSilentError
 from repro.core.fenwick import GrowableFenwick
@@ -339,8 +368,9 @@ class CountSimulation:
         # Not maintained in jump mode (see the module docstring); built
         # in one pass once the initial counts are in.
         self._count_stale = True
-        self._slot_rank: List[int] = []
-        self._memo: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
+        self._slot_rank = array("q")
+        # Packed ``si << 32 | sj`` -> ``ta << 32 | tb``, or _RANDOMIZED.
+        self._memo: Dict[int, Optional[int]] = {}
 
         # -- ranking-correctness bookkeeping (ConvergenceMonitor semantics)
         rank_of = getattr(protocol, "rank_of", None)
@@ -352,13 +382,18 @@ class CountSimulation:
         self.regressions = 0
 
         # -- jump-mode structures (built lazily) ------------------------
-        self._pair_list: List[Tuple[int, int]] = []
-        self._adj: List[List[int]] = []
+        # Pair columns and per-slot linked lists of pair links; see
+        # "Slot tables" in the module docstring.
+        self._pair_a = array("q")
+        self._pair_b = array("q")
+        self._adj_head = array("q")
+        self._adj_next = array("q")
         self._pair_tree = GrowableFenwick()
-        self._classified: List[bool] = []
-        # Classified slots by ``silent_class``, ascending; slots of class
-        # ``None`` are candidates for every other slot.
-        self._class_lists: Dict[Hashable, List[int]] = {}
+        self._classified = bytearray()
+        # Classified slots by ``silent_class``: a bare slot id for a
+        # class's only member, an ascending list from the second on.
+        # Slots of class ``None`` are candidates for every other slot.
+        self._class_lists: Dict[Hashable, Union[int, List[int]]] = {}
         self._none_class: List[int] = []
 
         # -- active-mode structures (used only when mode == "active") ---
@@ -525,7 +560,9 @@ class CountSimulation:
                 self.interactions = nxt
                 self.events += 1
                 start = time.perf_counter() if profile else 0.0
-                si, sj = self._pair_list[tree.sample(rng)]
+                pidx = tree.sample(rng)
+                si = self._pair_a[pidx]
+                sj = self._pair_b[pidx]
                 if profile:
                     self._obs.add_stage_time(
                         "countsim.pair_sampling", time.perf_counter() - start
@@ -617,8 +654,8 @@ class CountSimulation:
         self._counts.append(0)
         if not self._count_stale:
             self._count_tree.append(0)
-        self._adj.append([])
-        self._classified.append(False)
+        self._adj_head.append(-1)
+        self._classified.append(0)
         rank = 0
         if self._rank_of is not None:
             r = self._rank_of(state)
@@ -662,7 +699,7 @@ class CountSimulation:
             # weight zero and the caller's reweigh pass sets them.
             self._classify_slot(slot)
             pair_tree = self._pair_tree
-            for _ in range(len(self._pair_list) - len(pair_tree)):
+            for _ in range(len(self._pair_a) - len(pair_tree)):
                 pair_tree.append(0)
 
     def _fresh_count_tree(self) -> GrowableFenwick:
@@ -714,7 +751,10 @@ class CountSimulation:
             self._obs_sample()
         profile = self._profile
         start = time.perf_counter() if profile else 0.0
-        entry = self._memo.get((si, sj), False)
+        pair = si << 32 | sj
+        entry = self._memo.get(pair, False)
+        # A hit may be the packed int 0 (ta = tb = 0): compare by
+        # identity, never by truthiness.
         if entry is False:
             # First occurrence of this ordered state pair: probe it.
             initiator = self._clone(self._reps[si])
@@ -732,7 +772,7 @@ class CountSimulation:
             tb = slot_of_key.get(key_b)
             if tb is None:
                 tb = self._new_slot(key_b, out_b)
-            self._memo[(si, sj)] = _RANDOMIZED if spy.used else (ta, tb)
+            self._memo[pair] = _RANDOMIZED if spy.used else ta << 32 | tb
         elif entry is _RANDOMIZED:
             initiator = self._clone(self._reps[si])
             responder = self._clone(self._reps[sj])
@@ -740,7 +780,8 @@ class CountSimulation:
             ta = self._slot_for_state(out_a)
             tb = self._slot_for_state(out_b)
         else:
-            ta, tb = entry  # type: ignore[misc]
+            ta = entry >> 32
+            tb = entry & 0xFFFFFFFF
         if profile:
             obs.add_stage_time("countsim.transition", time.perf_counter() - start)
         self._apply(si, sj, ta, tb)
@@ -776,17 +817,26 @@ class CountSimulation:
             for slot in changed:
                 self._set_count(slot, counts[slot] + delta[slot])
         if self._mode == "jump":
-            # A pair next to both changed slots is set twice; the
-            # second set is a no-op.
-            pair_list = self._pair_list
+            # Every count is already updated and ``set`` writes an
+            # absolute weight, so the order pairs are visited in (a
+            # slot's list runs in *descending* pair order) cannot change
+            # the tree; a pair next to both changed slots is set twice,
+            # the second time as a no-op.
+            pair_a = self._pair_a
+            pair_b = self._pair_b
+            head = self._adj_head
+            nxt = self._adj_next
             pair_tree = self._pair_tree
-            adj = self._adj
             for slot in changed:
-                for pidx in adj[slot]:
-                    i, j = pair_list[pidx]
+                e = head[slot]
+                while e >= 0:
+                    pidx = e >> 1
+                    i = pair_a[pidx]
+                    j = pair_b[pidx]
                     ci = counts[i]
                     weight = ci * (ci - 1) if i == j else ci * counts[j]
                     pair_tree.set(pidx, weight)
+                    e = nxt[e]
         if profile:
             self._obs.add_stage_time("countsim.resync", time.perf_counter() - start)
         self.changes += 1
@@ -856,13 +906,14 @@ class CountSimulation:
         ``-1`` marks unprobed cells, ``-2`` randomized pairs (replayed
         scalar, in trajectory order, on every occurrence).
         """
-        entry = self._memo.get((si, sj), False)
+        entry = self._memo.get(si << 32 | sj, False)
         if entry is False:
             return
         if entry is _RANDOMIZED:
             ta = tb = -2
         else:
-            ta, tb = entry
+            ta = entry >> 32
+            tb = entry & 0xFFFFFFFF
         self._table_a[si, sj] = ta
         self._table_b[si, sj] = tb
 
@@ -957,7 +1008,7 @@ class CountSimulation:
         # Weigh every registered pair in one linear rebuild.
         self._pair_tree.rebuild([
             counts[i] * (counts[i] - 1) if i == j else counts[i] * counts[j]
-            for i, j in self._pair_list
+            for i, j in zip(self._pair_a, self._pair_b)
         ])
 
     def _exit_jump_mode(self) -> None:
@@ -971,10 +1022,13 @@ class CountSimulation:
         """
         self._fresh_count_tree()
         self._mode = "interaction"
-        self._pair_list = []
-        self._adj = [[] for _ in self._reps]
+        k = len(self._reps)
+        self._pair_a = array("q")
+        self._pair_b = array("q")
+        self._adj_head = array("q", [-1]) * k
+        self._adj_next = array("q")
         self._pair_tree = GrowableFenwick()
-        self._classified = [False] * len(self._reps)
+        self._classified = bytearray(k)
         self._class_lists = {}
         self._none_class = []
         self._cum_stale = True
@@ -994,7 +1048,7 @@ class CountSimulation:
         jump-mode sampling, hence whole trajectories, do not change.
         """
         classified = self._classified
-        classified[m] = True
+        classified[m] = 1
         is_pair_null = self.protocol.is_pair_null
         reps = self._reps
         a = reps[m]
@@ -1005,10 +1059,16 @@ class CountSimulation:
             candidates = [j for j, done in enumerate(classified) if done]
             bisect.insort(self._none_class, m)
         else:
-            members = self._class_lists.get(cm)
+            class_lists = self._class_lists
+            members = class_lists.get(cm)
             if members is None:
-                # An exact-size list: most classes only ever hold one slot.
-                members = self._class_lists[cm] = [m]
+                # Most classes only ever hold one slot: store it bare.
+                class_lists[cm] = m
+                members = [m]
+            elif isinstance(members, int):
+                members = class_lists[cm] = (
+                    [members, m] if members < m else [m, members]
+                )
             else:
                 bisect.insort(members, m)
             candidates = (
@@ -1027,11 +1087,18 @@ class CountSimulation:
 
     def _register_pair(self, i: int, j: int) -> None:
         """Add the effective pair ``(i, j)``; the caller weighs it."""
-        pidx = len(self._pair_list)
-        self._pair_list.append((i, j))
-        self._adj[i].append(pidx)
+        pidx = len(self._pair_a)
+        self._pair_a.append(i)
+        self._pair_b.append(j)
+        head = self._adj_head
+        nxt = self._adj_next
+        nxt.append(head[i])
+        head[i] = 2 * pidx
         if j != i:
-            self._adj[j].append(pidx)
+            nxt.append(head[j])
+            head[j] = 2 * pidx + 1
+        else:
+            nxt.append(-1)
 
     # -- active mode ---------------------------------------------------
 
@@ -1133,19 +1200,30 @@ class CountSimulation:
         the null-gap clock resets, since the configuration did change
         behind the scheduler's back.  In jump mode the effective-pair
         cache is discarded first (see :meth:`_exit_jump_mode`).
+
+        The call is atomic: the victims are checked as a multiset
+        against the current counts before anything moves, so a rejected
+        call leaves the engine exactly as it was.
         """
         if len(victims) != len(new_states):
             raise ValueError(
                 f"got {len(victims)} victims but {len(new_states)} states"
             )
+        counts = self._counts
+        wanted: Dict[int, int] = {}
+        for slot in victims:
+            wanted[slot] = wanted.get(slot, 0) + 1
+        for slot, k in wanted.items():
+            have = counts[slot] if 0 <= slot < len(counts) else 0
+            if have < k:
+                raise ValueError(
+                    f"slot {slot} holds {have} agent(s); cannot corrupt {k}"
+                )
         profile = self._profile
         start = time.perf_counter() if profile else 0.0
         if self._mode == "jump":
             self._exit_jump_mode()
-        counts = self._counts
         for slot, state in zip(victims, new_states):
-            if counts[slot] <= 0:
-                raise ValueError(f"slot {slot} is empty; nothing to corrupt")
             self._set_count(slot, counts[slot] - 1)
             target = self._slot_for_state(self._clone(state))
             self._set_count(target, counts[target] + 1)

@@ -9,9 +9,10 @@ identical per-seed trajectories, see
 :func:`repro.experiments.table1._ciw_trial` -- to n = 10^7 on one core.
 Each trial accounts for ~n^3/2 scheduler interactions (5 * 10^20 at
 n = 10^7), which is the sense in which this row walks toward the
-n = 10^9 frontier: the per-interaction cost is already
-sub-femtosecond-equivalent, and what remains at 10^9 is the O(n)
-per-slot python bookkeeping.
+n = 10^9 frontier.  From the witness the engine holds k ~ n slots, so
+memory, not time, bounds n: ~376 traced bytes per slot after a run
+(n = 8192; see docs/performance.md, "Engine memory"), and a single
+n = 10^6 trial peaks at ~510 MB resident.
 
 The check against ground truth is the closed form validated by
 :func:`repro.analysis.exact.worst_case_expected_interactions` at small

@@ -146,6 +146,45 @@ def _gauss_schema(protocol: GaussToy):
     )
 
 
+class EpidemicToy(RankingProtocol[int]):
+    """States {0, 1}: an initiator in state 0 turns its responder to 0.
+
+    Deterministic, and from a start whose first slot holds state 0 the
+    pairs (0, 0) and (0, 1) both map to (slot 0, slot 0) -- a memo
+    value that packs to the int 0.
+    """
+
+    silent = False
+
+    def __init__(self, n: int):
+        super().__init__(n)
+
+    def transition(self, a: int, b: int, rng: random.Random):
+        return a, min(a, b)
+
+    def initial_state(self, rng: random.Random) -> int:
+        return 1
+
+    def random_state(self, rng: random.Random) -> int:
+        return rng.randrange(2)
+
+    def summarize(self, state: int) -> int:
+        return state
+
+    def rank_of(self, state: int):
+        return None
+
+    def state_count(self) -> int:
+        return 2
+
+
+@register_schema(EpidemicToy)
+def _epidemic_schema(protocol: EpidemicToy):
+    return scalar_schema(
+        "EpidemicToy", FieldSpec("value", IntRange(0, 1)), build=lambda value: value
+    )
+
+
 class CountingCiw(SilentNStateSSR):
     """SilentNStateSSR that counts transition-function invocations."""
 
@@ -490,10 +529,30 @@ class TestMemoization:
         sim = CountSimulation(protocol, [0, 0, 1, 1, 2, 2], rng=rng, mode="interaction")
         sim.run(2000)
         keys = {slot: key for key, slot in sim._slot_of_key.items()}
-        probed = {(keys[si], keys[sj]): entry for (si, sj), entry in sim._memo.items()}
+        probed = {
+            (keys[pair >> 32], keys[pair & 0xFFFFFFFF]): entry
+            for pair, entry in sim._memo.items()
+        }
         assert len(probed) == 9  # every ordered pair of the three states
         for (a, b), entry in probed.items():
             assert (entry is None) == (a == b), (a, b)
+
+    def test_zero_memo_value_is_replayed_not_reprobed(self):
+        """A deterministic pair whose packed memo value is 0 (both
+        outputs in slot 0) is a hit like any other: the spy RNG is armed
+        once per ordered pair and never again."""
+        protocol = EpidemicToy(4)
+        sim = CountSimulation(
+            protocol, [0, 1, 1, 1], rng=make_rng(34, "memo"), mode="interaction"
+        )
+        rearms = []
+        rearm = sim._spy.rearm
+        sim._spy.rearm = lambda inner: (rearms.append(inner), rearm(inner))
+        sim.run(500)
+        assert sim.occupancy() == {sim._schema.key(0): 4}
+        assert sim._memo[0 << 32 | 0] == 0  # (0, 0) -> (0, 0)
+        assert sim._memo[0 << 32 | 1] == 0  # (0, 1) -> (0, 0)
+        assert len(rearms) == len(sim._memo) <= 4
 
     def test_randomized_pairs_are_not_memoized(self):
         protocol = CoinFlipToy(4)
@@ -638,6 +697,41 @@ class TestBookkeeping:
         assert states(jumped, [jumped.sample_agent_slot(make_rng(7, "agent"))]) == states(
             reference, [reference.sample_agent_slot(make_rng(7, "agent"))]
         )
+
+    def test_rejected_corrupt_leaves_the_engine_untouched(self):
+        """Two victims in a one-agent slot are rejected before anything
+        moves: occupancy, mode, counters and the next 1,000 interactions
+        equal those of a twin that never saw the call."""
+
+        def engine():
+            return CountSimulation(
+                SilentNStateSSR(6), [0, 0, 1, 2, 3, 4], rng=make_rng(8, "atomic"), mode="jump"
+            )
+
+        sim, twin = engine(), engine()
+        slot = next(s for s, _ in sim.occupied_slots() if sim.slot_state(s) == 1)
+        with pytest.raises(ValueError, match="cannot corrupt 2"):
+            sim.corrupt([slot, slot], [5, 5])
+        with pytest.raises(ValueError, match="cannot corrupt 1"):
+            sim.corrupt([len(sim._counts)], [5])
+
+        def observed(engine):
+            return (
+                engine.occupancy(),
+                engine.mode,
+                engine.interactions,
+                engine.events,
+                engine.changes,
+                engine.correct,
+                engine.streak_start,
+                engine.regressions,
+            )
+
+        assert observed(sim) == observed(twin)
+        sim.run(1000)
+        twin.run(1000)
+        assert observed(sim) == observed(twin)
+        assert sim.rng.getstate() == twin.rng.getstate()
 
     def test_auto_mode_switches_to_jump_near_silence(self):
         n = 16
