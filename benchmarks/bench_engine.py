@@ -4,8 +4,10 @@ These quantify the simulator itself: interactions/second of the generic
 sequential engine on each protocol, effective events/second and
 construction/run wall seconds of the count-based engines' jump mode,
 wall seconds of the Optimal-Silent-SSR array simulator behind ``repro
-run whp``, and the history-tree operations that dominate
-Sublinear-Time-SSR's cost.  A jump-mode cell also records the
+run whp``, the history-tree operations that dominate
+Sublinear-Time-SSR's cost, and the cold start every ``repro`` command
+pays (peak RSS and wall seconds of a fresh ``import
+repro.experiments.cli``).  A jump-mode cell also records the
 interactions it accounted for, as context: that figure grows with the
 jump length, not with engine speed, so it is never a rate.  They
 are the numbers that justify the fast-path design (see DESIGN.md,
@@ -20,9 +22,9 @@ Three entry points:
   ratio for the same accounted interactions); CI runs this and fails if
   the count engine falls below 50x the generic engine on
   SilentNStateSSR at n=1024, if class-pruned pair classification
-  falls below 10x a full scan at n=8192, or if the count engine holds
+  falls below 10x a full scan at n=8192, if the count engine holds
   more than 450 traced bytes per slot after a jump-mode witness run at
-  n=8192.
+  n=8192, or if a fresh ``import repro.experiments.cli`` loads numpy.
 * ``repro bench --suite engine`` — the ledgered harness entry point
   (:func:`bench_suite` below): the same cells with repeats, gated
   statistically against a stored baseline by
@@ -31,14 +33,17 @@ Three entry points:
 
 import argparse
 import json
+import os
 import random
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
 
 import pytest
 
+import repro
 from repro.core.countsim import CountSimulation
 from repro.core.fastpath import CiwJumpSimulator, worst_case_ciw_counts
 from repro.core.fastpath_optimal_silent import OptimalSilentFastSim
@@ -65,6 +70,25 @@ MAX_BYTES_PER_SLOT = 450
 RECORDING_PAIRS = 10
 #: Random-start trials per pass of the Optimal-Silent fast-simulator cell.
 FASTSIM_TRIALS = 10
+#: Fresh interpreters timed by the cold-start cell.
+COLD_START_REPEATS = 3
+#: The cold-start child: import the CLI, then print its own peak RSS in
+#: KiB and whether numpy got loaded.  Linux's ``VmHWM`` is preferred to
+#: ``ru_maxrss``, which a child spawned by vfork + exec inherits from
+#: the parent's resident set (a 200 MB parent makes a 24 MB child read
+#: 219 MB).
+_COLD_START = """\
+import sys
+import repro.experiments.cli
+try:
+    with open("/proc/self/status") as status:
+        kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM"))
+except OSError:
+    import resource
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kib //= 1024 if sys.platform == "darwin" else 1
+print(kib, "numpy" in sys.modules)
+"""
 
 
 @pytest.mark.benchmark(group="engine-throughput")
@@ -280,6 +304,44 @@ def _smoke_fastsim(n: int, seed: int) -> dict:
     }
 
 
+def _cold_start_cli() -> dict:
+    """Peak RSS and wall seconds of ``import repro.experiments.cli`` in
+    a fresh interpreter -- what every ``repro`` command pays before it
+    does any work.  numpy belongs to the batched sampler's first draw,
+    so ``numpy_loaded`` must stay False."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_START],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout
+    elapsed = time.perf_counter() - start
+    kib, numpy_loaded = out.split()
+    return {
+        "command": "python -c 'import repro.experiments.cli'",
+        "seconds": round(elapsed, 6),
+        "peak_rss_mb": round(int(kib) / 1024, 3),
+        "numpy_loaded": numpy_loaded == "True",
+    }
+
+
+def _smoke_cold_start(repeats: int) -> dict:
+    """``repeats`` fresh cold starts, per-repeat seconds and peak RSS."""
+    runs = [_cold_start_cli() for _ in range(repeats)]
+    return {
+        "command": runs[0]["command"],
+        "repeats": repeats,
+        "seconds_values": [run["seconds"] for run in runs],
+        "peak_rss_mb_values": [run["peak_rss_mb"] for run in runs],
+        "numpy_loaded": any(run["numpy_loaded"] for run in runs),
+    }
+
+
 def _smoke_count(n: int, seed: int) -> dict:
     return _smoke_jump(n, seed)
 
@@ -375,7 +437,8 @@ def bench_suite():
     suite = BenchSuite(
         "engine",
         description="engine throughput: generic interactions/s, jump-mode "
-        "events/s, recorded overhead; count-engine bytes per slot",
+        "events/s, recorded overhead; count-engine bytes per slot; "
+        "CLI cold-start peak RSS",
     )
     suite.cell(
         "generic-ciw-n1024",
@@ -419,6 +482,13 @@ def bench_suite():
         lambda seed, repeat: _smoke_fastsim(128, seed)["seconds"],
         repeats=3,
         metric="seconds",
+        higher_is_better=False,
+    )
+    suite.cell(
+        "cold-start-cli",
+        lambda seed, repeat: _cold_start_cli()["peak_rss_mb"],
+        repeats=COLD_START_REPEATS,
+        metric="peak_rss_mb",
         higher_is_better=False,
     )
     suite.cell(
@@ -496,9 +566,12 @@ def main(argv=None) -> int:
     memory = _smoke_memory(8192, args.seed)
     memory_passed = memory["bytes_per_slot"] <= MAX_BYTES_PER_SLOT
 
+    cold_start = _smoke_cold_start(max(COLD_START_REPEATS, args.repeats))
+    cold_start_passed = not cold_start["numpy_loaded"]
+
     summary = {
         "benchmark": "engine-throughput-smoke",
-        "schema_version": 5,
+        "schema_version": 6,
         **run_stamp(),
         "seed": args.seed,
         "cells": cells,
@@ -515,6 +588,8 @@ def main(argv=None) -> int:
         "count_memory_n8192": memory,
         "max_bytes_per_slot": MAX_BYTES_PER_SLOT,
         "memory_check_passed": memory_passed,
+        "cold_start_cli": cold_start,
+        "cold_start_check_passed": cold_start_passed,
     }
     with open(args.json, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
@@ -554,6 +629,12 @@ def main(argv=None) -> int:
         f"count engine memory at n=8192: {memory['bytes_per_slot']:.0f} traced B/slot "
         f"over {memory['slots']} slots (required <= {MAX_BYTES_PER_SLOT})"
     )
+    print(
+        f"cold start ({cold_start['command']}): "
+        f"{statistics.median(cold_start['seconds_values']):.3f} s, "
+        f"{statistics.median(cold_start['peak_rss_mb_values']):.1f} MB peak RSS "
+        f"(medians, n={cold_start['repeats']}); numpy loaded: {cold_start['numpy_loaded']}"
+    )
     if speedup < MIN_COUNT_SPEEDUP:
         print("FAIL: count engine below required speedup", file=sys.stderr)
         return 1
@@ -568,6 +649,13 @@ def main(argv=None) -> int:
         print(
             f"FAIL: count engine holds {memory['bytes_per_slot']:.0f} B/slot at n=8192, "
             f"above {MAX_BYTES_PER_SLOT}",
+            file=sys.stderr,
+        )
+        return 1
+    if not cold_start_passed:
+        print(
+            "FAIL: a fresh `import repro.experiments.cli` loads numpy; only "
+            "the batched sampler's first draw may",
             file=sys.stderr,
         )
         return 1

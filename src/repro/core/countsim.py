@@ -98,7 +98,9 @@ come from a numpy Generator seeded once from the python RNG, so runs
 stay deterministic per seed but differ from unbatched runs; agreement
 is distributional (KS-tested, and checked against the exact-chain
 oracle by ``repro verify``).  Jump and active mode never batch.  numpy
-is optional: without it ``batched=True`` takes the scalar path.
+is optional: without it ``batched=True`` takes the scalar path.  It is
+imported on the first batched draw, not when this module loads, so a
+run that never draws a batch never loads it.
 
 Slot tables
 -----------
@@ -130,6 +132,7 @@ n=8192+ instead of n~256.
 from __future__ import annotations
 
 import bisect
+import importlib.util
 import random
 import time
 from array import array
@@ -146,17 +149,17 @@ from typing import (
     Union,
 )
 
-from repro.core.errors import NotSilentError
+from repro.core.errors import ConfigurationError, NotSilentError
 from repro.core.fenwick import GrowableFenwick
 from repro.core.protocol import PopulationProtocol, check_population
 from repro.core.rng import geometric
 from repro.obs.context import current_recorder
 from repro.statics.schema import StateSchema, has_schema, schema_for
 
-try:  # pragma: no cover - exercised via the monkeypatched fallback tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
+#: ``None`` iff numpy is not installed; otherwise numpy's import spec
+#: until the batched sampler's first draw (:meth:`CountSimulation._generator`)
+#: imports numpy and binds it here.
+_np: Any = importlib.util.find_spec("numpy")
 
 S = TypeVar("S")
 
@@ -866,9 +869,17 @@ class CountSimulation:
     # -- batched sampling ----------------------------------------------
 
     def _generator(self) -> Any:
-        """The numpy Generator for scheduling draws, seeded once."""
+        """The numpy Generator for scheduling draws, seeded once.
+
+        This is the batched sampler's first draw, and the one place
+        numpy is imported (and bound to ``_np``).
+        """
+        global _np
         if self._npg is None:
-            self._npg = _np.random.default_rng(self.rng.getrandbits(128))
+            import numpy
+
+            _np = numpy
+            self._npg = numpy.random.default_rng(self.rng.getrandbits(128))
         return self._npg
 
     def _cumulative_counts(self) -> Any:
@@ -919,8 +930,8 @@ class CountSimulation:
 
     def _advance_batched(self, deadline: int) -> None:
         """Interaction-mode batches until the deadline or a mode change."""
-        np = _np
         npg = self._generator()
+        np = _np
         n = self.n
         obs = self._obs
         profile = self._profile
@@ -1202,8 +1213,10 @@ class CountSimulation:
         cache is discarded first (see :meth:`_exit_jump_mode`).
 
         The call is atomic: the victims are checked as a multiset
-        against the current counts before anything moves, so a rejected
-        call leaves the engine exactly as it was.
+        against the current counts, and every new state against the
+        protocol's schema, before anything moves, so a rejected call
+        leaves the engine exactly as it was.  A state outside the
+        schema raises :class:`~repro.core.errors.ConfigurationError`.
         """
         if len(victims) != len(new_states):
             raise ValueError(
@@ -1218,6 +1231,13 @@ class CountSimulation:
             if have < k:
                 raise ValueError(
                     f"slot {slot} holds {have} agent(s); cannot corrupt {k}"
+                )
+        for state in new_states:
+            problems = self._schema.validate(state)
+            if problems:
+                raise ConfigurationError(
+                    f"state {state!r} is not a {self._schema.protocol_name} "
+                    "state: " + "; ".join(problems)
                 )
         profile = self._profile
         start = time.perf_counter() if profile else 0.0

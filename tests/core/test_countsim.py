@@ -24,7 +24,7 @@ from repro.core.countsim import (
     count_engine_eligible,
 )
 from repro.core.configuration import is_silent
-from repro.core.errors import NotSilentError
+from repro.core.errors import ConfigurationError, NotSilentError
 from repro.core.fastpath import (
     CiwJumpSimulator,
     FenwickTree,
@@ -39,6 +39,35 @@ from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 from repro.protocols.sync_dictionary import SyncDictionarySSR
 from repro.statics.schema import FieldSpec, IntRange, register_schema, scalar_schema
+
+
+def _atomic_engine():
+    """The jump-mode engine the rejected-``corrupt`` tests start from."""
+    return CountSimulation(
+        SilentNStateSSR(6), [0, 0, 1, 2, 3, 4], rng=make_rng(8, "atomic"), mode="jump"
+    )
+
+
+def _assert_twins(sim, twin):
+    """``sim`` and ``twin`` agree now and after 1,000 more interactions."""
+
+    def observed(engine):
+        return (
+            engine.occupancy(),
+            engine.mode,
+            engine.interactions,
+            engine.events,
+            engine.changes,
+            engine.correct,
+            engine.streak_start,
+            engine.regressions,
+        )
+
+    assert observed(sim) == observed(twin)
+    sim.run(1000)
+    twin.run(1000)
+    assert observed(sim) == observed(twin)
+    assert sim.rng.getstate() == twin.rng.getstate()
 
 
 def ks_statistic(a, b):
@@ -703,35 +732,31 @@ class TestBookkeeping:
         moves: occupancy, mode, counters and the next 1,000 interactions
         equal those of a twin that never saw the call."""
 
-        def engine():
-            return CountSimulation(
-                SilentNStateSSR(6), [0, 0, 1, 2, 3, 4], rng=make_rng(8, "atomic"), mode="jump"
-            )
-
-        sim, twin = engine(), engine()
+        sim, twin = _atomic_engine(), _atomic_engine()
         slot = next(s for s, _ in sim.occupied_slots() if sim.slot_state(s) == 1)
         with pytest.raises(ValueError, match="cannot corrupt 2"):
             sim.corrupt([slot, slot], [5, 5])
         with pytest.raises(ValueError, match="cannot corrupt 1"):
             sim.corrupt([len(sim._counts)], [5])
+        _assert_twins(sim, twin)
 
-        def observed(engine):
-            return (
-                engine.occupancy(),
-                engine.mode,
-                engine.interactions,
-                engine.events,
-                engine.changes,
-                engine.correct,
-                engine.streak_start,
-                engine.regressions,
-            )
+    @pytest.mark.parametrize(
+        "victims, new_states, bad",
+        [([0, 1], [5, 99], "99"), ([0], ["x"], "'x'")],
+        ids=["out-of-range", "wrong-type"],
+    )
+    def test_rejected_new_state_leaves_the_engine_untouched(
+        self, victims, new_states, bad
+    ):
+        """A new state outside the protocol's schema is rejected with a
+        typed error naming it, before any victim moves or a slot for it
+        exists; the engine then runs exactly like an untouched twin."""
 
-        assert observed(sim) == observed(twin)
-        sim.run(1000)
-        twin.run(1000)
-        assert observed(sim) == observed(twin)
-        assert sim.rng.getstate() == twin.rng.getstate()
+        sim, twin = _atomic_engine(), _atomic_engine()
+        with pytest.raises(ConfigurationError, match=f"state {bad} is not"):
+            sim.corrupt(victims, new_states)
+        assert len(sim._reps) == len(twin._reps)
+        _assert_twins(sim, twin)
 
     def test_auto_mode_switches_to_jump_near_silence(self):
         n = 16

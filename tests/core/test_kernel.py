@@ -14,11 +14,16 @@ The load-bearing guarantees, mirroring the count engine's own suite:
   randomized protocol, and are pinned per seed (``TestBatchedGolden``);
 * ``repro verify``'s exact-chain oracle accepts the batched engine's own
   Monte-Carlo band at small n;
-* ``corrupt()`` resynchronizes the batched bookkeeping.
+* ``corrupt()`` resynchronizes the batched bookkeeping;
+* numpy is imported on the first batched draw, never by ``import repro``
+  or by runs that do not batch (``TestColdStart``).
 """
 
+import os
 import random
 import statistics
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +108,58 @@ class TestSelection:
         assert sim._batch_disabled
         sim.run(1000)
         assert sim._npg is None
+
+
+_COLD_START = """
+import sys
+import repro, repro.experiments.cli, repro.service.api
+from repro.core.countsim import CountSimulation
+from repro.core.fastpath import worst_case_ciw_counts
+from repro.core.rng import make_rng
+from repro.protocols.cai_izumi_wada import SilentNStateSSR
+
+def loaded(step):
+    print(step, "numpy" in sys.modules)
+
+loaded("import")
+protocol = SilentNStateSSR(64)
+witness = protocol.counts_to_configuration(worst_case_ciw_counts(64))
+CountSimulation(
+    protocol, witness, rng=make_rng(1, "cold"), mode="jump", batched=True
+).run_until_silent()
+loaded("jump")
+start = protocol.random_configuration(make_rng(2, "cold"))
+CountSimulation(protocol, start, rng=make_rng(3, "cold"), mode="interaction").run(5000)
+loaded("unbatched")
+CountSimulation(
+    protocol, start, rng=make_rng(4, "cold"), mode="interaction", batched=True
+).run(5000)
+loaded("batched")
+"""
+
+
+@requires_numpy
+class TestColdStart:
+    def test_numpy_loads_on_the_first_batched_draw(self):
+        """In a fresh interpreter, importing the CLI and the service, a
+        batched jump-mode witness run and an unbatched interaction-mode
+        run leave numpy unloaded; a batched interaction-mode run loads it."""
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+            check=True,
+        )
+        assert proc.stdout.split("\n")[:4] == [
+            "import False",
+            "jump False",
+            "unbatched False",
+            "batched True",
+        ]
 
 
 # ---------------------------------------------------------------------------
