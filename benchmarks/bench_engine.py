@@ -245,6 +245,53 @@ def _smoke_jump(n: int, seed: int, recorder=None, full_scan: bool = False) -> di
     }
 
 
+#: The unbatched count-engine loops, each on the workload that uses it:
+#: ``(protocol, n, mode, trials)`` per cell name.  Active mode is what
+#: chaos runs of the silent protocols (and so every service chaos job)
+#: execute; interaction mode is the ``auto`` opening before the switch
+#: to jump mode.
+MODE_CELLS = {
+    "count-active-ciw-n16": ("ciw", 16, "active", 200),
+    "count-interaction-optimal-n64": ("optimal-silent", 64, "interaction", 5),
+}
+
+
+def _smoke_mode(cell: str, seed: int) -> dict:
+    """Time one unbatched count-engine loop from random starts.
+
+    Each trial builds the engine on a seed-pinned random configuration
+    and advances it ``n`` interactions at a time, as ``measure_recovery``
+    does, until the ranking is correct (for these silent protocols,
+    silent too).  ``events_per_second`` is events over run seconds;
+    the events are the same on every pass.
+    """
+    name, n, mode, trials = MODE_CELLS[cell]
+    protocol = (SilentNStateSSR if name == "ciw" else OptimalSilentSSR)(n)
+    events = 0
+    run_seconds = 0.0
+    start = time.perf_counter()
+    for trial in range(trials):
+        rng = make_rng(seed, "smoke-mode", cell, trial)
+        sim = CountSimulation(
+            protocol, protocol.random_configuration(rng), rng=rng, mode=mode
+        )
+        began = time.perf_counter()
+        while not sim.correct:
+            sim.run(n)
+        run_seconds += time.perf_counter() - began
+        events += sim.events
+    return {
+        "engine": f"count-{mode}",
+        "protocol": type(protocol).__name__,
+        "n": n,
+        "trials": trials,
+        "events": events,
+        "run_seconds": round(run_seconds, 6),
+        "seconds": round(time.perf_counter() - start, 6),
+        "events_per_second": events / run_seconds,
+    }
+
+
 def _smoke_memory(n: int, seed: int) -> dict:
     """Traced bytes per slot the count engine holds after a jump-mode
     run from the CIW worst case to silence.
@@ -463,6 +510,14 @@ def bench_suite():
         metric="events_per_second",
         higher_is_better=True,
     )
+    for name in MODE_CELLS:
+        suite.cell(
+            name,
+            lambda seed, repeat, name=name: _smoke_mode(name, seed)["events_per_second"],
+            repeats=3,
+            metric="events_per_second",
+            higher_is_better=True,
+        )
     suite.cell(
         "count-memory-n8192",
         lambda seed, repeat: _smoke_memory(8192, seed)["bytes_per_slot"],
@@ -565,6 +620,12 @@ def main(argv=None) -> int:
     # One pass: traced bytes do not vary between repeats.
     memory = _smoke_memory(8192, args.seed)
     memory_passed = memory["bytes_per_slot"] <= MAX_BYTES_PER_SLOT
+    # After the memory pass, whose traced bytes depend on what ran
+    # before it in this process (see _smoke_memory).
+    cells += [
+        _repeat_cell(lambda name=name: _smoke_mode(name, args.seed), args.repeats)
+        for name in MODE_CELLS
+    ]
 
     cold_start = _smoke_cold_start(max(COLD_START_REPEATS, args.repeats))
     cold_start_passed = not cold_start["numpy_loaded"]

@@ -133,6 +133,7 @@ from __future__ import annotations
 
 import bisect
 import importlib.util
+import math
 import random
 import time
 from array import array
@@ -150,9 +151,8 @@ from typing import (
 )
 
 from repro.core.errors import ConfigurationError, NotSilentError
-from repro.core.fenwick import GrowableFenwick
+from repro.core.fenwick import GrowableFenwick, draws_with_getrandbits
 from repro.core.protocol import PopulationProtocol, check_population
-from repro.core.rng import geometric
 from repro.obs.context import current_recorder
 from repro.statics.schema import StateSchema, has_schema, schema_for
 
@@ -258,6 +258,10 @@ MIN_BATCH = 16
 INITIAL_BATCH = 64
 MAX_BATCH = 16384
 
+#: Sample and mode-switch threshold that never fires: above any count a
+#: run can reach.
+_NEVER = 1 << 63
+
 
 class CountSimulation:
     """Count-based engine, distributionally exact w.r.t. ``Simulation``.
@@ -319,6 +323,12 @@ class CountSimulation:
     ):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if not draws_with_getrandbits(rng):
+            raise ConfigurationError(
+                f"{type(rng).__name__}.randrange does not draw with getrandbits; "
+                "the count engine draws its schedule inline from getrandbits "
+                "and would leave this RNG's stream"
+            )
         self.protocol = protocol
         self.rng = rng
         if states is None:
@@ -530,94 +540,260 @@ class CountSimulation:
 
     def _advance(self, interactions: int) -> None:
         deadline = self.interactions + interactions
-        if (
-            self.interactions < deadline
-            and self._mode == "interaction"
-            and not self._batch_disabled
-        ):
-            # Returns at the deadline, on the switch to jump mode, or
-            # once the transition table outgrows MAX_TABLE_DIM.
-            self._advance_batched(deadline)
-        rng = self.rng
+        if self._mode == "interaction":
+            if not self._batch_disabled and self.interactions < deadline:
+                # Returns at the deadline, on the switch to jump mode, or
+                # once the transition table outgrows MAX_TABLE_DIM.
+                self._advance_batched(deadline)
+            if self._mode == "interaction":
+                self._advance_interaction(deadline)
+        if self._mode == "jump":
+            self._advance_jump(deadline)
+        elif self._mode == "active":
+            self._advance_active(deadline)
+
+    # The three loops below are the engine's hot paths, one per
+    # unbatched mode.  Each binds what it touches once per call, draws
+    # the scheduler's ``randrange`` through GrowableFenwick.draw (the
+    # same bits; the constructor checks the RNG allows it), inlines the
+    # geometric skip of ``repro.core.rng.geometric`` with the same float
+    # operations, and settles a memoized pair whose outputs are its
+    # inputs, in either order, without calling ``_interact``: that is
+    # the null case of ``_apply``.  Every other event goes through
+    # ``_interact``, after the local counters are written back, since
+    # it reads them.  Stage timers and the sample check stay in the
+    # loop, so recorded and profiled runs take the same path.
+
+    def _advance_interaction(self, deadline: int) -> None:
+        """Interaction mode until ``deadline`` or the switch to jump mode."""
+        getrandbits = self.rng.getrandbits
+        tree = self._count_tree
+        draw = tree.draw
+        draw_excluding = tree.draw_excluding
+        memo_get = self._memo.get
+        obs = self._obs
         profile = self._profile
-        while self.interactions < deadline:
-            if self._mode == "jump":
+        obs_next = self._obs_next if obs is not None else _NEVER
+        switch_after = self._switch_after if self._switching else _NEVER
+        last_change = self._last_change
+        interactions = self.interactions
+        events = self.events
+        start = 0.0
+        try:
+            while interactions < deadline:
+                if profile:
+                    start = time.perf_counter()
+                si = draw(getrandbits)
+                sj = draw_excluding(getrandbits, si)  # a *different* agent
+                if profile:
+                    obs.add_stage_time(
+                        "countsim.pair_sampling", time.perf_counter() - start
+                    )
+                    start = time.perf_counter()
+                interactions += 1
+                events += 1
+                pair = si << 32 | sj
+                entry = memo_get(pair, -1)
+                if entry == pair or entry == sj << 32 | si:
+                    if profile:
+                        obs.add_stage_time(
+                            "countsim.transition", time.perf_counter() - start
+                        )
+                    if events >= obs_next:
+                        self.interactions = interactions
+                        self.events = events
+                        self._obs_sample()
+                        obs_next = self._obs_next
+                else:
+                    self.interactions = interactions
+                    self.events = events
+                    self._interact(si, sj)
+                    last_change = self._last_change
+                    if obs is not None:
+                        obs_next = self._obs_next
+                if interactions - last_change >= switch_after:
+                    self.interactions = interactions
+                    self._enter_jump_mode()
+                    return
+        finally:
+            self.interactions = interactions
+            self.events = events
+
+    def _advance_jump(self, deadline: int) -> None:
+        """Jump mode until ``deadline`` or silence."""
+        rng = self.rng
+        getrandbits = rng.getrandbits
+        random_ = rng.random
+        tree = self._pair_tree
+        draw = tree.draw
+        pair_a = self._pair_a
+        pair_b = self._pair_b
+        ordered_pairs = self._ordered_pairs
+        memo_get = self._memo.get
+        obs = self._obs
+        profile = self._profile
+        obs_next = self._obs_next if obs is not None else _NEVER
+        interactions = self.interactions
+        events = self.events
+        weight_seen = 0
+        log_q = 0.0  # log1p(-p) for the current weight; 0.0 when p == 1
+        start = 0.0
+        try:
+            while interactions < deadline:
                 # The geometric fast-forward is profiled as its own stage
                 # (it is *jumping*, not pair sampling).
-                start = time.perf_counter() if profile else 0.0
-                tree = self._pair_tree
+                if profile:
+                    start = time.perf_counter()
                 weight = tree.total()
                 if weight == 0:
                     return  # silent: all remaining interactions are null
-                p = weight / self._ordered_pairs
-                nxt = self.interactions + geometric(rng, p) + 1
+                if weight != weight_seen:
+                    weight_seen = weight
+                    p = weight / ordered_pairs
+                    log_q = math.log1p(-p) if p < 1.0 else 0.0
+                if log_q:
+                    u = random_()
+                    if u <= 0.0:  # pragma: no cover - measure-zero guard
+                        u = 5e-324
+                    nxt = interactions + int(math.log(u) / log_q) + 1
+                else:
+                    nxt = interactions + 1  # geometric(rng, 1.0) draws nothing
                 if profile:
-                    self._obs.add_stage_time(
+                    obs.add_stage_time(
                         "countsim.geometric_jump", time.perf_counter() - start
                     )
                 if nxt > deadline:
                     # The next effective event falls beyond the budget;
                     # exact by memorylessness of the geometric law.
-                    self.interactions = deadline
+                    interactions = deadline
                     return
-                self.interactions = nxt
-                self.events += 1
-                start = time.perf_counter() if profile else 0.0
-                pidx = tree.sample(rng)
-                si = self._pair_a[pidx]
-                sj = self._pair_b[pidx]
+                interactions = nxt
+                events += 1
                 if profile:
-                    self._obs.add_stage_time(
+                    start = time.perf_counter()
+                pidx = draw(getrandbits)
+                si = pair_a[pidx]
+                sj = pair_b[pidx]
+                if profile:
+                    obs.add_stage_time(
                         "countsim.pair_sampling", time.perf_counter() - start
                     )
-                self._interact(si, sj)
-            elif self._mode == "active":
-                start = time.perf_counter() if profile else 0.0
-                active = self._active_tree.total()
+                    start = time.perf_counter()
+                pair = si << 32 | sj
+                entry = memo_get(pair, -1)
+                if entry == pair or entry == sj << 32 | si:
+                    if profile:
+                        obs.add_stage_time(
+                            "countsim.transition", time.perf_counter() - start
+                        )
+                    if events >= obs_next:
+                        self.interactions = interactions
+                        self.events = events
+                        self._obs_sample()
+                        obs_next = self._obs_next
+                else:
+                    self.interactions = interactions
+                    self.events = events
+                    self._interact(si, sj)
+                    if obs is not None:
+                        obs_next = self._obs_next
+        finally:
+            self.interactions = interactions
+            self.events = events
+
+    def _advance_active(self, deadline: int) -> None:
+        """Active mode until ``deadline`` or silence."""
+        rng = self.rng
+        getrandbits = rng.getrandbits
+        random_ = rng.random
+        active_tree = self._active_tree
+        passive_tree = self._passive_tree
+        draw_active = active_tree.draw
+        draw_passive = passive_tree.draw
+        draw_excluding = self._count_tree.draw_excluding
+        ordered_pairs = self._ordered_pairs
+        others = self.n - 1
+        memo_get = self._memo.get
+        obs = self._obs
+        profile = self._profile
+        obs_next = self._obs_next if obs is not None else _NEVER
+        interactions = self.interactions
+        events = self.events
+        effective_seen = 0
+        log_q = 0.0  # log1p(-p) for the current weight; 0.0 when p == 1
+        start = 0.0
+        try:
+            while interactions < deadline:
+                if profile:
+                    start = time.perf_counter()
+                active = active_tree.total()
                 if active == 0:
                     return  # silent: only passive-passive pairs remain
-                passive = self._passive_tree.total()
-                effective = self._ordered_pairs - passive * (passive - 1)
-                if effective < self._ordered_pairs:
-                    p = effective / self._ordered_pairs
-                    nxt = self.interactions + geometric(rng, p) + 1
+                passive = passive_tree.total()
+                effective = ordered_pairs - passive * (passive - 1)
+                if effective != effective_seen:
+                    effective_seen = effective
+                    p = effective / ordered_pairs
+                    log_q = math.log1p(-p) if p < 1.0 else 0.0
+                if log_q:
+                    u = random_()
+                    if u <= 0.0:  # pragma: no cover - measure-zero guard
+                        u = 5e-324
+                    nxt = interactions + int(math.log(u) / log_q) + 1
                 else:
-                    nxt = self.interactions + 1
+                    nxt = interactions + 1  # no passive-passive pair to skip
                 if profile:
-                    self._obs.add_stage_time(
+                    obs.add_stage_time(
                         "countsim.geometric_jump", time.perf_counter() - start
                     )
                 if nxt > deadline:
-                    self.interactions = deadline
+                    interactions = deadline
                     return
-                self.interactions = nxt
-                self.events += 1
-                start = time.perf_counter() if profile else 0.0
+                interactions = nxt
+                events += 1
+                if profile:
+                    start = time.perf_counter()
                 # Conditioned on "not passive-passive", the initiator's
                 # agent lies in an active slot with probability
                 # active * (n - 1) / effective; otherwise the initiator
-                # is passive and the responder must be active.
-                if rng.randrange(effective) < active * (self.n - 1):
-                    count_tree = self._count_tree
-                    si = self._active_tree.sample(rng)
-                    count_tree.add(si, -1)  # responder is a different agent
-                    sj = count_tree.sample(rng)
-                    count_tree.add(si, +1)
+                # is passive and the responder must be active.  The
+                # first draw is ``randrange(effective)``.
+                bits = effective.bit_length()
+                r = getrandbits(bits)
+                while r >= effective:
+                    r = getrandbits(bits)
+                if r < active * others:
+                    si = draw_active(getrandbits)
+                    sj = draw_excluding(getrandbits, si)
                 else:
-                    si = self._passive_tree.sample(rng)
-                    sj = self._active_tree.sample(rng)
+                    si = draw_passive(getrandbits)
+                    sj = draw_active(getrandbits)
                 if profile:
-                    self._obs.add_stage_time(
+                    obs.add_stage_time(
                         "countsim.pair_sampling", time.perf_counter() - start
                     )
-                self._interact(si, sj)
-            else:
-                self._interaction_step()
-                if (
-                    self._switching
-                    and self.interactions - self._last_change >= self._switch_after
-                ):
-                    self._enter_jump_mode()
+                    start = time.perf_counter()
+                pair = si << 32 | sj
+                entry = memo_get(pair, -1)
+                if entry == pair or entry == sj << 32 | si:
+                    if profile:
+                        obs.add_stage_time(
+                            "countsim.transition", time.perf_counter() - start
+                        )
+                    if events >= obs_next:
+                        self.interactions = interactions
+                        self.events = events
+                        self._obs_sample()
+                        obs_next = self._obs_next
+                else:
+                    self.interactions = interactions
+                    self.events = events
+                    self._interact(si, sj)
+                    if obs is not None:
+                        obs_next = self._obs_next
+        finally:
+            self.interactions = interactions
+            self.events = events
 
     def run_until_silent(self, *, max_interactions: Optional[int] = None) -> bool:
         """Run until provably silent; ``False`` if the budget ran out first.
@@ -730,23 +906,6 @@ class CountSimulation:
         self.correct = now_correct
 
     # -- stepping ------------------------------------------------------
-
-    def _interaction_step(self) -> None:
-        tree = self._count_tree
-        rng = self.rng
-        profile = self._profile
-        start = time.perf_counter() if profile else 0.0
-        si = tree.sample(rng)
-        tree.add(si, -1)  # the responder is a *different* agent
-        sj = tree.sample(rng)
-        tree.add(si, +1)
-        if profile:
-            self._obs.add_stage_time(
-                "countsim.pair_sampling", time.perf_counter() - start
-            )
-        self.interactions += 1
-        self.events += 1
-        self._interact(si, sj)
 
     def _interact(self, si: int, sj: int) -> None:
         obs = self._obs

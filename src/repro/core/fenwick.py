@@ -10,14 +10,40 @@ module is their single home.  Both classes keep the exact sampling
 contract -- equal weights mean identical RNG consumption and identical
 selected indices, which is what the cross-engine bit-exactness tests
 rely on -- and both old import sites re-export them unchanged.
+
+:class:`GrowableFenwick` also draws inline for the count engine's hot
+loops: :meth:`~GrowableFenwick.draw` takes an RNG's bound
+``getrandbits`` and runs CPython's ``Random._randbelow_with_getrandbits``
+rejection loop itself, and :meth:`~GrowableFenwick.draw_excluding` is
+the "responder is a different agent" draw without writing the tree.
+Both consume exactly the bits ``randrange`` would, for every RNG that
+:func:`draws_with_getrandbits` accepts.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
-__all__ = ["FenwickTree", "GrowableFenwick"]
+__all__ = ["FenwickTree", "GrowableFenwick", "draws_with_getrandbits"]
+
+
+def draws_with_getrandbits(rng: random.Random) -> bool:
+    """Whether ``rng.randrange(k)`` is CPython's ``getrandbits`` rejection loop.
+
+    True for :class:`random.Random` and every subclass that keeps its
+    ``randrange`` and overrides ``getrandbits`` (or nothing).  A subclass
+    that overrides only ``random()`` gets ``_randbelow_without_getrandbits``
+    instead, and an inline draw from its ``getrandbits`` would take a
+    different stream.
+    """
+    cls = type(rng)
+    return (
+        isinstance(rng, random.Random)
+        and cls.randrange is random.Random.randrange
+        and getattr(cls, "_randbelow", None)
+        is random.Random._randbelow_with_getrandbits
+    )
 
 
 class FenwickTree:
@@ -176,15 +202,89 @@ class GrowableFenwick:
         total = self._total
         if total <= 0:
             raise ValueError("cannot sample from an all-zero tree")
-        target = rng.randrange(total)
+        return self._descend(rng.randrange(total))
+
+    def draw(self, getrandbits: Callable[[int], int]) -> int:
+        """:meth:`sample`, with ``randrange(total)`` drawn inline.
+
+        ``getrandbits`` is the bound method of an RNG that
+        :func:`draws_with_getrandbits` accepts; the rejection loop is
+        ``Random._randbelow_with_getrandbits``, so the draw consumes the
+        same bits and selects the same index as ``sample``.
+        """
+        total = self._total
+        if total <= 0:
+            raise ValueError("cannot sample from an all-zero tree")
+        bits = total.bit_length()
+        target = getrandbits(bits)
+        while target >= total:
+            target = getrandbits(bits)
+        # _descend, inlined: this is the engine's per-event hot path.
         position = 0
-        remaining = target
-        bit = self._capacity  # power of two, covers every index
+        bit = self._capacity >> 1
         tree = self._tree
-        while bit > 0:
+        while bit:
             nxt = position + bit
-            if nxt <= self._capacity and tree[nxt] <= remaining:
+            if tree[nxt] <= target:
                 position = nxt
-                remaining -= tree[nxt]
+                target -= tree[nxt]
+            bit >>= 1
+        return position
+
+    def draw_excluding(self, getrandbits: Callable[[int], int], index: int) -> int:
+        """:meth:`draw` with one unit of ``index``'s weight set aside.
+
+        The same bits and the same index as ``add(index, -1)``,
+        ``draw``, ``add(index, +1)`` -- the responder draw, which must
+        pick a different agent than the initiator in slot ``index`` --
+        without writing the tree.  Draw ``r`` below ``total - 1``; with
+        ``P`` the weight before ``index`` and ``w`` its weight (at least
+        1), the reduced tree descends to the same index as this one for
+        ``r < P``, stops at ``index`` for ``P <= r < P + w - 1``, and
+        beyond that descends as this one does with ``r + 1``.
+        """
+        total = self._total - 1
+        if total <= 0:
+            raise ValueError("cannot sample from an all-zero tree")
+        bits = total.bit_length()
+        target = getrandbits(bits)
+        while target >= total:
+            target = getrandbits(bits)
+        tree = self._tree
+        before = 0
+        i = index
+        while i:
+            before += tree[i]
+            i &= i - 1
+        if target >= before:
+            if target < before + self._weights[index] - 1:
+                return index
+            target += 1
+        # _descend, inlined as in draw.
+        position = 0
+        bit = self._capacity >> 1
+        while bit:
+            nxt = position + bit
+            if tree[nxt] <= target:
+                position = nxt
+                target -= tree[nxt]
+            bit >>= 1
+        return position
+
+    def _descend(self, target: int) -> int:
+        """The smallest index whose prefix sum exceeds ``target < total``.
+
+        Node ``capacity`` holds the total, which exceeds the target, so
+        the descent starts one level below it; from there every step
+        stays below the capacity.
+        """
+        position = 0
+        bit = self._capacity >> 1
+        tree = self._tree
+        while bit:
+            nxt = position + bit
+            if tree[nxt] <= target:
+                position = nxt
+                target -= tree[nxt]
             bit >>= 1
         return position

@@ -64,7 +64,8 @@ def geometric(rng: random.Random, p: float) -> int:
     Exact inverse-CDF sampling: returns ``floor(log(U) / log(1 - p))``,
     one ``rng.random()`` draw per call (none when ``p == 1``).  Every
     jump-chain simulator in the package skips null interactions with
-    it, so their RNG consumption stays in lockstep.
+    it, so their RNG consumption stays in lockstep; the count engine's
+    event loops inline it with the same float operations.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")

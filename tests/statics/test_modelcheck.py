@@ -6,6 +6,9 @@ the seeded mutants are caught with witnesses, and graph rules refuse to
 run over a broken pair table.
 """
 
+import copy
+import random
+
 import pytest
 
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
@@ -22,8 +25,10 @@ from repro.statics.modelcheck import (
     RULE_STABILIZATION,
     ModelCheckError,
     StateSpace,
+    _LazySeededRandom,
     model_check,
 )
+from repro.statics.lint import _TARGETS, all_target_names
 from repro.statics.mutants import BrokenRankingSSR, NondeterministicRankingSSR
 
 
@@ -134,3 +139,44 @@ class TestMutantsAreCaught:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             model_check(SilentNStateSSR(2), rules=["no-such-rule"])
+
+
+class _EagerSeededSpace(StateSpace):
+    """The pair table with every probe's RNG seeded before the transition."""
+
+    def _apply(self, i, j, seed):
+        initiator = copy.deepcopy(self.states[i])
+        responder = copy.deepcopy(self.states[j])
+        return self.protocol.transition(initiator, responder, random.Random(seed))
+
+
+class TestLazyProbeSeeding:
+    """Probe RNGs are seeded on first use; the pair table must not notice."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name in all_target_names() if _TARGETS[name].model_check_ns]
+    )
+    def test_pair_table_equals_eagerly_seeded_one(self, name):
+        target = _TARGETS[name]
+        for n in target.model_check_ns:
+            lazy = StateSpace(target.factory(n))
+            eager = _EagerSeededSpace(target.factory(n))
+            assert lazy.pairs == eager.pairs
+            assert lazy.partners == eager.partners
+            assert lazy.closure_witnesses == eager.closure_witnesses
+            assert lazy.determinism_witnesses == eager.determinism_witnesses
+            assert lazy.null_witnesses == eager.null_witnesses
+
+    def test_lazy_rng_draws_the_seeded_stream(self):
+        lazy, eager = _LazySeededRandom(0xB0B), random.Random(0xB0B)
+        for rng in (lazy, eager):
+            rng.trace = [
+                rng.random(),
+                rng.getrandbits(70),
+                rng.randrange(1000),
+                rng.choice("abcdef"),
+                rng.gauss(0.0, 1.0),
+                rng.gauss(0.0, 1.0),
+                rng.sample(range(50), 5),
+            ]
+        assert lazy.trace == eager.trace
