@@ -99,7 +99,7 @@ _LOG = get_logger("parallel")
 #: picklable result.
 TrialTask = Callable[[random.Random], Any]
 
-__all__ = ["ParallelTrialRunner", "TrialTaskError"]
+__all__ = ["ParallelTrialRunner", "TrialTaskError", "check_counts"]
 
 #: How many times a *pool-level* failure (broken worker, failed spawn)
 #: is retried with a fresh pool before the missing trials run serially.
@@ -109,6 +109,18 @@ POOL_RETRIES = 2
 #: seconds; round ``k`` sleeps ``POOL_BACKOFF * 2**k`` scaled by a
 #: uniform jitter in [0.5, 1.5).  ``0`` disables the sleep.
 POOL_BACKOFF = 0.25
+
+
+def check_counts(**counts: Optional[int]) -> None:
+    """Reject the first count below 1 (``None`` means unset).
+
+    The one check behind every user-facing count -- worker processes,
+    trials, strikes, bench repeats -- on the CLI and in job specs, so
+    both surfaces reject ``0`` with the same :class:`ValueError`.
+    """
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name!r} must be >= 1, got {value}")
 
 
 class TrialTaskError(RuntimeError):
@@ -313,8 +325,7 @@ class ParallelTrialRunner:
         *,
         checkpoint: Optional[str] = None,
     ):
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        check_counts(workers=workers)
         self.workers = workers or 1
         self.checkpoint = checkpoint
         # Per-call state, resolved once by each map_trials call.

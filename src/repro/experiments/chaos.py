@@ -16,15 +16,13 @@ Example::
 
 from __future__ import annotations
 
-import json
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.chaos import (
-    ENGINES,
     BurstProcess,
     FaultProcess,
     PoissonProcess,
@@ -32,8 +30,8 @@ from repro.core.chaos import (
     adversary_names,
     measure_recovery,
 )
-from repro.core.parallel import ParallelTrialRunner
-from repro.core.rng import DEFAULT_SEED
+from repro.core.countsim import CHAOS_PARAMS, ENGINES
+from repro.core.parallel import ParallelTrialRunner, check_counts
 from repro.obs.context import current_recorder
 from repro.experiments.asciiplot import scaling_chart
 from repro.protocols.base import RankingProtocol
@@ -120,26 +118,7 @@ class ChaosResult:
         return all(cell.all_recovered for cell in self.cells)
 
     def to_json(self) -> Dict:
-        return {
-            "adversary": self.adversary,
-            "engine": self.engine,
-            "seed": self.seed,
-            "all_recovered": self.all_recovered,
-            "cells": [
-                {
-                    "protocol": cell.protocol,
-                    "n": cell.n,
-                    "trials": cell.trials,
-                    "strikes": cell.strikes,
-                    "injected": cell.injected,
-                    "recovered": cell.recovered,
-                    "mean_recovery": cell.mean_recovery,
-                    "worst_recovery": cell.worst_recovery,
-                    "mean_availability": cell.mean_availability,
-                }
-                for cell in self.cells
-            ],
-        }
+        return {**asdict(self), "all_recovered": self.all_recovered}
 
     def render(self) -> str:
         lines = [
@@ -175,29 +154,19 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def check_chaos_params(
-    *,
-    protocols: Sequence[str],
-    ns: Sequence[int],
-    adversary: str,
-    trials: int,
-    fraction: float,
-    period_factor: float,
-    strikes: int,
-    engine: str,
-    recovery_budget_factor: float,
-    agents: Optional[int] = None,
-    poisson_rate: Optional[float] = None,
-) -> None:
+def check_chaos_params(params: Mapping[str, Any]) -> None:
     """Reject a sweep that cannot run or would pass vacuously.
 
     The one range check behind both entry points: :func:`run_chaos`
     calls it before any trial starts, and the job service calls it at
-    submission.  An empty sweep or zero strikes would report
-    ``all_recovered`` with nothing measured; a non-positive period,
-    rate or victim count would only fail inside trial 0.  Raises
-    :class:`ValueError` naming the first bad parameter.
+    submission.  ``params`` maps :data:`~repro.core.countsim.CHAOS_PARAMS`
+    names to values; an absent optional one is unset.  An empty sweep
+    or zero strikes would report ``all_recovered`` with nothing
+    measured; a non-positive period, rate or victim count would only
+    fail inside trial 0.  Raises :class:`ValueError` naming the first
+    bad parameter.
     """
+    protocols, ns = params["protocols"], params["ns"]
     if not protocols:
         raise ValueError("'protocols' must name at least one protocol")
     for key in protocols:
@@ -205,72 +174,71 @@ def check_chaos_params(
             raise ValueError(
                 f"unknown protocol {key!r}; known: {', '.join(sorted(CHAOS_PROTOCOLS))}"
             )
-    if adversary not in adversary_names():
+    if params["adversary"] not in adversary_names():
         raise ValueError(
-            f"unknown adversary {adversary!r}; known: {', '.join(adversary_names())}"
+            f"unknown adversary {params['adversary']!r}; "
+            f"known: {', '.join(adversary_names())}"
         )
     if not ns or not all(
         isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in ns
     ):
         raise ValueError("'ns' must be a non-empty list of ints >= 2")
-    if engine not in ENGINES:
-        raise ValueError(f"'engine' must be one of {list(ENGINES)}, got {engine!r}")
-    for name, value in (("trials", trials), ("strikes", strikes), ("agents", agents)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name!r} must be >= 1, got {value}")
-    if not 0 < fraction <= 1:
-        raise ValueError(f"'fraction' must be in (0, 1], got {fraction}")
-    for name, value in (
-        ("period_factor", period_factor),
-        ("poisson_rate", poisson_rate),
-        ("recovery_budget_factor", recovery_budget_factor),
-    ):
+    if params["engine"] not in ENGINES:
+        raise ValueError(
+            f"'engine' must be one of {list(ENGINES)}, got {params['engine']!r}"
+        )
+    check_counts(**{
+        name: params.get(name) for name in ("trials", "strikes", "agents", "workers")
+    })
+    if not 0 < params["fraction"] <= 1:
+        raise ValueError(f"'fraction' must be in (0, 1], got {params['fraction']}")
+    for name in ("period_factor", "poisson_rate", "recovery_budget_factor"):
+        value = params.get(name)
         if value is not None and not value > 0:
             raise ValueError(f"{name!r} must be > 0, got {value}")
 
 
+_DEFAULT = {param.name: param.default for param in CHAOS_PARAMS}
+
+
 def run_chaos(
     *,
-    protocols: Sequence[str] = ("ciw", "optimal-silent"),
-    ns: Sequence[int] = (16, 32, 64),
-    adversary: str = "random",
-    trials: int = 3,
-    seed: int = DEFAULT_SEED,
-    agents: Optional[int] = None,
-    fraction: float = 0.125,
-    period_factor: float = 2.0,
-    strikes: int = 3,
-    poisson_rate: Optional[float] = None,
-    engine: str = "auto",
-    workers: Optional[int] = None,
-    recovery_budget_factor: float = 50.0,
+    protocols: Sequence[str] = _DEFAULT["protocols"],
+    ns: Sequence[int] = _DEFAULT["ns"],
+    adversary: str = _DEFAULT["adversary"],
+    trials: int = _DEFAULT["trials"],
+    seed: int = _DEFAULT["seed"],
+    agents: Optional[int] = _DEFAULT["agents"],
+    fraction: float = _DEFAULT["fraction"],
+    period_factor: float = _DEFAULT["period_factor"],
+    strikes: int = _DEFAULT["strikes"],
+    poisson_rate: Optional[float] = _DEFAULT["poisson_rate"],
+    engine: str = _DEFAULT["engine"],
+    workers: Optional[int] = _DEFAULT["workers"],
+    recovery_budget_factor: float = _DEFAULT["recovery_budget_factor"],
     checkpoint: Optional[str] = None,
 ) -> ChaosResult:
     """Sweep ``adversary`` over ``protocols`` x ``ns``; aggregate recovery.
 
-    ``agents`` fixes the per-strike victim count; otherwise it is
-    ``max(1, fraction * n)``.  ``period_factor`` and
-    ``recovery_budget_factor`` scale with n (parallel time).  With
-    ``poisson_rate`` set, strikes follow a Poisson process at that rate
-    (per unit parallel time) over the same horizon instead of the
-    periodic schedule.  ``checkpoint`` names a durable trial journal:
-    an interrupted sweep re-run with the same arguments resumes from
-    it, recomputing only the missing trials with bit-identical results
-    (this is how service jobs survive a killed server).
+    The keywords and their defaults are
+    :data:`~repro.core.countsim.CHAOS_PARAMS`.  ``agents`` fixes the
+    per-strike victim count; otherwise it is ``max(1, fraction * n)``.
+    ``period_factor`` and ``recovery_budget_factor`` scale with n
+    (parallel time).  With ``poisson_rate`` set, strikes follow a
+    Poisson process at that rate (per unit parallel time) over the same
+    horizon instead of the periodic schedule.  The float parameters are
+    coerced with ``float()``, so a job spec that gives ``2`` runs the
+    same sweep as ``2.0``.  ``checkpoint`` names a durable trial
+    journal: an interrupted sweep re-run with the same arguments
+    resumes from it, recomputing only the missing trials with
+    bit-identical results (this is how service jobs survive a killed
+    server).
     """
-    check_chaos_params(
-        protocols=protocols,
-        ns=ns,
-        adversary=adversary,
-        trials=trials,
-        fraction=fraction,
-        period_factor=period_factor,
-        strikes=strikes,
-        engine=engine,
-        recovery_budget_factor=recovery_budget_factor,
-        agents=agents,
-        poisson_rate=poisson_rate,
-    )
+    check_chaos_params(locals())  # the keywords: nothing else is bound yet
+    fraction, period_factor = float(fraction), float(period_factor)
+    recovery_budget_factor = float(recovery_budget_factor)
+    if poisson_rate is not None:
+        poisson_rate = float(poisson_rate)
     runner = ParallelTrialRunner(workers, checkpoint=checkpoint)
     obs = current_recorder()
     result = ChaosResult(adversary=adversary, engine=engine, seed=seed)
@@ -322,9 +290,3 @@ def run_chaos(
                 )
             )
     return result
-
-
-def write_json(result: ChaosResult, path: str) -> None:
-    with open(path, "w", encoding="utf8") as handle:
-        json.dump(result.to_json(), handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -59,8 +59,10 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.core.countsim import CHAOS_PARAMS
+from repro.core.parallel import check_counts
 from repro.core.rng import DEFAULT_SEED
 from repro.obs.metrics import MetricsRecorder
 from repro.obs.promexp import TelemetryRegistry, get_registry
@@ -75,15 +77,12 @@ __all__ = [
     "JobCancelled",
     "JobManager",
     "JobSpec",
+    "JobKind",
     "JobValidationError",
     "JOB_KINDS",
 ]
 
 logger = get_logger("service.jobs")
-
-#: Job kinds the service accepts, mapped onto the existing CLI verbs.
-JOB_KINDS = ("run", "chaos", "bench")
-
 
 class JobValidationError(ValueError):
     """The submitted payload is not a valid job spec."""
@@ -104,14 +103,17 @@ class JobCancelled(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Spec validation
+# Job kinds (executors run in the executor thread; workers do the trials)
 # ---------------------------------------------------------------------------
 
-#: Per-kind parameter schemas: name -> (accepted types, default).
-#: ``None`` defaults mean "absent unless provided"; they are dropped
-#: from the canonical form so adding an optional knob later does not
-#: invalidate existing cache keys.
-_RUN_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
+#: A parameter schema: name -> (accepted JSON types, default).  ``None``
+#: defaults mean "absent unless provided"; they are dropped from the
+#: canonical form so adding an optional knob later does not invalidate
+#: existing cache keys.  The chaos kind's schema is
+#: :data:`~repro.core.countsim.CHAOS_PARAMS`, shared with ``repro chaos``.
+Schema = Dict[str, Tuple[Tuple[type, ...], Any]]
+
+_RUN_PARAMS: Schema = {
     "experiment": ((str,), None),
     "seed": ((int,), DEFAULT_SEED),
     "quick": ((bool,), True),
@@ -119,45 +121,149 @@ _RUN_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
     "engine": ((str,), None),
 }
 
-_CHAOS_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
-    "protocols": ((list, tuple), ["ciw", "optimal-silent"]),
-    "ns": ((list, tuple), [16, 32, 64]),
-    "adversary": ((str,), "random"),
-    "trials": ((int,), 3),
-    "seed": ((int,), DEFAULT_SEED),
-    "agents": ((int,), None),
-    "fraction": ((float, int), 0.125),
-    "period_factor": ((float, int), 2.0),
-    "strikes": ((int,), 3),
-    "poisson_rate": ((float, int), None),
-    "engine": ((str,), "auto"),
-    "workers": ((int,), None),
-    "recovery_budget_factor": ((float, int), 50.0),
-}
-
-_BENCH_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
+_BENCH_PARAMS: Schema = {
     "suite": ((str,), None),
     "seed": ((int,), DEFAULT_SEED),
     "repeats": ((int,), None),
     "cells": ((list, tuple), None),
 }
 
-_SCHEMAS = {"run": _RUN_PARAMS, "chaos": _CHAOS_PARAMS, "bench": _BENCH_PARAMS}
+
+def _check_run(params: Dict[str, Any]) -> None:
+    experiment = params.get("experiment")
+    if not experiment:
+        raise ValueError("'experiment' is required")
+    from repro.experiments.registry import all_experiments, check_engine
+
+    if experiment not in all_experiments():
+        raise ValueError(
+            f"unknown experiment {experiment!r}; "
+            f"known: {', '.join(all_experiments())}"
+        )
+    check_engine(experiment, params.get("engine"))
+    check_counts(workers=params.get("workers"))
+
+
+def _execute_run(params: Dict[str, Any], checkpoint: Optional[str]) -> Dict[str, Any]:
+    from repro.experiments.registry import run_experiment
+
+    report = run_experiment(
+        params["experiment"],
+        seed=params["seed"],
+        quick=params["quick"],
+        workers=params.get("workers"),
+        engine=params.get("engine"),
+        checkpoint=checkpoint,
+    )
+    return {
+        "ok": report.all_passed,
+        "result": {
+            "experiment": params["experiment"],
+            "all_passed": report.all_passed,
+            "rows": report.rows,
+            "checks": {
+                name: {
+                    "passed": check.passed,
+                    "measured": check.measured,
+                    "expected": check.expected,
+                }
+                for name, check in report.checks.items()
+            },
+            "markdown": report.render_markdown(),
+        },
+    }
+
+
+def _check_chaos(params: Dict[str, Any]) -> None:
+    from repro.experiments.chaos import check_chaos_params
+
+    check_chaos_params(params)
+
+
+def _execute_chaos(params: Dict[str, Any], checkpoint: Optional[str]) -> Dict[str, Any]:
+    from repro.experiments.chaos import run_chaos
+
+    result = run_chaos(**params, checkpoint=checkpoint)
+    return {"ok": result.all_recovered, "result": result.to_json()}
+
+
+def _bench_suite(params: Dict[str, Any]) -> Any:
+    """The bench job's suite, its ``cells`` checked (or ValueError)."""
+    from repro.obs import bench as bench_mod
+
+    (suite,) = bench_mod.select_suites(
+        bench_mod.discover_suites("benchmarks"),
+        [params["suite"]],
+        params.get("cells"),
+    )
+    return suite
+
+
+def _check_bench(params: Dict[str, Any]) -> None:
+    if not params.get("suite"):
+        raise ValueError("'suite' is required")
+    check_counts(repeats=params.get("repeats"))
+    _bench_suite(params)
+
+
+def _execute_bench(params: Dict[str, Any], checkpoint: Optional[str]) -> Dict[str, Any]:
+    from repro.obs import bench as bench_mod
+
+    result = bench_mod.run_suite(
+        _bench_suite(params),
+        seed=params["seed"],
+        repeats=params.get("repeats"),
+        cells=params.get("cells"),
+    )
+    return {"ok": True, "result": result}
+
+
+class JobKind(NamedTuple):
+    """One job kind: its parameter schema, semantic check and executor.
+
+    ``check`` runs at submission on the defaulted parameters (after the
+    type checks) and raises :class:`ValueError` naming the problem; it
+    imports the live registries lazily.  ``execute`` runs the job from
+    its parameters and trial checkpoint (see :func:`execute_spec`).
+    ``trials`` counts the trials the parameters fix, for kinds where
+    they do (see :attr:`JobSpec.trial_total`).
+    """
+
+    params: Schema
+    check: Callable[[Dict[str, Any]], None]
+    execute: Callable[[Dict[str, Any], Optional[str]], Dict[str, Any]]
+    trials: Optional[Callable[[Dict[str, Any]], int]] = None
+
+
+#: Job kinds the service accepts, mapped onto the CLI verbs.  A ``run``
+#: job defaults to ``quick=True`` on purpose, where ``repro run``
+#: defaults to the full sizes.
+JOB_KINDS: Dict[str, JobKind] = {
+    "run": JobKind(_RUN_PARAMS, _check_run, _execute_run),
+    "chaos": JobKind(
+        {param.name: (param.json_types, param.default) for param in CHAOS_PARAMS},
+        _check_chaos,
+        _execute_chaos,
+        lambda params: len(params["protocols"]) * len(params["ns"]) * params["trials"],
+    ),
+    "bench": JobKind(_BENCH_PARAMS, _check_bench, _execute_bench),
+}
+
+
+# ---------------------------------------------------------------------------
+# Spec validation and execution
+# ---------------------------------------------------------------------------
 
 
 def _check_type(kind: str, name: str, value: Any, accepted: Tuple[type, ...]) -> Any:
     # bool is an int subclass; reject it where int is expected so a
     # payload of {"seed": true} cannot slip through as seed=1.
-    if isinstance(value, bool) and bool not in accepted:
-        raise JobValidationError(
-            f"{kind} job: parameter {name!r} must be "
-            f"{'/'.join(t.__name__ for t in accepted)}, got a boolean"
-        )
-    if not isinstance(value, accepted):
+    boolean = isinstance(value, bool) and bool not in accepted
+    if boolean or not isinstance(value, accepted):
         raise JobValidationError(
             f"{kind} job: parameter {name!r} must be "
             f"{'/'.join(t.__name__ for t in accepted)}, "
-            f"got {type(value).__name__}"
+            f"got {'a boolean' if boolean else type(value).__name__}"
         )
     return list(value) if isinstance(value, tuple) else value
 
@@ -176,21 +282,28 @@ class JobSpec:
         self.params = params
 
     @classmethod
-    def from_payload(cls, payload: Any) -> "JobSpec":
-        """Validate a decoded JSON payload into a spec (or raise)."""
+    def from_payload(cls, payload: Any, *, journaled: bool = False) -> "JobSpec":
+        """Validate a decoded JSON payload into a spec (or raise).
+
+        ``journaled`` rebuilds a spec from the job journal, ignoring
+        fields this release dropped: a journal outlives the release that
+        wrote it, and spec fields an older release accepted and this one
+        does not (scheduling metadata that never entered the cache key)
+        must not drop the live job they belong to.
+        """
         if not isinstance(payload, dict):
             raise JobValidationError("job payload must be a JSON object")
         kind = payload.get("kind")
-        if kind not in JOB_KINDS:
+        if not isinstance(kind, str) or kind not in JOB_KINDS:
             raise JobValidationError(
                 f"job kind must be one of {list(JOB_KINDS)}, got {kind!r}"
             )
-        schema = _SCHEMAS[kind]
+        schema = JOB_KINDS[kind].params
         spec_fields = payload.get("spec", {})
         if not isinstance(spec_fields, dict):
             raise JobValidationError("'spec' must be a JSON object")
         unknown = sorted(set(spec_fields) - set(schema))
-        if unknown:
+        if unknown and not journaled:
             raise JobValidationError(
                 f"{kind} job: unknown parameter(s) {unknown}; "
                 f"known: {sorted(schema)}"
@@ -201,63 +314,11 @@ class JobSpec:
                 params[name] = _check_type(kind, name, spec_fields[name], accepted)
             elif default is not None:
                 params[name] = default
-        cls._validate_semantics(kind, params)
+        try:
+            JOB_KINDS[kind].check(params)
+        except ValueError as exc:
+            raise JobValidationError(f"{kind} job: {exc}") from None
         return cls(kind, params)
-
-    @classmethod
-    def from_journal(cls, payload: Dict[str, Any]) -> "JobSpec":
-        """Rebuild a journaled spec, ignoring fields this release dropped.
-
-        A journal outlives the release that wrote it: spec fields an
-        older release accepted and this one does not (scheduling
-        metadata that never entered the cache key) are ignored rather
-        than dropping the live job they belong to.
-        """
-        schema = _SCHEMAS.get(payload.get("kind"))
-        spec_fields = payload.get("spec")
-        if schema is not None and isinstance(spec_fields, dict):
-            payload = {**payload, "spec": {
-                name: value for name, value in spec_fields.items()
-                if name in schema
-            }}
-        return cls.from_payload(payload)
-
-    @staticmethod
-    def _validate_semantics(kind: str, params: Dict[str, Any]) -> None:
-        """Cross-field checks against the live registries (imported lazily)."""
-        if kind == "run":
-            experiment = params.get("experiment")
-            if not experiment:
-                raise JobValidationError("run job: 'experiment' is required")
-            from repro.experiments.registry import all_experiments, check_engine
-
-            if experiment not in all_experiments():
-                raise JobValidationError(
-                    f"run job: unknown experiment {experiment!r}; "
-                    f"known: {', '.join(all_experiments())}"
-                )
-            try:
-                check_engine(experiment, params.get("engine"))
-            except ValueError as exc:
-                raise JobValidationError(f"run job: {exc}") from None
-        elif kind == "chaos":
-            from repro.experiments.chaos import check_chaos_params
-
-            try:
-                check_chaos_params(**{
-                    name: value for name, value in params.items()
-                    if name not in ("seed", "workers")
-                })
-            except ValueError as exc:
-                raise JobValidationError(f"chaos job: {exc}") from None
-        elif kind == "bench":
-            if not params.get("suite"):
-                raise JobValidationError("bench job: 'suite' is required")
-            _bench_suite(params)
-        for name in ("workers",):
-            value = params.get(name)
-            if value is not None and value < 1:
-                raise JobValidationError(f"{kind} job: {name!r} must be >= 1")
 
     def canonical(self) -> str:
         """The canonical JSON form (what the cache key hashes)."""
@@ -292,18 +353,8 @@ class JobSpec:
         run/bench totals depend on the experiment body, so ``None``.
         Feeds the ``repro top`` per-job progress bars.
         """
-        if self.kind != "chaos":
-            return None
-        return (
-            len(self.params["protocols"])
-            * len(self.params["ns"])
-            * int(self.params["trials"])
-        )
-
-
-# ---------------------------------------------------------------------------
-# Execution (runs inside the executor thread; workers do the trials)
-# ---------------------------------------------------------------------------
+        trials = JOB_KINDS[self.kind].trials
+        return None if trials is None else trials(self.params)
 
 
 def execute_spec(
@@ -330,101 +381,7 @@ def execute_spec(
 
     scope = recording(recorder) if recorder is not None else nullcontext()
     with scope:
-        if spec.kind == "chaos":
-            return _execute_chaos(spec, checkpoint)
-        if spec.kind == "run":
-            return _execute_run(spec, checkpoint)
-        if spec.kind == "bench":
-            return _execute_bench(spec)
-        raise JobValidationError(f"unknown job kind {spec.kind!r}")
-
-
-def _execute_chaos(spec: JobSpec, checkpoint: Optional[str]) -> Dict[str, Any]:
-    from repro.experiments.chaos import run_chaos
-
-    params = dict(spec.params)
-    result = run_chaos(
-        protocols=params["protocols"],
-        ns=params["ns"],
-        adversary=params["adversary"],
-        trials=params["trials"],
-        seed=params["seed"],
-        agents=params.get("agents"),
-        fraction=float(params["fraction"]),
-        period_factor=float(params["period_factor"]),
-        strikes=params["strikes"],
-        poisson_rate=(
-            float(params["poisson_rate"]) if params.get("poisson_rate") is not None
-            else None
-        ),
-        engine=params["engine"],
-        workers=params.get("workers"),
-        recovery_budget_factor=float(params["recovery_budget_factor"]),
-        checkpoint=checkpoint,
-    )
-    return {
-        "ok": result.all_recovered,
-        "result": result.to_json(),
-    }
-
-
-def _execute_run(spec: JobSpec, checkpoint: Optional[str]) -> Dict[str, Any]:
-    from repro.experiments.registry import run_experiment
-
-    params = spec.params
-    report = run_experiment(
-        params["experiment"],
-        seed=params["seed"],
-        quick=params.get("quick", True),
-        workers=params.get("workers"),
-        engine=params.get("engine"),
-        checkpoint=checkpoint,
-    )
-    return {
-        "ok": report.all_passed,
-        "result": {
-            "experiment": params["experiment"],
-            "all_passed": report.all_passed,
-            "rows": report.rows,
-            "checks": {
-                name: {
-                    "passed": check.passed,
-                    "measured": check.measured,
-                    "expected": check.expected,
-                }
-                for name, check in report.checks.items()
-            },
-            "markdown": report.render_markdown(),
-        },
-    }
-
-
-def _bench_suite(params: Dict[str, Any]) -> Any:
-    """The bench job's suite, its ``cells`` checked (or JobValidationError)."""
-    from repro.obs import bench as bench_mod
-
-    try:
-        (suite,) = bench_mod.select_suites(
-            bench_mod.discover_suites("benchmarks"),
-            [params["suite"]],
-            params.get("cells"),
-        )
-    except ValueError as exc:
-        raise JobValidationError(f"bench job: {exc}") from None
-    return suite
-
-
-def _execute_bench(spec: JobSpec) -> Dict[str, Any]:
-    from repro.obs import bench as bench_mod
-
-    params = spec.params
-    result = bench_mod.run_suite(
-        _bench_suite(params),
-        seed=params["seed"],
-        repeats=params.get("repeats"),
-        cells=params.get("cells"),
-    )
-    return {"ok": True, "result": result}
+        return JOB_KINDS[spec.kind].execute(spec.params, checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +579,7 @@ class JobManager:
         default_workers: Optional[int] = None,
         telemetry: Optional[TelemetryRegistry] = None,
     ):
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+        check_counts(max_queue=max_queue, concurrency=concurrency)
         self.store = store
         #: Process-wide operational metrics (served by ``GET /metrics``).
         #: Tests pass their own registry to isolate counts.
@@ -660,7 +614,7 @@ class JobManager:
             if job_id in self.jobs or not isinstance(payload, dict):
                 continue
             try:
-                spec = JobSpec.from_journal(payload)
+                spec = JobSpec.from_payload(payload, journaled=True)
             except JobValidationError as exc:
                 logger.warning("recovery: job %s dropped (%s)", job_id, exc)
                 continue
