@@ -13,8 +13,10 @@ The load-bearing guarantees:
 
 import hashlib
 import random
+import re
 import statistics
 from copy import deepcopy
+from dataclasses import replace
 
 import pytest
 
@@ -39,7 +41,13 @@ from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 from repro.protocols.sync_dictionary import SyncDictionarySSR
-from repro.statics.schema import FieldSpec, IntRange, register_schema, scalar_schema
+from repro.statics.schema import (
+    FieldSpec,
+    IntRange,
+    register_schema,
+    scalar_schema,
+    schema_for,
+)
 from tests.core.test_fastpath_optimal_silent import _LoggingRandom
 
 
@@ -848,6 +856,51 @@ class TestBookkeeping:
             sim.corrupt(victims, new_states)
         assert len(sim._reps) == len(twin._reps)
         _assert_twins(sim, twin)
+
+    @pytest.mark.parametrize(
+        "order", ["leaked-first", "leaked-second", "out-of-range", "wrong-type"]
+    )
+    @pytest.mark.parametrize("mode", ["interaction", "jump", "active"])
+    def test_rejected_initial_state_raises_before_any_count(
+        self, order, mode, monkeypatch
+    ):
+        """An initial state outside the protocol's schema is rejected with
+        a typed error naming it, before any slot count is set.  That
+        holds when it shares its canonical key with an in-schema state
+        (an Unsettled Optimal-Silent agent leaking a rank): first, it
+        would stand in for every agent with that key; second, the key
+        would silently merge it into the clean one."""
+
+        optimal = OptimalSilentSSR(6)
+        ranked = optimal.ranked_configuration()[:4]
+        clean = optimal.initial_configuration(make_rng(1, "unsettled"))[0]
+        leaked = replace(clean, rank=3)
+        schema = schema_for(optimal)
+        assert schema.is_valid(clean) and schema.key(leaked) == schema.key(clean)
+        protocol, states, bad = {
+            "leaked-first": (optimal, ranked + [leaked, clean], leaked),
+            "leaked-second": (optimal, ranked + [clean, leaked], leaked),
+            "out-of-range": (SilentNStateSSR(6), [0, 0, 1, 2, 3, 99], 99),
+            "wrong-type": (SilentNStateSSR(6), [0, 1, 2, 3, 4, "x"], "x"),
+        }[order]
+
+        def no_count(*_args):
+            raise AssertionError("a slot count was set before the check")
+
+        monkeypatch.setattr(CountSimulation, "_set_count", no_count)
+        with pytest.raises(ConfigurationError, match=re.escape(f"state {bad!r} is not")):
+            CountSimulation(protocol, states, rng=make_rng(8, "initial"), mode=mode)
+        assert states.count(bad) == 1  # the input list is left as given
+
+    def test_in_schema_duplicates_keep_their_counts(self):
+        """Equal in-schema states under one key still share a slot: the
+        check costs no slot and no change to the tally."""
+
+        protocol = OptimalSilentSSR(6)
+        states = protocol.initial_configuration(make_rng(1, "unsettled"))
+        sim = CountSimulation(protocol, states, rng=make_rng(8, "initial"))
+        assert sorted(sim.occupancy().values()) == [len(states)]
+        assert sim.expand_states() == states
 
     def test_auto_mode_switches_to_jump_near_silence(self):
         n = 16
