@@ -27,6 +27,7 @@ from repro.experiments.theorem21 import (
 )
 from repro.protocols.optimal_silent import OptimalSilentSSR, Role
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
+from repro.service.jobs import JobSpec, JobValidationError
 
 
 class TestRegistry:
@@ -188,6 +189,38 @@ class TestCli:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("chaos: ")
         assert name in lines[0]
+
+
+class TestCliCounts:
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["run", "thm21", "--workers", "0"],
+             {"kind": "run", "spec": {"experiment": "thm21", "workers": 0}}),
+            (["bench", "--suite", "quant", "--repeats", "0"],
+             {"kind": "bench", "spec": {"suite": "quant", "repeats": 0}}),
+            (["chaos", "--workers", "0"], {"kind": "chaos", "spec": {"workers": 0}}),
+            (["verify", "--trials", "0"], None),
+            (["serve", "--jobs", "0"], None),
+        ],
+        ids=["run-workers", "bench-repeats", "chaos-workers", "verify-trials", "serve-jobs"],
+    )
+    def test_count_below_one_exits_2_with_the_service_message(
+        self, argv, payload, capsys
+    ):
+        """A count below 1 is one line on stderr and exit 2 -- not a
+        traceback (bench, verify) or a silently serial run (run) -- and
+        the line carries the message a job spec with it gets back."""
+        assert main(argv + ["--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        verb, message = captured.err.strip().split(": ", 1)
+        assert verb == argv[0]
+        assert message == f"'{argv[-2][2:]}' must be >= 1, got 0"
+        if payload is not None:
+            with pytest.raises(JobValidationError) as rejected:
+                JobSpec.from_payload(payload)
+            assert str(rejected.value) == f"{payload['kind']} job: {message}"
 
 
 class TestCliBench:

@@ -7,10 +7,15 @@ first occurrence, and journaled jobs are re-admitted on restart.
 """
 
 import asyncio
+import inspect
 
 import pytest
 
+from repro.core.countsim import CHAOS_PARAMS
+from repro.experiments.chaos import run_chaos
+from repro.experiments.cli import build_parser
 from repro.service.jobs import (
+    JOB_KINDS,
     AdmissionError,
     JobManager,
     JobSpec,
@@ -60,11 +65,39 @@ class TestSpecValidation:
         with pytest.raises(JobValidationError, match="suite"):
             JobSpec.from_payload({"kind": "bench", "spec": {}})
 
+    @pytest.mark.parametrize("kind, spec, name", [
+        ("bench", {"suite": "quant", "repeats": 0}, "repeats"),
+        ("run", {"experiment": "thm21", "workers": 0}, "workers"),
+        ("chaos", {"workers": 0}, "workers"),
+        ("chaos", {"trials": 0}, "trials"),
+        ("chaos", {"strikes": -1}, "strikes"),
+    ])
+    def test_counts_below_one_rejected(self, kind, spec, name):
+        """Every count is checked at submission, not left to fail (or be
+        ignored) mid-job: a bench job with zero repeats used to pass
+        and then divide by zero."""
+        with pytest.raises(
+            JobValidationError, match=f"^{kind} job: '{name}' must be >= 1, got "
+        ):
+            JobSpec.from_payload({"kind": kind, "spec": spec})
+
     def test_defaults_applied(self):
         spec = JobSpec.from_payload({"kind": "chaos", "spec": {}})
         assert spec.params["trials"] == 3
         assert spec.params["protocols"] == ["ciw", "optimal-silent"]
         assert spec.seed == spec.params["seed"]
+        # One declaration behind both surfaces: run_chaos's keywords and
+        # defaults are CHAOS_PARAMS, and `repro chaos` with no flags
+        # parses to the parameters of a chaos job with an empty spec.
+        defaults = {param.name: param.default for param in CHAOS_PARAMS}
+        keywords = inspect.signature(run_chaos).parameters
+        assert set(keywords) == set(defaults) | {"checkpoint"}
+        assert {name: keywords[name].default for name in defaults} == defaults
+        args = build_parser().parse_args(["chaos"])
+        parsed = {param.name: getattr(args, param.name) for param in CHAOS_PARAMS}
+        assert {k: v for k, v in parsed.items() if v is not None} == spec.params
+        for kind in JOB_KINDS:  # every service kind is a `repro submit` choice
+            assert build_parser().parse_args(["submit", kind]).kind == kind
 
 
 class TestCacheKey:
