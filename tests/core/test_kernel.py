@@ -84,6 +84,20 @@ def _kernel_coinflip_schema(protocol: KernelCoinFlip):
     )
 
 
+class KernelLazyNullCiw(SilentNStateSSR):
+    """Silent-n-state-SSR whose null predicate misses the adjacent ranks.
+
+    ``is_pair_null`` calls ``(r, r + 1)`` and ``(r + 1, r)`` effective,
+    so jump mode samples, probes and memoizes those null pairs: after a
+    fault the batched sampler meets null memo entries it never scanned.
+    """
+
+    silent_class = None  # no class pruning: every pair is classified
+
+    def is_pair_null(self, a: int, b: int) -> bool:
+        return a != b and abs(a - b) != 1
+
+
 # ---------------------------------------------------------------------------
 # Engine selection and the numpy-optional fallback
 # ---------------------------------------------------------------------------
@@ -464,6 +478,9 @@ def _batched_golden_start(name, n, rng):
     if name == "optimal-silent":
         protocol = OptimalSilentSSR(n)
         return protocol, protocol.duplicate_rank_configuration(rank=1)
+    if name == "lazy-ciw":
+        protocol = KernelLazyNullCiw(n)
+        return protocol, protocol.random_configuration(rng)
     protocol = KernelCoinFlip(n)
     return protocol, protocol.random_configuration(rng)
 
@@ -658,5 +675,58 @@ class TestBatchedGolden:
         sim = CountSimulation(protocol, states, rng=rng, mode=mode, batched=True)
         sim.run(self.HORIZON * n * n)
         interactions, events, changes, occupancy = self.GOLDEN[case]
+        assert (sim.interactions, sim.events, sim.changes) == (interactions, events, changes)
+        assert sorted(sim.occupancy().items()) == occupancy
+
+    #: ``(name, n, seed)`` -> the same four values after ``auto`` runs
+    #: into jump mode, a fault and a second run.
+    FAULT_GOLDEN = {
+        ("ciw", 16, 0): (
+            4533, 278, 64,
+            [((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((0, 3), 1), ((0, 4), 1), ((0, 5), 1),
+             ((0, 6), 1), ((0, 7), 1), ((0, 8), 1), ((0, 9), 1), ((0, 10), 1), ((0, 11), 1),
+             ((0, 12), 1), ((0, 13), 1), ((0, 14), 1), ((0, 15), 1)],
+        ),
+        ("lazy-ciw", 8, 0): (
+            2560, 830, 11,
+            [((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((0, 3), 1), ((0, 4), 1), ((0, 5), 1),
+             ((0, 6), 1), ((0, 7), 1)],
+        ),
+        ("lazy-ciw", 8, 1): (
+            2560, 1104, 21,
+            [((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((0, 3), 1), ((0, 4), 1), ((0, 5), 1),
+             ((0, 6), 1), ((0, 7), 1)],
+        ),
+        ("optimal-silent", 16, 0): (
+            1843, 1843, 1429,
+            [((0, 1, 2), 1), ((0, 2, 2), 1), ((0, 3, 2), 1), ((0, 4, 2), 1), ((0, 5, 2), 1),
+             ((0, 6, 2), 1), ((0, 7, 2), 1), ((0, 8, 1), 1), ((0, 9, 0), 1), ((0, 10, 0), 1),
+             ((0, 11, 0), 1), ((0, 12, 0), 1), ((0, 13, 0), 1), ((0, 14, 0), 1),
+             ((0, 15, 0), 1), ((0, 16, 0), 1)],
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "case", sorted(FAULT_GOLDEN), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_trajectory_through_a_fault(self, case):
+        """``auto`` into jump mode, ``corrupt`` three agents, run again.
+
+        The fault drops the engine back to batched interaction mode with
+        a memo filled partly by jump mode.  On ``lazy-ciw`` some of those
+        entries are null pairs the batched sampler never scanned; each
+        must still end its batch once, as an unprobed pair does.
+        """
+        name, n, seed = case
+        rng = make_rng(seed, "batched-golden-fault", name, n)
+        protocol, states = _batched_golden_start(name, n, rng)
+        sim = CountSimulation(protocol, states, rng=rng, batched=True)
+        sim.run(self.HORIZON * n * n)
+        assert sim.mode == "jump"
+        victims = sim.sample_victim_slots(3, rng)
+        sim.corrupt(victims, [protocol.random_state(rng) for _ in victims])
+        assert sim.mode == "interaction"
+        sim.run(self.HORIZON * n * n)
+        interactions, events, changes, occupancy = self.FAULT_GOLDEN[case]
         assert (sim.interactions, sim.events, sim.changes) == (interactions, events, changes)
         assert sorted(sim.occupancy().items()) == occupancy
