@@ -704,11 +704,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     return args.handler(args)
 
 
-def _counts_ok(verb: str, **counts: Optional[int]) -> bool:
-    """Whether every count is unset or >= 1; else prints the reason as
-    a job spec gets it from the service (``check_counts``)."""
+def _counts_ok(verb: str, n: Optional[int] = None, **counts: Optional[int]) -> bool:
+    """Whether every count is unset or >= 1, and the population size
+    ``n`` unset or >= 2; else prints the reason as a job spec gets it
+    from the service (``check_counts``)."""
     try:
         check_counts(**counts)
+        if n is not None and n < 2:
+            raise ValueError(f"'n' must be >= 2, got {n}")
     except ValueError as exc:
         print(f"{verb}: {exc}", file=sys.stderr)
         return False
@@ -935,7 +938,7 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """``repro verify``: exact-chain oracle over both engines, ledgered."""
-    if not _counts_ok("verify", trials=args.trials):
+    if not _counts_ok("verify", n=args.n, trials=args.trials):
         return 2
     # Imported lazily: the oracle pulls in the protocol + engine stack.
     from repro.statics import oracle
@@ -969,6 +972,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     """``repro synth``: exact parameter synthesis, ledgered."""
+    if not _counts_ok("synth", n=args.n):
+        return 2
     # Imported lazily: synthesis pulls in the protocol stack.
     from repro.statics import synth
 

@@ -175,6 +175,7 @@ class TestCli:
             (["--agents", "0"], "'agents'"),
             (["--poisson-rate", "-2"], "'poisson_rate'"),
             (["--recovery-budget", "0"], "'recovery_budget_factor'"),
+            (["--agents", "9"], "'agents'"),
         ],
     )
     def test_chaos_rejects_bad_parameters_before_any_trial(
@@ -221,6 +222,17 @@ class TestCliCounts:
             with pytest.raises(JobValidationError) as rejected:
                 JobSpec.from_payload(payload)
             assert str(rejected.value) == f"{payload['kind']} job: {message}"
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--n", "1"], ["synth", "--n", "0"]], ids=["verify-n", "synth-n"]
+    )
+    def test_population_below_two_exits_2(self, argv, capsys):
+        """A population size below 2 is one line on stderr and exit 2,
+        not a ``ValueError`` traceback from the protocol constructor."""
+        assert main(argv + ["--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{argv[0]}: 'n' must be >= 2, got {argv[-1]}\n"
 
 
 class TestCliBench:
