@@ -333,7 +333,7 @@ class CountSurface(FaultSurface):
         self._skipped = 0
 
     def sample_victims(self, count: int, rng: random.Random) -> List[int]:
-        return self.sim.sample_victim_slots(count, rng)
+        return self.sim.sample_victim_slots(min(count, self.sim.n), rng)
 
     def ranked_victims(self, count: int, *, highest: bool) -> List[int]:
         ranked = sorted(

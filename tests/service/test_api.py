@@ -162,6 +162,7 @@ class TestRoutes:
             ({"poisson_rate": -2}, "'poisson_rate'"),
             ({"engine": "warp"}, "'engine'"),
             ({"protocols": []}, "'protocols'"),
+            ({"agents": 9}, "'agents'"),
         ],
     )
     def test_invalid_chaos_parameters_are_400(self, server, bad, name):
