@@ -245,43 +245,55 @@ def _smoke_jump(n: int, seed: int, recorder=None, full_scan: bool = False) -> di
     }
 
 
-#: The unbatched count-engine loops, each on the workload that uses it:
-#: ``(protocol, n, mode, trials)`` per cell name.  Active mode is what
-#: chaos runs of the silent protocols (and so every service chaos job)
-#: execute; interaction mode is the ``auto`` opening before the switch
-#: to jump mode.
+#: The count-engine loops, each on the workload that uses it:
+#: ``(protocol, n, mode, trials, batched)`` per cell name.  Active mode
+#: is what chaos runs of the silent protocols (and so every service
+#: chaos job) execute; interaction mode is the ``auto`` opening before
+#: the switch to jump mode; the batched ``auto`` cell is the vector
+#: engine at ``repro verify``'s scale.
 MODE_CELLS = {
-    "count-active-ciw-n16": ("ciw", 16, "active", 200),
-    "count-interaction-optimal-n64": ("optimal-silent", 64, "interaction", 5),
+    "count-active-ciw-n16": ("ciw", 16, "active", 200, False),
+    "count-interaction-optimal-n64": ("optimal-silent", 64, "interaction", 5, False),
+    "vector-auto-optimal-n4": ("optimal-silent", 4, "auto", 200, True),
 }
 
 
 def _smoke_mode(cell: str, seed: int) -> dict:
-    """Time one unbatched count-engine loop from random starts.
+    """Time one count-engine loop from random starts.
 
     Each trial builds the engine on a seed-pinned random configuration
-    and advances it ``n`` interactions at a time, as ``measure_recovery``
-    does, until the ranking is correct (for these silent protocols,
-    silent too).  ``events_per_second`` is events over run seconds;
-    the events are the same on every pass.
+    and runs it until the ranking is correct (for these silent
+    protocols, silent too): unbatched, ``n`` interactions at a time, as
+    ``measure_recovery`` does; batched, in one ``run_until_silent``, as
+    ``repro verify`` does.  ``events_per_second`` is events over run
+    seconds; the events are the same on every pass.
     """
-    name, n, mode, trials = MODE_CELLS[cell]
+    name, n, mode, trials, batched = MODE_CELLS[cell]
     protocol = (SilentNStateSSR if name == "ciw" else OptimalSilentSSR)(n)
+    if batched:
+        try:
+            import numpy  # noqa: F401 -- else trial 0's first draw pays the import
+        except ImportError:
+            pass  # batched=True takes the scalar path
     events = 0
     run_seconds = 0.0
     start = time.perf_counter()
     for trial in range(trials):
         rng = make_rng(seed, "smoke-mode", cell, trial)
         sim = CountSimulation(
-            protocol, protocol.random_configuration(rng), rng=rng, mode=mode
+            protocol, protocol.random_configuration(rng), rng=rng, mode=mode,
+            batched=batched,
         )
         began = time.perf_counter()
-        while not sim.correct:
-            sim.run(n)
+        if batched:
+            sim.run_until_silent()
+        else:
+            while not sim.correct:
+                sim.run(n)
         run_seconds += time.perf_counter() - began
         events += sim.events
     return {
-        "engine": f"count-{mode}",
+        "engine": f"{'vector' if batched else 'count'}-{mode}",
         "protocol": type(protocol).__name__,
         "n": n,
         "trials": trials,
