@@ -5,19 +5,14 @@ Public surface:
 * :class:`repro.core.protocol.PopulationProtocol` -- protocol interface
 * :class:`repro.core.simulation.Simulation` -- sequential engine
 * :mod:`repro.core.scheduler` -- uniform / scripted / adversarial schedulers
-* :mod:`repro.core.monitors` -- convergence and activity observers
+* :mod:`repro.core.monitors` -- convergence observers
 * :mod:`repro.core.fastpath` -- exact-jump fast simulators
 * :mod:`repro.core.countsim` -- protocol-generic count-based engine
 * :mod:`repro.core.parallel` -- process-pool trial fan-out
 * :mod:`repro.core.adversary` -- adversarial initial configurations
 """
 
-from repro.core.configuration import (
-    canonical_key,
-    is_silent,
-    ranks_are_permutation,
-    summary_counts,
-)
+from repro.core.configuration import is_silent, ranks_are_permutation
 from repro.core.errors import (
     ConfigurationError,
     NotSilentError,
@@ -26,7 +21,7 @@ from repro.core.errors import (
     SimulationLimitError,
 )
 from repro.core.countsim import CountSimulation, count_engine_eligible
-from repro.core.monitors import ChangeCounter, ConvergenceMonitor, Monitor, TraceRecorder
+from repro.core.monitors import ConvergenceMonitor, Monitor
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.protocol import PopulationProtocol
 from repro.core.rng import DEFAULT_SEED, derive_seed, make_rng, trial_rngs
@@ -52,10 +47,6 @@ __all__ = [
     "script_from_names",
     "Monitor",
     "ConvergenceMonitor",
-    "ChangeCounter",
-    "TraceRecorder",
-    "canonical_key",
-    "summary_counts",
     "is_silent",
     "ranks_are_permutation",
     "ReproError",

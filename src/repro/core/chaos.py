@@ -30,12 +30,6 @@ either engine and reports per-strike recovery times plus availability;
 the ``faults`` experiment, the ``repro chaos`` CLI subcommand and the
 job service all measure recovery through it.
 
-Interaction-level faults (the scheduler misbehaving rather than memory
-being corrupted) are modeled separately by
-:class:`FaultySchedulerAdapter`: omitted interactions, stuck agents
-whose meetings never fire, and non-uniform pair skew towards "hot"
-agents.
-
 Everything draws from caller-provided RNGs only, preserving the seeded
 reproducibility contract.
 """
@@ -61,9 +55,8 @@ from typing import (
 )
 
 from repro.core.configuration import is_silent
-from repro.core.countsim import ENGINES, CountSimulation, count_engine_eligible
+from repro.core.countsim import CountSimulation, select_engine
 from repro.core.protocol import PopulationProtocol
-from repro.core.scheduler import Pair, Scheduler
 from repro.core.simulation import Simulation
 from repro.obs.context import current_recorder
 from repro.obs.log import get_logger
@@ -81,11 +74,9 @@ __all__ = [
     "CloneCorruption",
     "CorruptionModel",
     "CountSurface",
-    "ENGINES",
     "FaultEvent",
     "FaultProcess",
     "FaultSurface",
-    "FaultySchedulerAdapter",
     "LeaderVictims",
     "MaxRankVictims",
     "PoissonProcess",
@@ -547,86 +538,6 @@ def make_adversary(name: str) -> Adversary:
 
 
 # ---------------------------------------------------------------------------
-# Interaction-level faults: the scheduler misbehaves
-# ---------------------------------------------------------------------------
-
-
-class FaultySchedulerAdapter(Scheduler):
-    """Wraps a scheduler with omission, stuck-agent and skew faults.
-
-    Fault layers, applied in order per step:
-
-    1. **Skew**: with probability ``hot_rate`` the drawn pair is
-       replaced by (uniform hot agent, uniform other agent) -- a
-       non-uniform scheduler favoring ``hot_agents`` as initiators.
-    2. **Omission**: with probability ``omission_rate`` the interaction
-       silently does not happen (``next_pair`` returns ``None``; the
-       simulation clock still ticks).
-    3. **Stuck agents**: any interaction involving an agent in
-       ``stuck`` is dropped -- a crashed agent keeps its memory but
-       never updates, the fairness violation self-stabilizing proofs
-       must exclude.
-
-    The adapter only reshapes or drops pairs; all randomness comes from
-    the per-step ``rng``, so runs stay seed-reproducible.
-    """
-
-    def __init__(
-        self,
-        inner: Scheduler,
-        *,
-        n: Optional[int] = None,
-        omission_rate: float = 0.0,
-        stuck: Sequence[int] = (),
-        hot_agents: Sequence[int] = (),
-        hot_rate: float = 0.0,
-    ):
-        if not 0.0 <= omission_rate < 1.0:
-            raise ValueError(
-                f"omission_rate must be in [0, 1), got {omission_rate}"
-            )
-        if not 0.0 <= hot_rate <= 1.0:
-            raise ValueError(f"hot_rate must be in [0, 1], got {hot_rate}")
-        if hot_rate > 0 and not hot_agents:
-            raise ValueError("hot_rate > 0 needs a non-empty hot_agents")
-        self.inner = inner
-        self.n = n if n is not None else getattr(inner, "n", None)
-        if hot_agents and self.n is None:
-            raise ValueError(
-                "skew faults need the population size; pass n= explicitly"
-            )
-        self.omission_rate = omission_rate
-        self.stuck = frozenset(stuck)
-        self.hot_agents = tuple(hot_agents)
-        self.hot_rate = hot_rate
-        #: Interactions dropped (omission + stuck) so far.
-        self.dropped = 0
-        #: Interactions redirected to a hot agent so far.
-        self.skewed = 0
-
-    def next_pair(self, rng: random.Random) -> Optional[Pair]:
-        pair = self.inner.next_pair(rng)
-        if pair is None:
-            self.dropped += 1
-            return None
-        if self.hot_agents and rng.random() < self.hot_rate:
-            assert self.n is not None
-            initiator = self.hot_agents[rng.randrange(len(self.hot_agents))]
-            responder = rng.randrange(self.n - 1)
-            if responder >= initiator:
-                responder += 1
-            pair = (initiator, responder)
-            self.skewed += 1
-        if self.omission_rate and rng.random() < self.omission_rate:
-            self.dropped += 1
-            return None
-        if self.stuck and (pair[0] in self.stuck or pair[1] in self.stuck):
-            self.dropped += 1
-            return None
-        return pair
-
-
-# ---------------------------------------------------------------------------
 # Recovery measurement
 # ---------------------------------------------------------------------------
 
@@ -687,12 +598,12 @@ def measure_recovery(
     interval, so the accounting error per strike is at most one unit.
 
     engine:
-        ``"generic"``, ``"count"``, ``"vector"``, or ``"auto"``
-        (default): pick the count engine when the protocol is silent
-        and schema-eligible.  The count engine also fast-forwards
-        silent dwell between strikes, so long quiet periods cost O(1).
-        ``"vector"`` is the count engine with batched sampling, which
-        only its interaction mode uses; silent protocols with a
+        A name in :data:`~repro.core.countsim.ENGINES`, resolved by
+        :func:`~repro.core.countsim.select_engine` (``"auto"``, the
+        default, runs silent protocols on the count engine).  The count
+        engine also fast-forwards silent dwell between strikes, so long
+        quiet periods cost O(1).  Its batched sampling (``"vector"``)
+        runs only in interaction mode; silent protocols with a
         ``silent_class`` run in active mode and never batch.
     adversary:
         ``None`` (the uniform random-state adversary), a registered
@@ -706,20 +617,11 @@ def measure_recovery(
 
     Raises ``RuntimeError`` if the protocol fails to settle initially.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    batched = select_engine(protocol, engine)
     if adversary is None:
         adversary = make_adversary("random")
     elif isinstance(adversary, str):
         adversary = make_adversary(adversary)
-    if engine in ("count", "vector") and not count_engine_eligible(protocol):
-        raise ValueError(
-            f"{type(protocol).__name__} is not count-engine eligible "
-            "(needs a registered lossless state schema)"
-        )
-    use_count = engine in ("count", "vector") or (
-        engine == "auto" and protocol.silent and count_engine_eligible(protocol)
-    )
     obs = recorder if recorder is not None else current_recorder()
     n = protocol.n
 
@@ -727,7 +629,7 @@ def measure_recovery(
         return obs.phase(name) if obs is not None else nullcontext()
 
     surface: FaultSurface
-    if use_count:
+    if batched is not None:
         mode = (
             "active"
             if protocol.silent and getattr(protocol, "silent_class", None)
@@ -739,7 +641,7 @@ def measure_recovery(
                 list(initial_states) if initial_states is not None else None,
                 rng=rng,
                 mode=mode,
-                batched=engine == "vector",
+                batched=batched,
                 recorder=obs,
             )
         )

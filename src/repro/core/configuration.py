@@ -3,40 +3,18 @@
 A *configuration* is the global system state: the local state of each of
 the ``n`` agents.  The simulation engine stores configurations as plain
 lists (agent index -> state object); this module provides the read-only
-analysis helpers layered on top: multiset summaries, canonical keys for
-comparing configurations up to agent renaming, and exact silence checks.
+analysis helpers layered on top: exact silence checks and ranking
+correctness.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Hashable, List, Sequence, Tuple, TypeVar
+from typing import List, Sequence, TypeVar
 
 from repro.core.protocol import PopulationProtocol
 
 S = TypeVar("S")
-
-
-def summary_counts(
-    protocol: PopulationProtocol[S], states: Sequence[S]
-) -> Counter:
-    """Multiset of per-agent summaries of a configuration."""
-    return Counter(protocol.summarize(state) for state in states)
-
-
-def canonical_key(
-    protocol: PopulationProtocol[S], states: Sequence[S]
-) -> Tuple[Tuple[Hashable, int], ...]:
-    """Canonical hashable key of a configuration up to agent renaming.
-
-    Two configurations have equal keys iff their summary multisets are
-    equal.  Because agents are anonymous and the scheduler is uniform,
-    the summary multiset determines the future distribution of every
-    summary-measurable event, so keys are the right notion of
-    configuration identity for convergence bookkeeping.
-    """
-    counts = summary_counts(protocol, states)
-    return tuple(sorted(counts.items(), key=lambda item: repr(item[0])))
 
 
 def is_silent(protocol: PopulationProtocol[S], states: Sequence[S]) -> bool:
@@ -70,11 +48,6 @@ def is_silent(protocol: PopulationProtocol[S], states: Sequence[S]) -> bool:
             if not protocol.is_pair_null(a, b):
                 return False
     return True
-
-
-def leader_count(ranks: Sequence[object]) -> int:
-    """Number of agents whose rank equals 1 (the leader rank)."""
-    return sum(1 for rank in ranks if rank == 1)
 
 
 def ranks_are_permutation(ranks: Sequence[object], n: int) -> bool:

@@ -174,6 +174,7 @@ __all__ = [
     "CountSimulation",
     "GrowableFenwick",  # historical import site; canonical home is core.fenwick
     "count_engine_eligible",
+    "select_engine",
 ]
 
 
@@ -244,12 +245,36 @@ _RANDOMIZED = None
 
 _MODES = ("auto", "interaction", "jump", "active")
 
-#: Engine names the measurement entry points accept
-#: (``measure_convergence``, ``measure_recovery``): ``"generic"`` is
-#: :class:`repro.core.simulation.Simulation`, ``"count"`` this engine,
-#: ``"vector"`` this engine with ``batched=True``, and ``"auto"`` picks
-#: the count engine for silent, schema-eligible protocols.
+#: Engine names; :func:`select_engine` says what each one runs.
 ENGINES = ("auto", "generic", "count", "vector")
+
+
+def select_engine(protocol: PopulationProtocol[Any], engine: str) -> Optional[bool]:
+    """The engine named ``engine`` for ``protocol``: the one engine policy.
+
+    Returns ``None`` for the generic engine,
+    :class:`repro.core.simulation.Simulation`, and otherwise this
+    engine's ``batched`` flag.  ``"generic"`` and ``"count"`` name one
+    engine each, and ``"vector"`` is this engine with batched sampling.
+    ``"auto"`` takes this engine, unbatched, for a silent protocol that
+    :func:`count_engine_eligible` admits: silence certifies
+    stabilization, and jump mode skips the null interactions before it.
+    Any other protocol runs on the generic engine.  Raises
+    ``ValueError`` for an unknown name, and for ``"count"`` or
+    ``"vector"`` on a protocol this engine cannot run.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"'engine' must be one of {list(ENGINES)}, got {engine!r}")
+    if engine == "generic":
+        return None
+    if engine == "auto":
+        return False if protocol.silent and count_engine_eligible(protocol) else None
+    if not count_engine_eligible(protocol):
+        raise ValueError(
+            f"{type(protocol).__name__} is not count-engine eligible "
+            "(needs a registered lossless state schema)"
+        )
+    return engine == "vector"
 
 
 class ChaosParam(NamedTuple):

@@ -20,10 +20,6 @@ The same schemas feed the static passes (:mod:`repro.statics.modelcheck`
 enumerates them exhaustively at small n; ``python -m repro lint`` drives
 everything), so the runtime monitor and the static verifier can never
 drift apart: there is only one description of each state space.
-
-The historical per-protocol checkers (``check_ciw``,
-``check_optimal_silent``, ...) remain as named thin wrappers over the
-schemas, for callers and tests that resolve them directly.
 """
 
 from __future__ import annotations
@@ -56,34 +52,6 @@ def check_schema(protocol: PopulationProtocol, state: object) -> List[str]:
     protocol object applies correctly to another of the same type.
     """
     return schema_for(protocol).validate(state)
-
-
-# Named aliases kept from the pre-schema implementation: each protocol's
-# checker used to be hand-written here; the schema registry now carries
-# the definitions, and these names delegate to it.
-def check_ciw(protocol: PopulationProtocol, state: object) -> List[str]:
-    """Silent-n-state-SSR: the state *is* the rank, in 0..n-1."""
-    return check_schema(protocol, state)
-
-
-def check_optimal_silent(protocol: PopulationProtocol, state: object) -> List[str]:
-    """Optimal-Silent-SSR: role-partitioned field domains (Protocol 3)."""
-    return check_schema(protocol, state)
-
-
-def check_sublinear(protocol: PopulationProtocol, state: object) -> List[str]:
-    """Sublinear-Time-SSR: names, rosters, trees and timers in domain."""
-    return check_schema(protocol, state)
-
-
-def check_sync_dictionary(protocol: PopulationProtocol, state: object) -> List[str]:
-    """Sync-dictionary SSR: names, rosters and sync records in domain."""
-    return check_schema(protocol, state)
-
-
-def check_reset_timing(protocol: PopulationProtocol, state: object) -> List[str]:
-    """Propagate-Reset bookkeeping domains."""
-    return check_schema(protocol, state)
 
 
 def invariant_for(protocol: PopulationProtocol) -> InvariantFn:
@@ -140,10 +108,6 @@ class InvariantMonitor(Monitor):
         self.checker = checker or invariant_for(protocol)
         self.strict = strict
         self.violations: List[str] = []
-
-    @classmethod
-    def for_protocol(cls, protocol: PopulationProtocol, **kwargs) -> "InvariantMonitor":
-        return cls(protocol, **kwargs)
 
     def _handle(self, step: int, index: int, state) -> None:
         for problem in self.checker(self.protocol, state):

@@ -147,50 +147,3 @@ class ConvergenceMonitor(Monitor[S]):
         if not self.correct or self.streak_start is None:
             return 0
         return current_step - self.streak_start
-
-
-class ChangeCounter(Monitor[S]):
-    """Counts interactions whose participants' summaries changed.
-
-    ``summarize`` is typically :meth:`PopulationProtocol.summarize`.  The
-    counter is the empirical measure of "activity"; for a silent protocol
-    it stops growing once the configuration is silent.
-    """
-
-    def __init__(self, summarize: Callable[[S], object]):
-        self.summarize = summarize
-        self.changes = 0
-        self.last_change_step: Optional[int] = None
-        self._pending: Tuple[object, object] = (None, None)
-
-    def before_step(self, step: int, i: int, j: int, state_i: S, state_j: S) -> None:
-        self._pending = (self.summarize(state_i), self.summarize(state_j))
-
-    def after_step(self, step: int, i: int, j: int, state_i: S, state_j: S) -> None:
-        old_i, old_j = self._pending
-        if self.summarize(state_i) != old_i or self.summarize(state_j) != old_j:
-            self.changes += 1
-            self.last_change_step = step
-
-
-class TraceRecorder(Monitor[S]):
-    """Records a human-readable trace of every interaction.
-
-    Intended for tiny scripted runs (Figure 2, worked examples); keeping
-    a trace of a long random run would be enormous.
-    """
-
-    def __init__(self, describe: Callable[[S], str]):
-        self.describe = describe
-        self.entries: List[str] = []
-        self._pending: Tuple[str, str] = ("", "")
-
-    def before_step(self, step: int, i: int, j: int, state_i: S, state_j: S) -> None:
-        self._pending = (self.describe(state_i), self.describe(state_j))
-
-    def after_step(self, step: int, i: int, j: int, state_i: S, state_j: S) -> None:
-        old_i, old_j = self._pending
-        self.entries.append(
-            f"step {step}: ({i},{j})  {old_i} | {old_j}  ->  "
-            f"{self.describe(state_i)} | {self.describe(state_j)}"
-        )

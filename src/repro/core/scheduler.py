@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 Pair = Tuple[int, int]
 
@@ -24,13 +24,11 @@ class Scheduler(ABC):
     """Chooses the ordered agent pair interacting at each step."""
 
     @abstractmethod
-    def next_pair(self, rng: random.Random) -> Optional[Pair]:
+    def next_pair(self, rng: random.Random) -> Pair:
         """Return the (initiator, responder) agent indices for this step.
 
-        ``None`` means the step's interaction is *omitted*: the global
-        clock still ticks but no transition fires.  Only faulty
-        schedulers (see :class:`repro.core.chaos.FaultySchedulerAdapter`)
-        return ``None``; the standard schedulers always produce a pair.
+        Every step yields a pair: an interaction fires at each tick of
+        the global clock.
         """
 
 

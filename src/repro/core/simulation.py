@@ -88,13 +88,7 @@ class Simulation(Generic[S]):
 
     def step(self) -> None:
         """Execute one interaction."""
-        pair = self.scheduler.next_pair(self.rng)
-        if pair is None:
-            # Omitted interaction (faulty scheduler): the clock ticks,
-            # nobody meets, monitors see nothing.
-            self.interactions += 1
-            return
-        i, j = pair
+        i, j = self.scheduler.next_pair(self.rng)
         states = self.states
         step = self.interactions
         if self._has_monitors:

@@ -30,7 +30,7 @@ from repro.core.chaos import (
     adversary_names,
     measure_recovery,
 )
-from repro.core.countsim import CHAOS_PARAMS, ENGINES
+from repro.core.countsim import CHAOS_PARAMS, select_engine
 from repro.core.parallel import ParallelTrialRunner, check_counts
 from repro.obs.context import current_recorder
 from repro.experiments.asciiplot import scaling_chart
@@ -162,8 +162,9 @@ def check_chaos_params(params: Mapping[str, Any]) -> None:
     submission.  ``params`` maps :data:`~repro.core.countsim.CHAOS_PARAMS`
     names to values; an absent optional one is unset.  An empty sweep
     or zero strikes would report ``all_recovered`` with nothing
-    measured; a non-positive period, rate or victim count would only
-    fail inside trial 0, and more victims than agents would strike
+    measured; a non-positive period, rate or victim count, or an engine
+    that cannot run a protocol (:func:`~repro.core.countsim.select_engine`),
+    would only fail inside trial 0, and more victims than agents would strike
     fewer agents than asked.  Raises :class:`ValueError` naming the first
     bad parameter.
     """
@@ -184,14 +185,13 @@ def check_chaos_params(params: Mapping[str, Any]) -> None:
         isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in ns
     ):
         raise ValueError("'ns' must be a non-empty list of ints >= 2")
-    if params["engine"] not in ENGINES:
-        raise ValueError(
-            f"'engine' must be one of {list(ENGINES)}, got {params['engine']!r}"
-        )
+    smallest = min(ns)
+    for key in protocols:
+        select_engine(CHAOS_PROTOCOLS[key](smallest), params["engine"])
     check_counts(**{
         name: params.get(name) for name in ("trials", "strikes", "agents", "workers")
     })
-    agents, smallest = params.get("agents"), min(ns)
+    agents = params.get("agents")
     if agents is not None and agents > smallest:
         raise ValueError(f"'agents' must be <= the smallest n ({smallest}), got {agents}")
     if not 0 < params["fraction"] <= 1:

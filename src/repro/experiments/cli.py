@@ -37,12 +37,12 @@ import os
 import sys
 import time
 from contextlib import ExitStack
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.core.countsim import CHAOS_PARAMS, ENGINES
 from repro.core.parallel import check_counts
 from repro.core.rng import DEFAULT_SEED
-from repro.experiments.registry import all_experiments, run_experiment
+from repro.experiments.registry import all_experiments, check_engine, run_experiment
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -704,18 +704,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     return args.handler(args)
 
 
-def _counts_ok(verb: str, n: Optional[int] = None, **counts: Optional[int]) -> bool:
-    """Whether every count is unset or >= 1, and the population size
-    ``n`` unset or >= 2; else prints the reason as a job spec gets it
-    from the service (``check_counts``)."""
+def _check_ok(verb: str, check: Callable[[], None]) -> bool:
+    """Whether ``check()`` passes; else prints its ``ValueError`` as one
+    line, the message a job spec gets back from the service."""
     try:
-        check_counts(**counts)
-        if n is not None and n < 2:
-            raise ValueError(f"'n' must be >= 2, got {n}")
+        check()
     except ValueError as exc:
         print(f"{verb}: {exc}", file=sys.stderr)
         return False
     return True
+
+
+def _counts_ok(verb: str, n: Optional[int] = None, **counts: Optional[int]) -> bool:
+    """Whether every count is unset or >= 1 (``check_counts``), and the
+    population size ``n`` unset or >= 2."""
+
+    def check() -> None:
+        check_counts(**counts)
+        if n is not None and n < 2:
+            raise ValueError(f"'n' must be >= 2, got {n}")
+
+    return _check_ok(verb, check)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -736,18 +745,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("run: --engine applies to a single experiment, not 'all'",
               file=sys.stderr)
         return 2
+    if not _check_ok("run", lambda: check_engine(args.experiment, args.engine)):
+        return 2
     ok = True
     with ExitStack() as stack:
         recorder = _install_recorder(args, stack)
         for experiment_id in targets:
-            try:
-                one = _run_one(args, experiment_id, recorder)
-            except ValueError as exc:
-                if args.engine is None:
-                    raise  # not an engine-selection problem; surface it
-                print(f"run: {exc}", file=sys.stderr)
-                return 2
-            ok = one and ok
+            ok = _run_one(args, experiment_id, recorder) and ok
         _finish_recorder(args, recorder)
     return 0 if ok else 1
 

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.analysis.stats import TrialSummary, summarize_trials
 from repro.core.configuration import is_silent
-from repro.core.countsim import ENGINES, CountSimulation, count_engine_eligible
+from repro.core.countsim import CountSimulation, select_engine
 from repro.core.monitors import Monitor
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.simulation import Simulation
@@ -60,7 +60,6 @@ def measure_convergence(
     rng: random.Random,
     max_time: float,
     confirm_time: Optional[float] = None,
-    probe_silence: Optional[bool] = None,
     engine: str = "auto",
 ) -> ConvergenceOutcome:
     """Measure the stabilization time of one run.
@@ -72,37 +71,21 @@ def measure_convergence(
     confirm_time:
         Correct-streak length (parallel time) accepted as stabilization
         for non-silent protocols.  Defaults to ``30 + 20 ln n``.
-    probe_silence:
-        Whether to attempt exact certification through silence checks;
-        defaults to ``protocol.silent``.
     engine:
-        ``"auto"`` (default) picks the count-based engine
-        (:class:`repro.core.countsim.CountSimulation`) when the protocol
-        is silent, silence probing is enabled, and the protocol's schema
-        admits lossless state keys (:func:`count_engine_eligible`);
-        otherwise the generic agent-array engine runs.  ``"generic"``
-        and ``"count"`` force one side; ``"vector"`` forces the count
-        engine with batched numpy sampling (``batched=True``; the scalar
-        path when numpy is unavailable).
+        A name in :data:`~repro.core.countsim.ENGINES`, resolved by
+        :func:`~repro.core.countsim.select_engine` (``"auto"``, the
+        default, runs silent protocols on the count engine).  A silent
+        protocol's stabilization is certified by silence checks.
         All engines produce the same outcome *distribution* (enforced
         by the equivalence tests), but per-seed trajectories differ, so
         comparisons across engines must be distributional.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    n = protocol.n
-    if probe_silence is None:
-        probe_silence = protocol.silent
-    use_count = engine in ("count", "vector") or (
-        engine == "auto"
-        and probe_silence
-        and protocol.silent
-        and count_engine_eligible(protocol)
-    )
-    if use_count:
+    batched = select_engine(protocol, engine)
+    if batched is not None:
         return _measure_convergence_counted(
-            protocol, states, rng=rng, max_time=max_time, engine=engine
+            protocol, states, rng=rng, max_time=max_time, batched=batched
         )
+    n = protocol.n
     monitor = protocol.convergence_monitor()
     monitors: List[Monitor] = [monitor]
     obs = current_recorder()
@@ -118,7 +101,7 @@ def measure_convergence(
 
     while True:
         if monitor.correct:
-            if probe_silence and is_silent(protocol, sim.states):
+            if protocol.silent and is_silent(protocol, sim.states):
                 return ConvergenceOutcome(
                     n=n,
                     converged=True,
@@ -155,18 +138,16 @@ def _measure_convergence_counted(
     *,
     rng: random.Random,
     max_time: float,
-    engine: str = "count",
+    batched: bool,
 ) -> ConvergenceOutcome:
     """Count-engine measurement path: exact silence-certified outcomes.
 
     A silent protocol stabilizes exactly when it is correct and silent,
     so the measurement is simply "run until provably silent"; the
-    confirmation-window machinery never applies here.  ``engine``
-    ``"vector"`` turns on batched sampling; ``"count"`` and ``"auto"``
-    run unbatched.
+    confirmation-window machinery never applies here.
     """
     n = protocol.n
-    sim = CountSimulation(protocol, list(states), rng=rng, batched=engine == "vector")
+    sim = CountSimulation(protocol, list(states), rng=rng, batched=batched)
     max_interactions = int(max_time * n)
     # Match the generic path's time-zero probe: an initially silent and
     # correct configuration stabilized at time 0 regardless of budget.

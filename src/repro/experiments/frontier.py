@@ -30,7 +30,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.scaling import fit_power_law
-from repro.core.countsim import CountSimulation
+from repro.core.countsim import CountSimulation, select_engine
 from repro.core.fastpath import worst_case_ciw_counts
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
@@ -39,16 +39,16 @@ from repro.protocols.cai_izumi_wada import SilentNStateSSR
 
 EXPERIMENT_ID = "frontier"
 TITLE = "Scaling frontier -- Silent-n-state-SSR worst case at mega-scale n"
+#: The engines ``run`` takes: only the count engine reaches these sizes.
+ENGINES = ("count", "vector")
 
 
-def _frontier_trial(n: int, engine: str, rng: random.Random) -> Dict[str, float]:
+def _frontier_trial(n: int, batched: bool, rng: random.Random) -> Dict[str, float]:
     """One timed worst-case CIW run; returns measurement + wall time."""
     protocol = SilentNStateSSR(n)
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
     started = time.perf_counter()
-    sim = CountSimulation(
-        protocol, states, rng=rng, mode="jump", batched=engine == "vector"
-    )
+    sim = CountSimulation(protocol, states, rng=rng, mode="jump", batched=batched)
     sim.run_until_silent()
     wall = time.perf_counter() - started
     return {
@@ -70,14 +70,10 @@ def run(
     """Extend the Table 1 CIW row to mega-scale n.
 
     ``quick`` uses n up to 10^4 (seconds; what CI exercises); the full
-    run reaches n = 10^7.  ``engine`` is ``"vector"`` (default) or
-    ``"count"``; jump mode never batches, so both give the same rows at
-    the same speed.
+    run reaches n = 10^7.  ``engine``, one of :data:`ENGINES`, is
+    ``"vector"`` (default) or ``"count"``; jump mode never batches, so
+    both give the same rows at the same speed.
     """
-    if engine not in ("count", "vector"):
-        raise ValueError(
-            f"engine must be 'count' or 'vector' for frontier, got {engine!r}"
-        )
     ns: List[int] = list(sizes) if sizes else ([4096, 10**4] if quick else [10**6, 10**7])
     runner = ParallelTrialRunner(workers)
     report = ExperimentReport(
@@ -97,8 +93,9 @@ def run(
     )
     means: Dict[int, float] = {}
     for n in ns:
+        batched = bool(select_engine(SilentNStateSSR(n), engine))
         results = runner.map_trials(
-            partial(_frontier_trial, n, engine),
+            partial(_frontier_trial, n, batched),
             seed=seed,
             labels=("frontier", n),
             trials=trials,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from importlib import import_module
 from inspect import signature
+from types import ModuleType
 from typing import Callable, Dict, List, Optional
 
 #: experiment id -> module path (each module exposes ``run`` and ``TITLE``)
@@ -33,33 +34,39 @@ def all_experiments() -> List[str]:
     return list(_EXPERIMENT_MODULES)
 
 
-def get_experiment(experiment_id: str) -> Callable:
-    """The ``run(seed=..., quick=...)`` callable for an experiment id."""
+def _module(experiment_id: str) -> ModuleType:
     try:
         module_path = _EXPERIMENT_MODULES[experiment_id]
     except KeyError:
         known = ", ".join(all_experiments())
         raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}")
-    return import_module(module_path).run
+    return import_module(module_path)
+
+
+def get_experiment(experiment_id: str) -> Callable:
+    """The ``run(seed=..., quick=...)`` callable for an experiment id."""
+    return _module(experiment_id).run
 
 
 def check_engine(experiment_id: str, engine: Optional[str]) -> None:
     """Reject an ``engine`` the experiment cannot honor (``ValueError``).
 
     ``None`` keeps the experiment's default.  Otherwise the name must be
-    a known engine and the experiment's runner must accept an ``engine``
-    keyword: an explicit engine is an error, never a silent default.
+    one the experiment module declares in its ``ENGINES``: an explicit
+    engine is an error, never a silent default.
     """
     if engine is None:
         return
-    from repro.experiments.common import ENGINES
-
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {list(ENGINES)}, got {engine!r}")
-    if "engine" not in signature(get_experiment(experiment_id)).parameters:
+    supported = getattr(_module(experiment_id), "ENGINES", ())
+    if not supported:
         raise ValueError(
             f"experiment {experiment_id!r} does not support engine "
             "selection; drop --engine"
+        )
+    if engine not in supported:
+        raise ValueError(
+            f"experiment {experiment_id!r} runs on engine "
+            f"{' or '.join(map(repr, supported))}, got {engine!r}"
         )
 
 
@@ -76,9 +83,10 @@ def run_experiment(
 
     Experiment runners opt into trial-level parallelism by accepting a
     ``workers`` keyword (e.g. Table 1), and into engine selection by
-    accepting an ``engine`` keyword (e.g. Table 1, frontier); runners
-    without them are called with ``(seed, quick)`` only, so the global
-    ``--workers`` / ``--engine`` flags stay safe across the registry.
+    declaring the engines their ``engine`` keyword takes in a module
+    ``ENGINES`` (Table 1, frontier); runners without them are called
+    with ``(seed, quick)`` only, so the global ``--workers`` /
+    ``--engine`` flags stay safe across the registry.
     An explicit ``engine`` for an experiment that cannot honor it is an
     error (:func:`check_engine`) rather than a silent default.
     ``checkpoint`` (a durable trial-journal path, used by service jobs

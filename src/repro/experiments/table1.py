@@ -32,7 +32,7 @@ from repro.analysis.statecount import (
     sublinear_state_log2_estimate,
 )
 from repro.analysis.stats import TrialSummary, summarize_trials
-from repro.core.countsim import CountSimulation
+from repro.core.countsim import CountSimulation, select_engine
 from repro.core.fastpath import worst_case_ciw_counts
 from repro.core.fastpath_optimal_silent import random_start_time
 from repro.core.parallel import ParallelTrialRunner
@@ -47,9 +47,11 @@ from repro.protocols.sublinear.protocol import SublinearTimeSSR
 
 EXPERIMENT_ID = "table1"
 TITLE = "Table 1 -- SSR protocol time/space complexities (measured)"
+#: The engines ``run`` takes: its CIW row needs the count engine.
+ENGINES = ("count", "vector")
 
 
-def _ciw_trial(n: int, engine: str, rng: random.Random) -> float:
+def _ciw_trial(n: int, batched: bool, rng: random.Random) -> float:
     """One CIW stabilization measurement from the worst-case start.
 
     Runs a count-based engine in jump mode.  From a worst-case start
@@ -59,14 +61,12 @@ def _ciw_trial(n: int, engine: str, rng: random.Random) -> float:
     (both draw one geometric and one Fenwick sample per effective
     event, over identical weight tables) -- enforced by the equivalence
     tests, so this engine swap changed no reported Table 1 value.
-    ``engine="vector"`` keeps the identical trajectory here too: jump
-    mode never batches.
+    ``batched`` keeps the identical trajectory here too: jump mode
+    never batches.
     """
     protocol = SilentNStateSSR(n)
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    sim = CountSimulation(
-        protocol, states, rng=rng, mode="jump", batched=engine == "vector"
-    )
+    sim = CountSimulation(protocol, states, rng=rng, mode="jump", batched=batched)
     sim.run_until_silent()
     return sim.parallel_time
 
@@ -86,8 +86,9 @@ def _ciw_times(
     """
     results: Dict[int, TrialSummary] = {}
     for n in ns:
+        batched = bool(select_engine(SilentNStateSSR(n), engine))
         times = runner.map_trials(
-            partial(_ciw_trial, n, engine),
+            partial(_ciw_trial, n, batched),
             seed=seed,
             labels=("ciw", n),
             trials=trials,
@@ -182,15 +183,11 @@ def run(
     ``workers`` > 1 fans the independent trials of each row out over a
     process pool; results are bit-identical to the serial run (per-trial
     RNG streams are derived inside the workers from the same label
-    paths).  ``engine`` selects the count representation for the CIW
-    row: ``"count"`` (default) or ``"vector"`` (batched sampling --
-    which this row's jump mode never uses, so the reported values are
-    the same).
+    paths).  ``engine``, one of :data:`ENGINES`, selects the count
+    representation for the CIW row: ``"count"`` (default) or
+    ``"vector"`` (batched sampling -- which this row's jump mode never
+    uses, so the reported values are the same).
     """
-    if engine not in ("count", "vector"):
-        raise ValueError(
-            f"engine must be 'count' or 'vector' for table1, got {engine!r}"
-        )
     runner = ParallelTrialRunner(workers, checkpoint=checkpoint)
     if quick:
         ciw_ns, ciw_trials = [16, 32, 64], 5

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from math import sqrt
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.countsim import count_engine_eligible
+from repro.core.countsim import select_engine
 from repro.core.rng import make_rng
 from repro.statics.findings import Finding, Severity, has_errors, render_report
 from repro.statics.quant import (
@@ -74,11 +74,11 @@ class VerifyTarget:
     make_protocol: Callable[[int], Any]
     make_start: Callable[[Any], List[Any]]
     make_reference: Optional[Callable[[int], Any]] = None
-    #: Engines to exercise; filtered by count-engine eligibility at run
-    #: time.  ``vector`` is the count engine with batched sampling: per
-    #: seed it is not the unbatched trajectory (independent scheduling
-    #: draws), so it earns its own Monte-Carlo band against the exact
-    #: chain.
+    #: Engines to exercise, skipping those that cannot run the protocol
+    #: (:func:`~repro.core.countsim.select_engine`).  ``vector`` is the
+    #: count engine with batched sampling: per seed it is not the
+    #: unbatched trajectory (independent scheduling draws), so it earns
+    #: its own Monte-Carlo band against the exact chain.
     engines: Tuple[str, ...] = ("generic", "count", "vector")
 
 
@@ -197,6 +197,15 @@ def exact_start_moments(
         moments.variance_from(config),
         moments,
     )
+
+
+def _runs_on(protocol: Any, engine: str) -> bool:
+    """Whether the engine ``engine`` can run ``protocol`` (:func:`select_engine`)."""
+    try:
+        select_engine(protocol, engine)
+    except ValueError:
+        return False
+    return True
 
 
 def _measure_mean(
@@ -323,11 +332,7 @@ def verify_target(
     band = z * sqrt(variance / trials) if trials else float("inf")
     # Generously past any band: exact + 40 sigma of a single trial.
     max_time = (exact + 40.0 * sqrt(max(variance, 1.0))) / n + 1.0
-    engines = [
-        engine
-        for engine in target.engines
-        if engine not in ("count", "vector") or count_engine_eligible(protocol)
-    ]
+    engines = [engine for engine in target.engines if _runs_on(protocol, engine)]
     for engine in engines:
         mean = _measure_mean(
             lambda: target.make_protocol(n),

@@ -1,9 +1,9 @@
 """Tests for repro.core.chaos and the engine-parity recovery contract.
 
-Covers the three composable adversary pieces (fault processes, victim
-selectors + corruption models via :class:`Adversary`, scheduler-level
-faults), the engine-neutral fault surfaces over both the generic and
-the count engine, and :func:`repro.core.chaos.measure_recovery`: its
+Covers the composable adversary pieces (fault processes, victim
+selectors + corruption models via :class:`Adversary`), the
+engine-neutral fault surfaces over both the generic and the count
+engine, and :func:`repro.core.chaos.measure_recovery`: its
 recovery accounting, and the cross-engine contract of identical
 semantics and statistically indistinguishable recovery-time
 distributions.
@@ -20,7 +20,6 @@ from repro.core.chaos import (
     CloneCorruption,
     CountSurface,
     FaultEvent,
-    FaultySchedulerAdapter,
     PoissonProcess,
     SimulationSurface,
     UniformVictims,
@@ -30,7 +29,6 @@ from repro.core.chaos import (
 )
 from repro.core.countsim import CountSimulation
 from repro.core.rng import make_rng
-from repro.core.scheduler import UniformRandomScheduler
 from repro.core.simulation import Simulation
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.optimal_silent import OptimalSilentSSR
@@ -276,61 +274,6 @@ class TestAdversaries:
             assert sorted(count.sim.expand_states()) == sorted(
                 generic.sim.states
             ), name
-
-
-class TestFaultySchedulerAdapter:
-    def test_validation(self):
-        inner = UniformRandomScheduler(8)
-        with pytest.raises(ValueError):
-            FaultySchedulerAdapter(inner, omission_rate=1.0)
-        with pytest.raises(ValueError):
-            FaultySchedulerAdapter(inner, hot_rate=0.5)  # no hot agents
-
-    def test_omission_drops_interactions(self, rng):
-        adapter = FaultySchedulerAdapter(
-            UniformRandomScheduler(8), omission_rate=0.5
-        )
-        drawn = [adapter.next_pair(rng) for _ in range(400)]
-        dropped = sum(1 for pair in drawn if pair is None)
-        assert adapter.dropped == dropped
-        assert 120 < dropped < 280  # ~200 expected
-
-    def test_stuck_agents_never_interact(self, rng):
-        protocol = SilentNStateSSR(6)
-        adapter = FaultySchedulerAdapter(
-            UniformRandomScheduler(6), stuck=(0,)
-        )
-        # Duplicate-rank start: agent 0 would normally move.
-        sim = Simulation(protocol, [1, 1, 2, 3, 4, 5], rng=rng, scheduler=adapter)
-        sim.run(4000)
-        assert sim.states[0] == 1  # memory intact, never updated
-        assert adapter.dropped > 0
-
-    def test_skew_favors_hot_initiators(self, rng):
-        adapter = FaultySchedulerAdapter(
-            UniformRandomScheduler(8), hot_agents=(3,), hot_rate=0.9
-        )
-        pairs = [adapter.next_pair(rng) for _ in range(300)]
-        hot = sum(1 for pair in pairs if pair and pair[0] == 3)
-        assert adapter.skewed > 200
-        assert hot > 200
-        assert all(pair[0] != pair[1] for pair in pairs if pair)
-
-    def test_simulation_survives_omission_faults(self, rng):
-        protocol = SilentNStateSSR(8)
-        adapter = FaultySchedulerAdapter(
-            UniformRandomScheduler(8), omission_rate=0.3
-        )
-        monitor = protocol.convergence_monitor()
-        sim = Simulation(
-            protocol,
-            protocol.worst_case_configuration(),
-            rng=rng,
-            scheduler=adapter,
-            monitors=[monitor],
-        )
-        sim.run(60_000)
-        assert monitor.correct  # still stabilizes, just slower
 
 
 def _ks_statistic(a, b):

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.configuration import (
-    canonical_key,
-    is_silent,
-    leader_count,
-    ranks_are_permutation,
-    summary_counts,
-)
+from repro.core.configuration import is_silent, ranks_are_permutation
 from repro.core.errors import NotSilentError
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.sync_dictionary import SyncDictionarySSR
@@ -38,31 +32,6 @@ class TestRanksArePermutation:
 
     def test_empty_is_trivially_wrong_for_positive_n(self):
         assert not ranks_are_permutation([], 3)
-
-
-class TestLeaderCount:
-    def test_counts_rank_one(self):
-        assert leader_count([1, 2, 3, 1]) == 2
-        assert leader_count([None, 2]) == 0
-
-
-class TestSummaryAndCanonicalKey:
-    def test_summary_counts(self):
-        protocol = SilentNStateSSR(4)
-        counts = summary_counts(protocol, [0, 0, 1, 2])
-        assert counts == {0: 2, 1: 1, 2: 1}
-
-    def test_canonical_key_permutation_invariant(self):
-        protocol = SilentNStateSSR(4)
-        assert canonical_key(protocol, [0, 1, 2, 2]) == canonical_key(
-            protocol, [2, 2, 1, 0]
-        )
-
-    def test_canonical_key_distinguishes_multisets(self):
-        protocol = SilentNStateSSR(4)
-        assert canonical_key(protocol, [0, 1, 2, 3]) != canonical_key(
-            protocol, [0, 0, 2, 3]
-        )
 
 
 class TestIsSilent:

@@ -11,8 +11,7 @@ from repro.core.invariants import (
     InvariantMonitor,
     InvariantViolation,
     check_configuration,
-    check_optimal_silent,
-    check_sublinear,
+    check_schema,
     invariant_for,
 )
 from repro.core.rng import make_rng
@@ -67,13 +66,13 @@ class TestCheckers:
     def test_optimal_silent_flags_leaked_fields(self):
         protocol = OptimalSilentSSR(6)
         bad = OptimalSilentAgent(role=Role.UNSETTLED, errorcount=5, rank=3)
-        problems = check_optimal_silent(protocol, bad)
+        problems = check_schema(protocol, bad)
         assert any("leaked" in p for p in problems)
 
     def test_optimal_silent_flags_out_of_range_rank(self):
         protocol = OptimalSilentSSR(6)
         bad = OptimalSilentAgent(role=Role.SETTLED, rank=7)
-        assert check_optimal_silent(protocol, bad)
+        assert check_schema(protocol, bad)
 
     def test_sublinear_flags_deep_tree(self):
         protocol = SublinearTimeSSR(4, h=1)
@@ -88,7 +87,7 @@ class TestCheckers:
             roster=frozenset(("0" * 6,)),
             tree=tree,
         )
-        problems = check_sublinear(protocol, bad)
+        problems = check_schema(protocol, bad)
         assert any("depth" in p for p in problems)
 
     def test_sublinear_flags_mismatched_root(self):
@@ -99,7 +98,7 @@ class TestCheckers:
             roster=frozenset(("0" * 6,)),
             tree=HistoryTree.singleton("1" * 6),
         )
-        assert any("root" in p for p in check_sublinear(protocol, bad))
+        assert any("root" in p for p in check_schema(protocol, bad))
 
     def test_check_configuration_prefixes_agent_index(self):
         protocol = SilentNStateSSR(3)

@@ -105,8 +105,8 @@ class KernelLazyNullCiw(SilentNStateSSR):
 
 class TestSelection:
     def test_unknown_engine_rejected(self):
-        """The experiments that pass ``batched=engine == "vector"`` reject
-        any other name than the two count engines up front."""
+        """The experiments that resolve their engine with
+        ``select_engine`` reject an unknown name before any trial runs."""
         with pytest.raises(ValueError):
             frontier.run(quick=True, engine="warp")
         with pytest.raises(ValueError):

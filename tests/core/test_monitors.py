@@ -5,10 +5,8 @@ bookkeeping always agrees with a from-scratch recomputation -- checked
 here on random runs of a real protocol.
 """
 
-import random
-
 from repro.core.configuration import ranks_are_permutation
-from repro.core.monitors import ChangeCounter, ConvergenceMonitor, TraceRecorder
+from repro.core.monitors import ConvergenceMonitor
 from repro.core.simulation import Simulation
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 
@@ -73,38 +71,3 @@ class TestConvergenceMonitorIncremental:
         monitor = ConvergenceMonitor(2, rank_of=lambda s: s)
         monitor.on_start([1, 99])  # 99 outside 1..2: not counted
         assert not monitor.correct
-
-
-class TestChangeCounter:
-    def test_counts_only_real_changes(self, rng):
-        protocol = SilentNStateSSR(3)
-        counter = ChangeCounter(protocol.summarize)
-        sim = Simulation(protocol, [1, 1, 2], rng=rng, monitors=[counter])
-        # Find the colliding pair deterministically.
-        from repro.core.scheduler import ScriptedScheduler
-
-        sim.scheduler = ScriptedScheduler([(0, 2), (0, 1)])
-        sim.step()  # (1, 2): null
-        assert counter.changes == 0
-        sim.step()  # (1, 1): responder bumps
-        assert counter.changes == 1
-        assert counter.last_change_step == 2
-
-
-class TestTraceRecorder:
-    def test_records_human_readable_lines(self, rng):
-        protocol = SilentNStateSSR(3)
-        recorder = TraceRecorder(protocol.describe)
-        from repro.core.scheduler import ScriptedScheduler
-
-        sim = Simulation(
-            protocol,
-            [1, 1, 0],
-            rng=rng,
-            scheduler=ScriptedScheduler([(0, 1)]),
-            monitors=[recorder],
-        )
-        sim.step()
-        assert len(recorder.entries) == 1
-        assert "rank=1 | rank=1" in recorder.entries[0]
-        assert "rank=1 | rank=2" in recorder.entries[0]

@@ -12,6 +12,7 @@ from repro.experiments.common import (
     summarize_outcomes,
 )
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
+from repro.protocols.sync_dictionary import SyncDictionarySSR
 
 
 class TestMeasureConvergence:
@@ -131,17 +132,31 @@ class TestMeasureConvergence:
                 engine="quantum",
             )
 
+    def test_count_engine_rejects_ineligible_protocol(self):
+        """Sync-dictionary SSR keeps fields out of its canonical key, so
+        the engine policy refuses to put it on the count engine."""
+        protocol = SyncDictionarySSR(6)
+        rng = make_rng(10, "mc")
+        with pytest.raises(ValueError):
+            measure_convergence(
+                protocol,
+                protocol.initial_configuration(rng),
+                rng=rng,
+                max_time=1.0,
+                engine="count",
+            )
+
     def test_confirmation_window_path(self):
-        # Disable silence probing to exercise the streak-confirm branch.
-        protocol = SilentNStateSSR(5)
+        # A non-silent protocol cannot be certified by silence, so the
+        # streak-confirm branch decides.
+        protocol = SyncDictionarySSR(5)
         rng = make_rng(4, "mc")
         outcome = measure_convergence(
             protocol,
-            [0, 0, 1, 2, 3],
+            protocol.initial_configuration(rng),
             rng=rng,
             max_time=50_000,
             confirm_time=5.0,
-            probe_silence=False,
         )
         assert outcome.converged
         assert not outcome.silent_certified

@@ -223,6 +223,22 @@ class TestCliCounts:
                 JobSpec.from_payload(payload)
             assert str(rejected.value) == f"{payload['kind']} job: {message}"
 
+    def test_undeclared_engine_exits_2_with_the_service_message(self, capsys):
+        """An engine the experiment does not declare is refused before
+        any trial runs, with the line a job spec with it gets back."""
+        assert main(["run", "table1", "--engine", "generic", "--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        verb, message = lines[0].split(": ", 1)
+        assert verb == "run"
+        with pytest.raises(JobValidationError) as rejected:
+            JobSpec.from_payload(
+                {"kind": "run", "spec": {"experiment": "table1", "engine": "generic"}}
+            )
+        assert str(rejected.value) == f"run job: {message}"
+
     @pytest.mark.parametrize(
         "argv", [["verify", "--n", "1"], ["synth", "--n", "0"]], ids=["verify-n", "synth-n"]
     )

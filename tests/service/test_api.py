@@ -183,11 +183,15 @@ class TestRoutes:
             ("bench", {"suite": "engine", "cells": ["nope"]}, "no cell(s) ['nope']"),
             ("run", {"experiment": "figure1", "engine": "count"},
              "does not support engine selection"),
+            ("run", {"experiment": "table1", "engine": "generic"},
+             "runs on engine 'count' or 'vector', got 'generic'"),
+            ("run", {"experiment": "frontier", "engine": "auto"},
+             "runs on engine 'count' or 'vector', got 'auto'"),
         ],
     )
     def test_unrunnable_specs_are_400(self, server, kind, spec, needle):
         """A spec that could only fail inside execution -- an unknown
-        bench suite or cell, an engine the experiment ignores -- is
+        bench suite or cell, an engine the experiment does not declare -- is
         refused at submission, and nothing is journaled for it."""
         with pytest.raises(client.ServiceClientError) as info:
             client.submit_job(server.base_url, kind, spec)
