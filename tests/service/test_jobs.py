@@ -619,3 +619,298 @@ class TestSpanTelemetry:
             return True
 
         assert run(body())
+
+    #: Every family the scenario below touches: (type, HELP text).
+    FAMILIES = {
+        "repro_admission_rejected_total": (
+            "counter",
+            "Submissions rejected because the queue was full (HTTP 429)."),
+        "repro_job_cache_hits_total": (
+            "counter",
+            "Jobs served from the result cache with zero trial executions."),
+        "repro_job_transitions_total": (
+            "counter", "Job state transitions, by target state."),
+        "repro_job_wall_seconds": (
+            "histogram", "Job execution wall time, by kind."),
+        "repro_job_wall_seconds_ema": (
+            "gauge",
+            "Exponential moving average of job execution wall seconds "
+            "(feeds Retry-After)."),
+        "repro_jobs": (
+            "gauge", "Jobs known to the manager, by lifecycle state."),
+        "repro_jobs_cancelled_total": (
+            "counter", "Jobs that reached the cancelled state."),
+        "repro_jobs_completed_total": (
+            "counter", "Jobs that completed successfully, by kind."),
+        "repro_jobs_deduplicated_total": (
+            "counter",
+            "Submissions answered by an existing job (idempotent "
+            "resubmission)."),
+        "repro_jobs_failed_total": (
+            "counter", "Jobs that reached the failed state."),
+        "repro_jobs_submitted_total": (
+            "counter", "Jobs admitted to the queue, by kind."),
+        "repro_queue_depth": ("gauge", "Jobs waiting in the queue."),
+        "repro_recorder_events_total": (
+            "counter",
+            "Recorder events streamed from running jobs, by event kind."),
+        "repro_recorder_samples_total": (
+            "counter", "Recorder samples streamed from running jobs."),
+        "repro_trials_completed_total": (
+            "counter",
+            "Trial spans closed across all jobs, by terminal status "
+            "(throughput feed)."),
+    }
+
+    #: One entry per terminal state record, in publication order: the
+    #: job, its state, and every series the scrape adds or changes
+    #: (the first scrape lists every series).
+    SCRAPES = [
+        ("emitter", "done", {
+            "repro_job_transitions_total{state=done}": 1.0,
+            "repro_job_transitions_total{state=running}": 1.0,
+            "repro_job_wall_seconds_bucket{kind=chaos,le=+Inf}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=0.05}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=0.1}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=0.25}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=0.5}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=10}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=1}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=2.5}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=300}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=30}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=5}": "masked",
+            "repro_job_wall_seconds_bucket{kind=chaos,le=60}": "masked",
+            "repro_job_wall_seconds_count{kind=chaos}": 1.0,
+            "repro_job_wall_seconds_ema{}": "masked",
+            "repro_job_wall_seconds_sum{kind=chaos}": "masked",
+            "repro_jobs_completed_total{kind=chaos}": 1.0,
+            "repro_jobs_deduplicated_total{}": 1.0,
+            "repro_jobs_submitted_total{kind=chaos}": 1.0,
+            "repro_jobs{state=cancelled}": 0.0,
+            "repro_jobs{state=done}": 1.0,
+            "repro_jobs{state=failed}": 0.0,
+            "repro_jobs{state=queued}": 0.0,
+            "repro_jobs{state=running}": 0.0,
+            "repro_queue_depth{}": 0.0,
+            "repro_recorder_events_total{kind=convergence}": 3.0,
+            "repro_recorder_events_total{kind=fault}": 1.0,
+            "repro_recorder_samples_total{}": 1.0,
+            "repro_trials_completed_total{status=ok}": 2.0,
+        }),
+        ("failing", "failed", {
+            "repro_job_transitions_total{state=failed}": 1.0,
+            "repro_job_transitions_total{state=running}": 2.0,
+            "repro_jobs_failed_total{}": 1.0,
+            "repro_jobs_submitted_total{kind=chaos}": 2.0,
+            "repro_jobs{state=failed}": 1.0,
+            "repro_recorder_events_total{kind=fault}": 2.0,
+            "repro_trials_completed_total{status=failed}": 1.0,
+        }),
+        # The mid-run job is still running: its first event and its
+        # running transition are already counted.
+        ("queued", "cancelled", {
+            "repro_admission_rejected_total{}": 1.0,
+            "repro_job_transitions_total{state=cancelled}": 1.0,
+            "repro_job_transitions_total{state=running}": 3.0,
+            "repro_jobs_cancelled_total{}": 1.0,
+            "repro_jobs_submitted_total{kind=chaos}": 4.0,
+            "repro_jobs{state=cancelled}": 1.0,
+            "repro_jobs{state=running}": 1.0,
+            "repro_recorder_events_total{kind=tick}": 1.0,
+        }),
+        # The trial span the cancel unwind closes is counted before the
+        # terminal state is published.
+        ("midrun", "cancelled", {
+            "repro_job_transitions_total{state=cancelled}": 2.0,
+            "repro_jobs_cancelled_total{}": 2.0,
+            "repro_jobs{state=cancelled}": 2.0,
+            "repro_jobs{state=running}": 0.0,
+            "repro_trials_completed_total{status=cancelled}": 1.0,
+        }),
+        ("hit", "done", {
+            "repro_job_cache_hits_total{}": 1.0,
+            "repro_job_transitions_total{state=done}": 2.0,
+            "repro_jobs_completed_total{kind=run}": 1.0,
+            "repro_jobs_submitted_total{kind=run}": 1.0,
+            "repro_jobs{state=done}": 2.0,
+        }),
+    ]
+
+    #: Per job: the job document's event_counts and trials_done, and
+    #: the result document's event_counts.
+    DOCUMENTS = {
+        "emitter": ({"convergence": 3, "fault": 1}, 2,
+                    {"convergence": 3, "fault": 1}),
+        "failing": ({"fault": 1}, None, None),
+        "queued": (None, None, None),
+        "midrun": ({"tick": 1}, None, None),
+        "hit": ({"convergence": 5}, None, {"convergence": 5}),
+    }
+
+    def test_telemetry_golden(self, tmp_path, monkeypatch):
+        """The whole ``/metrics`` exposition, pinned at every terminal
+        state record of one lifecycle scenario.
+
+        One manager with its own registry runs: a job that emits two
+        event kinds, a sample and two ``ok`` trial spans, plus its
+        deduplicated resubmission; a job that raises inside a trial; a
+        job cancelled mid-run inside a trial; a queued job cancelled
+        before it runs, and a 429 rejection while it waits; a cache hit
+        served from a result written beforehand.  The registry is
+        scraped synchronously as each terminal ``state`` record is
+        published, so every count a job causes -- the trial spans the
+        cancel and failure unwinds close included -- must be in place by
+        then.  Only the wall-time histogram's sum and buckets and the
+        wall EMA are masked (they measure time).
+        """
+        import threading
+
+        from repro.obs import TelemetryRegistry, parse_prometheus_text
+        from repro.service import jobs as jobs_mod
+
+        release = threading.Event()
+
+        def fake_execute(spec, *, checkpoint=None, recorder=None):
+            seed = spec.params["seed"]
+            if seed == 1:
+                recorder.event("convergence", trial=0)
+                recorder.sample(t=1.0, leaders=1)
+                for trial in range(2):
+                    recorder.begin_span("trial", f"t{trial}")
+                    recorder.event("convergence", trial=trial)
+                    recorder.end_span(f"t{trial}", status="ok")
+                recorder.event("fault", trial=1)
+                return {"ok": True, "result": {"seed": seed}}
+            if seed == 2:
+                recorder.begin_span("trial", "t0")
+                recorder.event("fault", trial=0)
+                raise RuntimeError("trial exploded")
+            if seed == 3:
+                recorder.begin_span("trial", "t0")
+                recorder.event("tick", trial=0)
+                release.wait(10.0)
+                recorder.event("tick", trial=0)  # cancellation point
+            raise AssertionError(f"seed {seed} must not execute")
+
+        monkeypatch.setattr(jobs_mod, "execute_spec", fake_execute)
+
+        scrapes = []
+        publish = jobs_mod.Job.publish
+
+        def scraping_publish(job, record):
+            publish(job, record)
+            if record.get("type") == "state" and record["state"] in (
+                "done", "failed", "cancelled"
+            ):
+                scrapes.append((job.id, record["state"], registry.render()))
+
+        monkeypatch.setattr(jobs_mod.Job, "publish", scraping_publish)
+        registry = TelemetryRegistry()
+
+        def chaos(seed):
+            return {"kind": "chaos",
+                    "spec": {"protocols": ["ciw"], "ns": [8], "trials": 1,
+                             "seed": seed}}
+
+        hit_payload = {"kind": "run", "spec": {"experiment": "thm21"}}
+
+        async def settle(job):
+            for _ in range(500):
+                if job.terminal:
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError(f"{job.id} stuck in {job.state}")
+
+        async def body():
+            store = JobStore(str(tmp_path))
+            store.write_result(
+                JobSpec.from_payload(hit_payload).cache_key(),
+                {"ok": True, "event_counts": {"convergence": 5},
+                 "result": {"cached": True}},
+            )
+            manager = JobManager(store, max_queue=1, telemetry=registry)
+            await manager.start()
+            try:
+                emitter, _ = manager.submit(chaos(1))
+                assert manager.submit(chaos(1)) == (emitter, False)
+                await settle(emitter)
+                failing, _ = manager.submit(chaos(2))
+                await settle(failing)
+                midrun, _ = manager.submit(chaos(3))
+                # Its first event published: the job is mid-trial.
+                for _ in range(500):
+                    if midrun.event_counts:
+                        break
+                    await asyncio.sleep(0.01)
+                queued, _ = manager.submit(chaos(4))
+                with pytest.raises(AdmissionError):
+                    manager.submit(chaos(5))
+                manager.cancel(queued.id)
+                manager.cancel(midrun.id)
+                release.set()
+                await settle(midrun)
+                hit, _ = manager.submit(hit_payload)
+                await settle(hit)
+            finally:
+                release.set()
+                await manager.stop()
+            return [emitter, failing, queued, midrun, hit]
+
+        jobs = run(body())
+        names = ["emitter", "failing", "queued", "midrun", "hit"]
+        label = dict(zip((job.id for job in jobs), names))
+
+        def flat(text):
+            """Parsed exposition as {series: value}, time masked."""
+            out = {}
+            for family, entry in parse_prometheus_text(text).items():
+                for labels, value in entry["samples"].items():
+                    suffix = dict(labels).get("__suffix__", "")
+                    shown = ",".join(
+                        f"{k}={v}" for k, v in labels if k != "__suffix__"
+                    )
+                    if family == "repro_job_wall_seconds_ema" or (
+                        family == "repro_job_wall_seconds"
+                        and suffix != "_count"
+                    ):
+                        value = "masked"
+                    out[f"{family}{suffix}{{{shown}}}"] = value
+            return out
+
+        def families(text):
+            """{family: (type, help)} from the exposition's comments."""
+            helps = {}
+            types = {}
+            for line in text.splitlines():
+                if line.startswith("# HELP "):
+                    _, _, name, help_text = line.split(" ", 3)
+                    helps[name] = help_text
+                elif line.startswith("# TYPE "):
+                    _, _, name, kind = line.split(" ", 3)
+                    types[name] = kind
+            assert set(helps) == set(types)
+            return {name: (types[name], helps[name]) for name in types}
+
+        observed = []
+        previous = {}
+        for job_id, state, text in scrapes:
+            assert families(text).items() <= self.FAMILIES.items()
+            current = flat(text)
+            assert set(previous) <= set(current)  # no series disappears
+            changed = {key: value for key, value in current.items()
+                       if previous.get(key) != value}
+            observed.append((label[job_id], state, changed))
+            previous = current
+        assert families(scrapes[-1][2]) == self.FAMILIES
+        assert observed == self.SCRAPES
+
+        documents = {
+            label[job.id]: (
+                job.to_document().get("event_counts"),
+                job.to_document().get("trials_done"),
+                (job.result or {}).get("event_counts"),
+            )
+            for job in jobs
+        }
+        assert documents == self.DOCUMENTS
