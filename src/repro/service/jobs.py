@@ -394,6 +394,32 @@ EVENT_BUFFER = 512
 #: Job states with no further transitions.
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
+#: The HELP text of every ``/metrics`` family the manager writes.
+_HELP = {
+    "repro_jobs": "Jobs known to the manager, by lifecycle state.",
+    "repro_queue_depth": "Jobs waiting in the queue.",
+    "repro_job_wall_seconds_ema": "Exponential moving average of job "
+        "execution wall seconds (feeds Retry-After).",
+    "repro_job_wall_seconds": "Job execution wall time, by kind.",
+    "repro_jobs_submitted_total": "Jobs admitted to the queue, by kind.",
+    "repro_jobs_deduplicated_total": "Submissions answered by an existing "
+        "job (idempotent resubmission).",
+    "repro_admission_rejected_total": "Submissions rejected because the "
+        "queue was full (HTTP 429).",
+    "repro_job_transitions_total": "Job state transitions, by target state.",
+    "repro_jobs_completed_total": "Jobs that completed successfully, by kind.",
+    "repro_jobs_failed_total": "Jobs that reached the failed state.",
+    "repro_jobs_cancelled_total": "Jobs that reached the cancelled state.",
+    "repro_job_cache_hits_total": "Jobs served from the result cache with "
+        "zero trial executions.",
+    "repro_recorder_events_total": "Recorder events streamed from running "
+        "jobs, by event kind.",
+    "repro_recorder_samples_total": "Recorder samples streamed from running "
+        "jobs.",
+    "repro_trials_completed_total": "Trial spans closed across all jobs, by "
+        "terminal status (throughput feed).",
+}
+
 
 class Job:
     """One submitted job: spec, lifecycle state and its event stream."""
@@ -410,8 +436,9 @@ class Job:
         self.updated_unix = self.created_unix
         self.wall_seconds: Optional[float] = None
         self.result: Optional[Dict[str, Any]] = None
+        #: Live progress, folded from the job's records as they publish.
         self.event_counts: Dict[str, int] = {}
-        #: Trials whose span closed (live progress).
+        #: Trials whose span closed ``ok``.
         self.trials_done = 0
         #: Cancellation: the flag is read on the event loop, the event
         #: is polled by the executing sweep's recorder hooks.
@@ -434,23 +461,9 @@ class Job:
     def publish(self, record: Dict[str, Any]) -> None:
         """Append to the replay buffer and fan out to live subscribers.
 
-        Must run on the event loop thread; executor threads hop over
-        via ``loop.call_soon_threadsafe``.  Live progress rides along:
-        event counts and closed trial spans are tallied here so
-        ``GET /jobs`` shows movement *during* a sweep (the recorder's
-        authoritative counts overwrite the tallies at completion).
+        Event-loop thread only: :meth:`JobManager._publish` folds each
+        record into progress and telemetry, then hands it here.
         """
-        rtype = record.get("type")
-        if rtype == "event" and isinstance(record.get("kind"), str):
-            kind = record["kind"]
-            self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
-        elif (
-            rtype == "span"
-            and record.get("op") == "end"
-            and record.get("kind") == "trial"
-            and record.get("status") == "ok"
-        ):
-            self.trials_done += 1
         self._event_seq += 1
         entry = (self._event_seq, record)
         self.events.append(entry)
@@ -699,22 +712,14 @@ class JobManager:
         counts = self.counts()
         for state in ("queued", "running") + TERMINAL_STATES:
             self.telemetry.gauge(
-                "repro_jobs",
-                counts.get(state, 0),
-                labels={"state": state},
-                help_text="Jobs known to the manager, by lifecycle state.",
+                "repro_jobs", counts.get(state, 0), labels={"state": state},
+                help_text=_HELP["repro_jobs"],
             )
-        self.telemetry.gauge(
-            "repro_queue_depth",
-            self.queue_depth(),
-            help_text="Jobs waiting in the queue.",
-        )
-        self.telemetry.gauge(
-            "repro_job_wall_seconds_ema",
-            round(self._mean_wall, 6),
-            help_text="Exponential moving average of job execution "
-                      "wall seconds (feeds Retry-After).",
-        )
+        for name, value in (
+            ("repro_queue_depth", self.queue_depth()),
+            ("repro_job_wall_seconds_ema", round(self._mean_wall, 6)),
+        ):
+            self.telemetry.gauge(name, value, help_text=_HELP[name])
 
     def submit(self, payload: Any) -> Tuple[Job, bool]:
         """Admit one job payload; returns ``(job, created)``.
@@ -730,11 +735,8 @@ class JobManager:
         job_id = f"job-{cache_key[:16]}"
         existing = self.jobs.get(job_id)
         if existing is not None and existing.state not in ("failed", "cancelled"):
-            self.telemetry.counter(
-                "repro_jobs_deduplicated_total",
-                help_text="Submissions answered by an existing job "
-                          "(idempotent resubmission).",
-            )
+            name = "repro_jobs_deduplicated_total"
+            self.telemetry.counter(name, help_text=_HELP[name])
             return existing, False
         # A previously failed or cancelled job may be resubmitted:
         # same identity, same checkpoint (trials completed before the
@@ -742,20 +744,16 @@ class JobManager:
         backlog = self.backlog()
         if backlog >= self.max_queue:
             retry_after = self.retry_after_estimate()
-            self.telemetry.counter(
-                "repro_admission_rejected_total",
-                help_text="Submissions rejected because the queue was "
-                          "full (HTTP 429).",
-            )
+            name = "repro_admission_rejected_total"
+            self.telemetry.counter(name, help_text=_HELP[name])
             job_logger(logger, job_id).warning(
                 "admission rejected: kind=%s backlog=%d/%d retry_after=%.1fs",
                 spec.kind, backlog, self.max_queue, retry_after,
             )
             raise AdmissionError(retry_after)
+        name = "repro_jobs_submitted_total"
         self.telemetry.counter(
-            "repro_jobs_submitted_total",
-            labels={"kind": spec.kind},
-            help_text="Jobs admitted to the queue, by kind.",
+            name, labels={"kind": spec.kind}, help_text=_HELP[name]
         )
         job_logger(logger, job_id).info(
             "admitted: kind=%s backlog=%d/%d",
@@ -828,30 +826,54 @@ class JobManager:
             {"job": job.id, "state": state, "attempt": job.attempt,
              "ts": round(job.updated_unix, 3), **fields}
         )
-        self.telemetry.counter(
-            "repro_job_transitions_total",
-            labels={"state": state},
-            help_text="Job state transitions, by target state.",
-        )
-        if state == "cancelled":
-            self.telemetry.counter(
-                "repro_jobs_cancelled_total",
-                help_text="Jobs that reached the cancelled state.",
-            )
-        elif state == "failed":
-            self.telemetry.counter(
-                "repro_jobs_failed_total",
-                help_text="Jobs that reached the failed state.",
-            )
-        elif state == "done":
-            self.telemetry.counter(
-                "repro_jobs_completed_total",
-                labels={"kind": job.spec.kind},
-                help_text="Jobs that completed successfully, by kind.",
-            )
         self.update_gauges()
-        job.publish({"type": "state", "state": state, "attempt": job.attempt,
-                     **{k: v for k, v in fields.items() if k != "payload"}})
+        self._publish(job, {"type": "state", "state": state,
+                            "attempt": job.attempt, **fields})
+
+    def _publish(self, job: Job, record: Dict[str, Any]) -> None:
+        """Fold one job record into live progress and ``/metrics``, then
+        publish it to the job's SSE stream.
+
+        The one place that knows what a record means for telemetry.
+        Every record a job emits passes through here, on the event
+        loop: the events, samples and spans its recorder forwards, and
+        the ``state`` records of :meth:`_transition`.  A scrape taken
+        after a job's terminal state record therefore sees all of that
+        job's counts.
+        """
+        rtype = record.get("type")
+        counts: List[Tuple[str, Optional[Dict[str, str]]]] = []
+        if rtype == "event":
+            kind = record["kind"]
+            job.event_counts[kind] = job.event_counts.get(kind, 0) + 1
+            counts.append(("repro_recorder_events_total", {"kind": str(kind)}))
+        elif rtype == "sample":
+            counts.append(("repro_recorder_samples_total", None))
+        elif (
+            rtype == "span"
+            and record.get("op") == "end"
+            and record.get("kind") == "trial"
+        ):
+            status = str(record.get("status"))
+            if status == "ok":
+                job.trials_done += 1
+            counts.append(("repro_trials_completed_total", {"status": status}))
+        elif rtype == "state":
+            state = record["state"]
+            counts.append(("repro_job_transitions_total", {"state": state}))
+            if state == "done":
+                counts.append(
+                    ("repro_jobs_completed_total", {"kind": job.spec.kind})
+                )
+            elif state == "failed":
+                counts.append(("repro_jobs_failed_total", None))
+            elif state == "cancelled":
+                counts.append(("repro_jobs_cancelled_total", None))
+            if record.get("cache_hit"):
+                counts.append(("repro_job_cache_hits_total", None))
+        for name, labels in counts:
+            self.telemetry.counter(name, labels=labels, help_text=_HELP[name])
+        job.publish(record)
 
     def _finish_cancelled(self, job: Job) -> None:
         self._transition(job, "cancelled", reason="client request")
@@ -868,46 +890,22 @@ class JobManager:
             job.cache_hit = True
             job.wall_seconds = 0.0
             job.event_counts = dict(cached.get("event_counts", {}))
-            self.telemetry.counter(
-                "repro_job_cache_hits_total",
-                help_text="Jobs served from the result cache with zero "
-                          "trial executions.",
-            )
             log.info("served from result cache (key %s)", job.cache_key[:16])
             self._transition(job, "done", cache_hit=True, wall_seconds=0.0)
             self._ledger(job)
             return
         loop = asyncio.get_running_loop()
-        telemetry = self.telemetry
+        loop_thread = threading.get_ident()
 
         def forward(record: Dict[str, Any]) -> None:
-            # Runs on the executor thread; the registry is thread-safe,
-            # the publish hops onto the event loop.
-            rtype = record.get("type")
-            if rtype == "event":
-                telemetry.counter(
-                    "repro_recorder_events_total",
-                    labels={"kind": str(record.get("kind"))},
-                    help_text="Recorder events streamed from running "
-                              "jobs, by event kind.",
-                )
-            elif rtype == "sample":
-                telemetry.counter(
-                    "repro_recorder_samples_total",
-                    help_text="Recorder samples streamed from running jobs.",
-                )
-            elif (
-                rtype == "span"
-                and record.get("op") == "end"
-                and record.get("kind") == "trial"
-            ):
-                telemetry.counter(
-                    "repro_trials_completed_total",
-                    labels={"status": str(record.get("status"))},
-                    help_text="Trial spans closed across all jobs, by "
-                              "terminal status (throughput feed).",
-                )
-            loop.call_soon_threadsafe(job.publish, record)
+            # The executing sweep hops onto the event loop.  Spans the
+            # manager opens and closes itself are already on it and fold
+            # at once, so an unwind's closed trial counts before the
+            # terminal state does.
+            if threading.get_ident() == loop_thread:
+                self._publish(job, record)
+            else:
+                loop.call_soon_threadsafe(self._publish, job, record)
 
         job.attempt += 1
         self._transition(job, "running")
@@ -952,16 +950,13 @@ class JobManager:
         job.wall_seconds = wall
         self._mean_wall = 0.7 * self._mean_wall + 0.3 * wall
         self.telemetry.observe(
-            "repro_job_wall_seconds",
-            wall,
-            labels={"kind": job.spec.kind},
-            help_text="Job execution wall time, by kind.",
+            "repro_job_wall_seconds", wall, labels={"kind": job.spec.kind},
+            help_text=_HELP["repro_job_wall_seconds"],
         )
         log.info(
             "done: ok=%s wall=%.3fs attempt=%d",
             body.get("ok"), wall, job.attempt,
         )
-        job.event_counts = dict(recorder.event_counts)
         document = {
             "cache_key": job.cache_key,
             "kind": job.spec.kind,
