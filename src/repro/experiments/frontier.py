@@ -35,6 +35,7 @@ from repro.core.fastpath import worst_case_ciw_counts
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import ExperimentReport
+from repro.experiments.registry import check_engine
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 
 EXPERIMENT_ID = "frontier"
@@ -74,6 +75,7 @@ def run(
     ``"vector"`` (default) or ``"count"``; jump mode never batches, so
     both give the same rows at the same speed.
     """
+    check_engine(EXPERIMENT_ID, engine)
     ns: List[int] = list(sizes) if sizes else ([4096, 10**4] if quick else [10**6, 10**7])
     runner = ParallelTrialRunner(workers)
     report = ExperimentReport(
@@ -93,7 +95,7 @@ def run(
     )
     means: Dict[int, float] = {}
     for n in ns:
-        batched = bool(select_engine(SilentNStateSSR(n), engine))
+        batched = select_engine(SilentNStateSSR(n), engine)
         results = runner.map_trials(
             partial(_frontier_trial, n, batched),
             seed=seed,

@@ -42,6 +42,7 @@ from repro.experiments.common import (
     repeat_convergence,
     summarize_outcomes,
 )
+from repro.experiments.registry import check_engine
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 
@@ -86,7 +87,7 @@ def _ciw_times(
     """
     results: Dict[int, TrialSummary] = {}
     for n in ns:
-        batched = bool(select_engine(SilentNStateSSR(n), engine))
+        batched = select_engine(SilentNStateSSR(n), engine)
         times = runner.map_trials(
             partial(_ciw_trial, n, batched),
             seed=seed,
@@ -188,6 +189,7 @@ def run(
     ``"vector"`` (batched sampling -- which this row's jump mode never
     uses, so the reported values are the same).
     """
+    check_engine(EXPERIMENT_ID, engine)
     runner = ParallelTrialRunner(workers, checkpoint=checkpoint)
     if quick:
         ciw_ns, ciw_trials = [16, 32, 64], 5

@@ -55,6 +55,15 @@ class TestRegistry:
             "loose",
         } <= set(all_experiments())
 
+    @pytest.mark.parametrize("engine", ["generic", "auto"])
+    @pytest.mark.parametrize("experiment_id", ["table1", "frontier"])
+    def test_runner_rejects_undeclared_engine(self, experiment_id, engine):
+        """A direct call refuses an engine outside the module's
+        ``ENGINES`` before it runs anything, as ``repro run`` and the
+        service do; it used to run the count engine under that name."""
+        with pytest.raises(ValueError, match="runs on engine"):
+            get_experiment(experiment_id)(seed=1, quick=True, engine=engine)
+
 
 class TestFigure1Helpers:
     def test_ranking_phase_configuration(self):
