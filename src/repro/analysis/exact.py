@@ -29,7 +29,7 @@ sizes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 State = Tuple[int, ...]
 
@@ -57,19 +57,6 @@ def successors(state: State) -> List[Tuple[State, int]]:
         bumped[(rank + 1) % n] += 1
         moves.append((tuple(bumped), weight))
     return moves
-
-
-def reachable_states(start: State) -> List[State]:
-    """All states reachable from ``start`` (breadth-first)."""
-    frontier = [start]
-    seen = {start}
-    while frontier:
-        state = frontier.pop()
-        for nxt, _ in successors(state):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return sorted(seen)
 
 
 @lru_cache(maxsize=None)
@@ -125,13 +112,3 @@ def worst_case_expected_interactions(n: int) -> float:
         )
     return exact
 
-
-def stationary_check(start: State, steps: Sequence[State]) -> bool:
-    """Whether a path of states is a legal trajectory of the chain."""
-    current = start
-    for nxt in steps:
-        legal = {s for s, _ in successors(current)} | {current}
-        if nxt not in legal:
-            return False
-        current = nxt
-    return True

@@ -10,9 +10,8 @@ forms.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -94,33 +93,6 @@ def summarize_trials(values: Sequence[float]) -> TrialSummary:
     )
 
 
-def bootstrap_mean_ci(
-    values: Sequence[float],
-    rng: random.Random,
-    *,
-    resamples: int = 2000,
-    confidence: float = 0.95,
-) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for the mean.
-
-    Useful for the heavy-tailed stabilization-time samples, where the
-    normal approximation of :func:`summarize_trials` is optimistic.
-    """
-    if len(values) < 2:
-        raise ValueError("bootstrap needs at least 2 observations")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    size = len(values)
-    means: List[float] = []
-    for _ in range(resamples):
-        total = 0.0
-        for _ in range(size):
-            total += values[rng.randrange(size)]
-        means.append(total / size)
-    alpha = (1.0 - confidence) / 2.0
-    return quantile(means, alpha), quantile(means, 1.0 - alpha)
-
-
 def tail_fraction(values: Sequence[float], threshold: float) -> float:
     """Empirical probability that a measurement is >= ``threshold``.
 
@@ -131,11 +103,3 @@ def tail_fraction(values: Sequence[float], threshold: float) -> float:
         raise ValueError("cannot take a tail fraction of an empty sample")
     return sum(1 for v in values if v >= threshold) / len(values)
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean (for ratio aggregation across n)."""
-    if not values:
-        raise ValueError("cannot average an empty sample")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

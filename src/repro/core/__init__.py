@@ -30,7 +30,6 @@ from repro.core.scheduler import (
     Scheduler,
     ScriptedScheduler,
     UniformRandomScheduler,
-    script_from_names,
 )
 from repro.core.simulation import Simulation
 
@@ -44,7 +43,6 @@ __all__ = [
     "UniformRandomScheduler",
     "ScriptedScheduler",
     "CallbackScheduler",
-    "script_from_names",
     "Monitor",
     "ConvergenceMonitor",
     "is_silent",

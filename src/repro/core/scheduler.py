@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Tuple
 
 Pair = Tuple[int, int]
 
@@ -137,17 +137,3 @@ class GraphScheduler(Scheduler):
             return u, v
         return v, u
 
-
-def script_from_names(
-    names: Sequence[str], interactions: Iterable[Tuple[str, str]]
-) -> List[Pair]:
-    """Translate a human-readable script into index pairs.
-
-    ``names`` fixes the agent order; ``interactions`` is a sequence of
-    (initiator-name, responder-name) pairs, e.g. the "a-b interact" lines
-    of Figure 2.
-    """
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise ValueError(f"agent names must be unique, got {names!r}")
-    return [(index[x], index[y]) for x, y in interactions]

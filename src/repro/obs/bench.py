@@ -34,7 +34,7 @@ import os
 import random
 import statistics
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.ledger import LEDGER_SCHEMA_VERSION
 from repro.obs.log import get_logger
@@ -545,7 +545,3 @@ def ledger_fields(
         ]
         fields["baseline_git_sha"] = comparison.get("baseline_git_sha")
     return fields
-
-
-def iter_suite_names(suites: Iterable[BenchSuite]) -> List[str]:
-    return sorted(suite.name for suite in suites)

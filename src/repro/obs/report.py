@@ -13,7 +13,7 @@ earlier.
 from __future__ import annotations
 
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.obs.bench import DEFAULT_BASELINE_DIR, load_baseline
 from repro.obs.ledger import iter_ledger
@@ -173,12 +173,3 @@ def render_report(
     elif latest_bench:
         lines.append("Zero flagged regressions in the latest bench entries.")
     return "\n".join(lines) + "\n", flagged
-
-
-def latest_entry(ledger_path: str, kind: Optional[str] = None) -> Optional[Dict[str, Any]]:
-    """The newest ledger entry (optionally of one kind), or ``None``."""
-    found: Optional[Dict[str, Any]] = None
-    for entry in iter_ledger(ledger_path):
-        if kind is None or entry.get("kind") == kind:
-            found = entry
-    return found

@@ -15,7 +15,7 @@ lexicographic string order coincides with numeric order.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Iterable, List, Optional
+from typing import FrozenSet, List, Optional
 
 EMPTY_NAME = ""
 
@@ -61,12 +61,3 @@ def fresh_unique_names(n: int, bits: int, rng: random.Random) -> List[str]:
         names = [random_name(bits, rng) for _ in range(n)]
         if len(set(names)) == n:
             return names
-
-
-def roster_union(a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
-    """Union of two rosters (kept as a separate function for clarity)."""
-    return a | b
-
-
-def make_roster(names: Iterable[str]) -> FrozenSet[str]:
-    return frozenset(names)

@@ -106,9 +106,6 @@ class SynthResult:
     def ok(self) -> bool:
         return not has_errors(self.findings)
 
-    def objective_curve(self) -> List[Tuple[int, float]]:
-        return [(point.param, point.objective) for point in self.points]
-
 
 _SPECS: Dict[str, SynthSpec] = {}
 

@@ -7,7 +7,6 @@ from repro.analysis.exact import (
     colliding_weight,
     expected_absorption_interactions,
     is_absorbing,
-    reachable_states,
     successors,
     worst_case_expected_interactions,
 )
@@ -32,14 +31,6 @@ class TestChainStructure:
         assert moves == {(1, 2, 0): 2}
         wrap = dict(successors((0, 1, 2)))
         assert wrap == {(1, 1, 1): 2}
-
-    def test_reachable_set_preserves_mass(self):
-        for state in reachable_states((3, 1, 0, 0)):
-            assert sum(state) == 4
-            assert len(state) == 4
-
-    def test_reachable_contains_an_absorbing_state(self):
-        assert any(is_absorbing(s) for s in reachable_states((4, 0, 0, 0)))
 
 
 class TestExpectedAbsorption:

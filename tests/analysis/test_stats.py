@@ -5,15 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import (
-    bootstrap_mean_ci,
-    geometric_mean,
     mean,
     quantile,
     sample_std,
     summarize_trials,
     tail_fraction,
 )
-from repro.core.rng import make_rng
 
 
 class TestBasics:
@@ -67,30 +64,9 @@ class TestSummarizeTrials:
         assert summary.minimum <= summary.mean <= summary.maximum
 
 
-class TestBootstrap:
-    def test_interval_brackets_mean_usually(self):
-        rng = make_rng(1, "boot")
-        data = [rng.gauss(10, 2) for _ in range(60)]
-        low, high = bootstrap_mean_ci(data, make_rng(2, "boot"), resamples=400)
-        assert low < mean(data) < high
-        assert high - low < 4.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci([1.0], make_rng(1, "x"))
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci([1.0, 2.0], make_rng(1, "x"), confidence=1.5)
-
-
 class TestTailAndGeometricMean:
     def test_tail_fraction(self):
         assert tail_fraction([1, 2, 3, 4], 3) == 0.5
         with pytest.raises(ValueError):
             tail_fraction([], 1)
 
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([0.0, 1.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])

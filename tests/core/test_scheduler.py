@@ -8,7 +8,6 @@ from repro.core.scheduler import (
     CallbackScheduler,
     ScriptedScheduler,
     UniformRandomScheduler,
-    script_from_names,
 )
 
 
@@ -65,16 +64,3 @@ class TestCallbackScheduler:
         assert scheduler.next_pair(rng) == (3, 1)
         assert calls == [rng]
 
-
-class TestScriptFromNames:
-    def test_translates_names(self):
-        pairs = script_from_names(["a", "b", "c"], [("a", "b"), ("c", "a")])
-        assert pairs == [(0, 1), (2, 0)]
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            script_from_names(["a", "a"], [])
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            script_from_names(["a", "b"], [("a", "z")])
