@@ -607,8 +607,10 @@ class JobManager:
         self._queue: "asyncio.Queue[Job]" = asyncio.Queue()
         self._worker_tasks: List[asyncio.Task] = []
         self._executor: Any = None
-        #: EMA of job wall seconds, seeding the 429 Retry-After estimate.
+        #: EMA of job wall seconds, seeding the 429 Retry-After estimate:
+        #: a guess until the first job finishes, then that job's wall.
         self._mean_wall = 10.0
+        self._wall_seen = False
 
     # -- lifecycle ------------------------------------------------------
 
@@ -656,6 +658,7 @@ class JobManager:
                         job.event_counts = dict(
                             job.result.get("event_counts", {})
                         )
+                        job.trials_done = int(job.result.get("trials_done", 0))
                 self.jobs[job_id] = job
         self._worker_tasks = [
             asyncio.ensure_future(self._worker_loop())
@@ -948,7 +951,11 @@ class JobManager:
         recorder.end_span(job.id, status="ok")
         wall = time.perf_counter() - started
         job.wall_seconds = wall
-        self._mean_wall = 0.7 * self._mean_wall + 0.3 * wall
+        if self._wall_seen:
+            self._mean_wall = 0.7 * self._mean_wall + 0.3 * wall
+        else:
+            self._mean_wall = wall
+            self._wall_seen = True
         self.telemetry.observe(
             "repro_job_wall_seconds", wall, labels={"kind": job.spec.kind},
             help_text=_HELP["repro_job_wall_seconds"],
@@ -964,6 +971,7 @@ class JobManager:
             "git_sha": git_sha(),
             "wall_seconds": round(wall, 6),
             "event_counts": job.event_counts,
+            "trials_done": job.trials_done,
             **body,
         }
         job.result = document

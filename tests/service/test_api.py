@@ -214,6 +214,28 @@ class TestRoutes:
         assert len(listing["jobs"]) == 1
         assert "counts" in listing
 
+    def test_done_job_keeps_progress_across_restart(self, tmp_path):
+        """A finished job recovered by a restarted server on the same
+        store reports the progress it finished with."""
+        root = tmp_path / "service"
+        spec = {**SMALL_CHAOS, "trials": 2}
+        first = ServerFixture(root).start()
+        try:
+            document = client.submit_job(first.base_url, "chaos", spec)
+            final = client.wait_for_job(first.base_url, document["id"], timeout=120)
+        finally:
+            first.stop()
+        assert final["state"] == "done"
+        assert (final["trials_done"], final["trials_total"]) == (2, 2)
+        second = ServerFixture(root).start()
+        try:
+            recovered = client.get_job(second.base_url, document["id"])
+        finally:
+            second.stop()
+        assert recovered["state"] == "done"
+        for key in ("trials_done", "trials_total", "event_counts", "ok"):
+            assert recovered[key] == final[key], key
+
 
 class TestAdmissionControl:
     def test_full_queue_answers_429_with_retry_after(self, tmp_path, monkeypatch):

@@ -393,3 +393,33 @@ class TestAdmission:
             return True
 
         assert run(body())
+
+    def test_retry_after_learns_from_the_first_job(self, tmp_path, monkeypatch):
+        """The wall-time EMA starts from the first finished job's wall
+        time, so after two short jobs Retry-After is on their scale."""
+        from repro.service import jobs as jobs_mod
+
+        def fake_execute(spec, *, checkpoint=None, recorder=None):
+            time.sleep(0.2)
+            return {"ok": True, "result": {}}
+
+        monkeypatch.setattr(jobs_mod, "execute_spec", fake_execute)
+
+        async def body():
+            manager = JobManager(JobStore(str(tmp_path)), max_queue=16)
+            await manager.start()
+            try:
+                done = [manager.submit(chaos_payload(seed=seed))[0]
+                        for seed in (1, 2)]
+                assert await wait_until(lambda: all(job.terminal for job in done))
+            finally:
+                await manager.stop()
+            # Stopped: these stay queued, eight jobs behind one worker.
+            for seed in range(3, 11):
+                manager.submit(chaos_payload(seed=seed))
+            walls = [job.wall_seconds for job in done]
+            estimate = manager.retry_after_estimate()
+            assert 8 * min(walls) - 0.1 <= estimate <= 8 * max(walls) + 0.1
+            return True
+
+        assert run(body())
