@@ -12,7 +12,8 @@ stays self-describing after it leaves the working tree:
 
 The git lookup shells out once per process and caches the answer;
 outside a git checkout (an installed package, a tarball) it degrades to
-``None`` rather than failing the run that asked for a stamp.
+``None`` rather than failing the run that asked for a stamp, and the
+stamp leaves ``git_sha`` out.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def utc_timestamp() -> float:
 
 
 def run_stamp() -> Dict[str, Any]:
-    """The provenance fields shared by every stamped artifact."""
-    return {
-        "git_sha": git_sha(),
-        "created_unix": round(utc_timestamp(), 3),
-    }
+    """The provenance fields shared by every stamped artifact; without a
+    known SHA there is no ``git_sha`` key."""
+    sha = git_sha()
+    stamp: Dict[str, Any] = {} if sha is None else {"git_sha": sha}
+    stamp["created_unix"] = round(utc_timestamp(), 3)
+    return stamp

@@ -37,6 +37,25 @@ class TestMakeEntry:
         assert entry["experiment"] == "figure2"
         assert entry["seed"] == 7
 
+    def test_no_sha_key_outside_a_checkout(self, monkeypatch, tmp_path):
+        # As if git were missing: every stamp leaves the key out rather
+        # than writing ``"git_sha": null``.
+        from repro.obs import provenance
+        from repro.obs.bench import BenchSuite, run_suite
+        from repro.obs.trace import TraceWriter
+
+        monkeypatch.setattr(provenance, "_git_sha_cache", None)
+        assert "git_sha" not in make_entry("run", experiment="figure2")
+        path = str(tmp_path / "t.jsonl")
+        TraceWriter(path).close()
+        with open(path) as handle:
+            header = json.loads(handle.readline())
+        assert "git_sha" not in header
+        suite = BenchSuite("s").cell("a", lambda seed, repeat: 1.0, repeats=1)
+        summary = run_suite(suite, seed=1)
+        assert "git_sha" not in summary
+        assert "created_unix" in summary
+
     def test_none_fields_dropped(self):
         entry = make_entry("chaos", engine=None, n=64)
         assert "engine" not in entry
