@@ -13,7 +13,8 @@ through the *multiset* of agent states.  This engine exploits that:
 * deterministic transitions are memoized per ordered state pair: the
   protocol's ``transition`` runs once per pair through a spy RNG, and if
   it never consults the RNG the (state-pair -> state-pair) result is
-  replayed for free on every later occurrence;
+  replayed for free on every later occurrence, and a :class:`ProbeTable`
+  carries those results across the engines of a series of trials;
 * for silent protocols, runs of null interactions are *skipped*: once
   the set of effective (non-null) ordered pairs is known, the number of
   consecutive null interactions is drawn from the exact geometric law
@@ -173,6 +174,7 @@ __all__ = [
     "ChaosParam",
     "CountSimulation",
     "GrowableFenwick",  # historical import site; canonical home is core.fenwick
+    "ProbeTable",
     "count_engine_eligible",
     "select_engine",
 ]
@@ -334,11 +336,11 @@ CHAOS_PARAMS: Tuple[ChaosParam, ...] = (
                "fan trials out over W worker processes (bit-identical results)", "W"),
 )
 
-#: Largest slot count the batched path runs at.  Beyond it batching
-#: stops for good and the scalar paths -- including jump mode, where
-#: large-n runs spend their lives -- take over.  The cut-off fixes where
-#: a batched run leaves the numpy stream, so it is part of every
-#: batched trajectory.
+#: Largest slot count the batched path runs at: a bound on slots, as
+#: the batched path builds no table.  Beyond it batching stops for good
+#: and the scalar paths -- including jump mode, where large-n runs spend
+#: their lives -- take over.  The cut-off fixes where a batched run
+#: leaves the numpy stream, so it is part of every batched trajectory.
 MAX_TABLE_DIM = 2048
 
 #: Adaptive batch-size bounds: the batch doubles after fully-accepted
@@ -351,6 +353,37 @@ MAX_BATCH = 16384
 #: Sample and mode-switch threshold that never fires: above any count a
 #: run can reach.
 _NEVER = 1 << 63
+
+
+class ProbeTable:
+    """Probe outcomes shared by a series of count engines on one protocol.
+
+    An engine's memo is keyed by its own slot ids, so each new engine
+    probes every pair again.  A table keeps what those probes found
+    across the series, keyed by the canonical keys of the ordered input
+    pair: ``(key_a, state_a, key_b, state_b)`` for a pair whose probe
+    drew no randomness, ``None`` for one whose probe did.  An engine
+    built with the table looks a pair up there on a memo miss; a
+    deterministic entry stands in for the probe, and a randomized pair
+    is probed as always.  A probe draws nothing on a deterministic pair,
+    so serving one moves no draw (see ``CountSimulation._serve``).
+
+    The table is bound to one protocol instance, and an engine on any
+    other instance refuses it.  It holds at most one entry per ordered
+    pair of states the series met; ``hits`` counts the probes it saved.
+    """
+
+    __slots__ = ("protocol", "hits", "outputs")
+
+    def __init__(self, protocol: PopulationProtocol[Any]):
+        self.protocol = protocol
+        self.hits = 0
+        self.outputs: Dict[
+            Tuple[Hashable, Hashable], Optional[Tuple[Hashable, Any, Hashable, Any]]
+        ] = {}
+
+    def __len__(self) -> int:
+        return len(self.outputs)
 
 
 class CountSimulation:
@@ -385,6 +418,11 @@ class CountSimulation:
         ``recorder.profile`` it additionally times the pair-sampling,
         transition and resync stages.  With no recorder every hook is a
         single predicate check or absent entirely.
+    probe_table:
+        Optional :class:`ProbeTable` of ``protocol`` (the same
+        instance), shared with earlier engines of a series of trials.
+        It replaces their repeated probes and leaves every trajectory
+        as it would be without it.
 
     Attributes
     ----------
@@ -410,9 +448,15 @@ class CountSimulation:
         mode: str = "auto",
         batched: bool = False,
         recorder: Optional[Any] = None,
+        probe_table: Optional[ProbeTable] = None,
     ):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if probe_table is not None and probe_table.protocol is not protocol:
+            raise ValueError(
+                f"the probe table belongs to another {type(probe_table.protocol).__name__} "
+                "instance; a table serves engines on its own protocol only"
+            )
         if not draws_with_getrandbits(rng):
             raise ConfigurationError(
                 f"{type(rng).__name__}.randrange does not draw with getrandbits; "
@@ -474,6 +518,8 @@ class CountSimulation:
         self._slot_rank = array("q")
         # Packed ``si << 32 | sj`` -> ``ta << 32 | tb``, or _RANDOMIZED.
         self._memo: Dict[int, Optional[int]] = {}
+        # A series' shared probe results, consulted on memo misses.
+        self._probe_table = probe_table
 
         # -- ranking-correctness bookkeeping (ConvergenceMonitor semantics)
         rank_of = getattr(protocol, "rank_of", None)
@@ -1023,12 +1069,16 @@ class CountSimulation:
         start = time.perf_counter() if profile else 0.0
         pair = si << 32 | sj
         entry = self._memo.get(pair, False)
+        if entry is False and self._probe_table is not None:
+            entry = self._serve(pair, si, sj)
         # A hit may be the packed int 0 (ta = tb = 0): compare by
         # identity, never by truthiness.
         if entry is False:
-            # First occurrence of this ordered state pair: probe it.
-            initiator = self._clone(self._reps[si])
-            responder = self._clone(self._reps[sj])
+            # First occurrence of this ordered state pair, and no probe
+            # table serves it: probe it.
+            reps = self._reps
+            initiator = self._clone(reps[si])
+            responder = self._clone(reps[sj])
             spy = self._spy
             spy.rearm(self.rng)
             out_a, out_b = self.protocol.transition(initiator, responder, spy)
@@ -1043,6 +1093,13 @@ class CountSimulation:
             if tb is None:
                 tb = self._new_slot(key_b, out_b)
             self._memo[pair] = _RANDOMIZED if spy.used else ta << 32 | tb
+            table = self._probe_table
+            if table is not None:
+                clone = self._clone
+                table.outputs[key(reps[si]), key(reps[sj])] = (
+                    _RANDOMIZED if spy.used
+                    else (key_a, clone(out_a), key_b, clone(out_b))
+                )
         elif entry is _RANDOMIZED:
             initiator = self._clone(self._reps[si])
             responder = self._clone(self._reps[sj])
@@ -1055,6 +1112,34 @@ class CountSimulation:
         if profile:
             obs.add_stage_time("countsim.transition", time.perf_counter() - start)
         self._apply(si, sj, ta, tb)
+
+    def _serve(self, pair: int, si: int, sj: int) -> Union[int, bool]:
+        """Memoize ``pair`` from the probe table: its packed outputs, or
+        ``False`` when the table holds no deterministic entry for it.
+
+        Missing output slots are created as the probe would create them,
+        ``key_a``'s first, each from a clone of the table's state, so
+        slot ids, the Fenwick layout and every later draw are the ones
+        the probe would have given.
+        """
+        table = self._probe_table
+        assert table is not None
+        key = self._key
+        reps = self._reps
+        stored = table.outputs.get((key(reps[si]), key(reps[sj])))
+        if stored is None:
+            return False  # not met in the series yet, or randomized
+        key_a, state_a, key_b, state_b = stored
+        slot_of_key = self._slot_of_key
+        ta = slot_of_key.get(key_a)
+        if ta is None:
+            ta = self._new_slot(key_a, self._clone(state_a))
+        tb = slot_of_key.get(key_b)
+        if tb is None:
+            tb = self._new_slot(key_b, self._clone(state_b))
+        entry = self._memo[pair] = ta << 32 | tb
+        table.hits += 1
+        return entry
 
     def _apply(self, si: int, sj: int, ta: int, tb: int) -> None:
         # In jump mode a slot that fills up is classified on the spot,

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.analysis.stats import TrialSummary, summarize_trials
 from repro.core.configuration import is_silent
-from repro.core.countsim import CountSimulation, select_engine
+from repro.core.countsim import CountSimulation, ProbeTable, select_engine
 from repro.core.monitors import Monitor
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.simulation import Simulation
@@ -61,6 +61,7 @@ def measure_convergence(
     max_time: float,
     confirm_time: Optional[float] = None,
     engine: str = "auto",
+    probe_table: Optional[ProbeTable] = None,
 ) -> ConvergenceOutcome:
     """Measure the stabilization time of one run.
 
@@ -79,11 +80,17 @@ def measure_convergence(
         All engines produce the same outcome *distribution* (enforced
         by the equivalence tests), but per-seed trajectories differ, so
         comparisons across engines must be distributional.
+    probe_table:
+        A :class:`~repro.core.countsim.ProbeTable` of ``protocol`` that
+        the count engine shares with the other runs of a series; the
+        outcome is the same without it.  The generic engine never
+        probes, so it leaves the table alone.
     """
     batched = select_engine(protocol, engine)
     if batched is not None:
         return _measure_convergence_counted(
-            protocol, states, rng=rng, max_time=max_time, batched=batched
+            protocol, states, rng=rng, max_time=max_time, batched=batched,
+            probe_table=probe_table,
         )
     n = protocol.n
     monitor = protocol.convergence_monitor()
@@ -139,6 +146,7 @@ def _measure_convergence_counted(
     rng: random.Random,
     max_time: float,
     batched: bool,
+    probe_table: Optional[ProbeTable],
 ) -> ConvergenceOutcome:
     """Count-engine measurement path: exact silence-certified outcomes.
 
@@ -147,7 +155,9 @@ def _measure_convergence_counted(
     confirmation-window machinery never applies here.
     """
     n = protocol.n
-    sim = CountSimulation(protocol, list(states), rng=rng, batched=batched)
+    sim = CountSimulation(
+        protocol, list(states), rng=rng, batched=batched, probe_table=probe_table
+    )
     max_interactions = int(max_time * n)
     # Match the generic path's time-zero probe: an initially silent and
     # correct configuration stabilized at time 0 regardless of budget.

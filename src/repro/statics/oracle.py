@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from math import sqrt
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.countsim import select_engine
+from repro.core.countsim import ProbeTable, select_engine
 from repro.core.rng import make_rng
 from repro.statics.findings import Finding, Severity, has_errors, render_report
 from repro.statics.quant import (
@@ -209,26 +209,31 @@ def _runs_on(protocol: Any, engine: str) -> bool:
 
 
 def _measure_mean(
-    make_protocol: Callable[[], Any],
+    protocol: Any,
     start: Sequence[Any],
     *,
     engine: str,
     trials: int,
     seed: int,
     max_time: float,
+    probe_table: ProbeTable,
 ) -> float:
-    """Mean stabilization interactions over ``trials`` fresh runs."""
+    """Mean stabilization interactions over ``trials`` fresh runs of ``protocol``.
+
+    Every run gets a fresh engine and a fresh copy of ``start``; a count
+    engine shares ``probe_table`` with the others.
+    """
     from repro.experiments.common import measure_convergence
 
     total = 0.0
     for trial in range(trials):
-        protocol = make_protocol()
         outcome = measure_convergence(
             protocol,
             [copy.deepcopy(state) for state in start],
             rng=make_rng(seed, "verify", engine, trial),
             max_time=max_time,
             engine=engine,
+            probe_table=probe_table,
         )
         if not outcome.converged:
             raise QuantError(
@@ -333,14 +338,18 @@ def verify_target(
     # Generously past any band: exact + 40 sigma of a single trial.
     max_time = (exact + 40.0 * sqrt(max(variance, 1.0))) / n + 1.0
     engines = [engine for engine in target.engines if _runs_on(protocol, engine)]
+    # One probe table per target: its count and vector trials meet the
+    # same pairs, and a table serves engines on this instance only.
+    probe_table = ProbeTable(protocol)
     for engine in engines:
         mean = _measure_mean(
-            lambda: target.make_protocol(n),
+            protocol,
             start,
             engine=engine,
             trials=trials,
             seed=seed,
             max_time=max_time,
+            probe_table=probe_table,
         )
         within = abs(mean - exact) <= band
         report.estimates.append(

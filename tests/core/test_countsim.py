@@ -24,6 +24,7 @@ import repro.core.countsim as countsim_module
 from repro.core.countsim import (
     CountSimulation,
     GrowableFenwick,
+    ProbeTable,
     count_engine_eligible,
 )
 from repro.core.configuration import is_silent
@@ -41,6 +42,7 @@ from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 from repro.protocols.sync_dictionary import SyncDictionarySSR
+from repro.statics.oracle import _initial_start, _tiny_optimal
 from repro.statics.schema import (
     FieldSpec,
     IntRange,
@@ -694,6 +696,136 @@ class TestMemoization:
         occupancy = sim.occupancy()
         assert occupancy.get((0, 1), 0) >= 1
         assert occupancy.get((0, 0), 0) >= 1
+
+
+def _probe_table_start(name):
+    """``repro verify``'s n=4 targets: tiny Optimal-Silent from its
+    initial start, and CIW from its worst case."""
+    if name == "optimal-silent":
+        protocol = _tiny_optimal(4)
+        return protocol, _initial_start(protocol)
+    protocol = SilentNStateSSR(4)
+    return protocol, protocol.worst_case_configuration()
+
+
+class TestProbeTable:
+    """A probe table shared across a series of engines replaces probes
+    and nothing else: every trial with it is the trial without it."""
+
+    @staticmethod
+    def _observed(sim):
+        return (
+            (sim.interactions, sim.events, sim.changes),
+            sim.occupancy(),
+            sim.rng.getstate(),
+        )
+
+    @pytest.mark.parametrize("name", ["optimal-silent", "ciw"])
+    def test_series_equals_fresh_engines(self, name):
+        protocol, start = _probe_table_start(name)
+        table = ProbeTable(protocol)
+        for batched in (False, True):  # verify's count, then vector trials
+            for trial in range(20):
+                runs = []
+                for shared in (table, None):
+                    sim = CountSimulation(
+                        protocol,
+                        deepcopy(start),
+                        rng=make_rng(trial, "probe-table", name, batched),
+                        batched=batched,
+                        probe_table=shared,
+                    )
+                    assert sim.run_until_silent()
+                    runs.append(self._observed(sim))
+                assert runs[0] == runs[1], (batched, trial)
+        assert table.hits > 0
+        assert 0 < len(table) <= protocol.state_count() ** 2
+
+    def test_randomized_pairs_are_probed_every_time(self):
+        from tests.core.test_kernel import KernelCoinFlip
+
+        protocol = KernelCoinFlip(4)
+        key = schema_for(protocol).key
+        table = ProbeTable(protocol)
+        for trial in range(10):
+            runs = []
+            for shared in (table, None):
+                sim = CountSimulation(
+                    protocol,
+                    [1, 1, 0, 0],
+                    rng=make_rng(trial, "probe-table", "coin"),
+                    mode="interaction",
+                    probe_table=shared,
+                )
+                sim.run(200)
+                runs.append(self._observed(sim))
+                ones = sim._slot_of_key[key(1)]
+                assert sim._memo[ones << 32 | ones] is None
+            assert runs[0] == runs[1], trial
+        assert table.outputs[key(1), key(1)] is None
+        assert table.hits > 0  # the deterministic pairs were served
+
+    def test_measure_convergence_passes_the_table_down(self):
+        from repro.experiments.common import measure_convergence
+
+        protocol, start = _probe_table_start("optimal-silent")
+        table = ProbeTable(protocol)
+        for engine in ("count", "generic"):
+            for trial in range(5):
+                outcomes = [
+                    measure_convergence(
+                        protocol,
+                        deepcopy(start),
+                        rng=make_rng(trial, "probe-table", "measure", engine),
+                        max_time=1e4,
+                        engine=engine,
+                        probe_table=shared,
+                    )
+                    for shared in (table, None)
+                ]
+                assert outcomes[0] == outcomes[1], (engine, trial)
+                assert outcomes[0].converged
+            if engine == "count":
+                assert table.hits > 0
+                served = (table.hits, len(table))
+        assert (table.hits, len(table)) == served  # the generic engine never probes
+
+    def test_refuses_another_protocol_instance(self):
+        protocol, start = _probe_table_start("optimal-silent")
+        table = ProbeTable(protocol)
+        for other in (OptimalSilentSSR(4), _tiny_optimal(4)):
+            with pytest.raises(ValueError, match="another OptimalSilentSSR"):
+                CountSimulation(
+                    other, deepcopy(start), rng=make_rng(0, "probe-table"),
+                    probe_table=table,
+                )
+
+    def test_engine_states_do_not_alias_the_table(self):
+        protocol, start = _probe_table_start("optimal-silent")
+        key = schema_for(protocol).key
+        table = ProbeTable(protocol)
+        sims = []
+        for trial in range(2):
+            sim = CountSimulation(
+                protocol, deepcopy(start), rng=make_rng(trial, "probe-table", "alias"),
+                probe_table=table,
+            )
+            assert sim.run_until_silent()
+            sims.append(sim)
+        assert table.hits > 0
+        stored = deepcopy(table.outputs)
+        second = [deepcopy(rep) for rep in sims[1]._reps]
+        for rep in sims[0]._reps:
+            rep.rank += 1000
+        assert table.outputs == stored
+        assert sims[1]._reps == second
+        for rep in sims[1]._reps:
+            rep.rank += 1000
+        assert table.outputs == stored
+        for outputs in table.outputs.values():
+            if outputs is not None:
+                key_a, state_a, key_b, state_b = outputs
+                assert (key(state_a), key(state_b)) == (key_a, key_b)
 
 
 # ---------------------------------------------------------------------------

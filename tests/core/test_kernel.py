@@ -337,9 +337,10 @@ class TestBatchedStepping:
             batched=True,
         )
         sim.run(400)
-        # Freezing the first (1,1) outcome into the dense table would
-        # either pin the population or collapse it; under the true 1/2
-        # law both states stay occupied with overwhelming probability.
+        # Treating the first (1,1) outcome as a known null and scanning
+        # past it would either pin the population or collapse it; under
+        # the true 1/2 law both states stay occupied with overwhelming
+        # probability.
         occupancy = sim.occupancy()
         assert occupancy.get((0, 1), 0) >= 1
         assert occupancy.get((0, 0), 0) >= 1
@@ -493,7 +494,7 @@ class TestBatchedGolden:
     ``run(HORIZON * n * n)`` in the given mode and pins
     ``(interactions, events, changes, sorted(occupancy().items()))``.
     The batched draws come from a numpy Generator seeded from the python
-    RNG, so any change to batch sizing, table lookup or conflict
+    RNG, so any change to batch sizing, the known-null scan or conflict
     truncation moves these values.  ``auto`` runs on the silent
     protocols also cover the switch to jump mode and stop at silence.
     """
