@@ -32,6 +32,7 @@ Three entry points:
 """
 
 import argparse
+import copy
 import json
 import os
 import random
@@ -44,7 +45,7 @@ import tracemalloc
 import pytest
 
 import repro
-from repro.core.countsim import CountSimulation
+from repro.core.countsim import CountSimulation, ProbeTable
 from repro.core.fastpath import CiwJumpSimulator, worst_case_ciw_counts
 from repro.core.fastpath_optimal_silent import OptimalSilentFastSim
 from repro.core.rng import make_rng
@@ -54,6 +55,7 @@ from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.parameters import calibrated_sublinear
 from repro.protocols.sublinear.detect_collision import find_collision, merge_histories
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
+from repro.statics.oracle import _initial_start, _tiny_optimal
 
 STEPS = 20_000
 SMOKE_SEED = 1234
@@ -70,6 +72,9 @@ MAX_BYTES_PER_SLOT = 450
 RECORDING_PAIRS = 10
 #: Random-start trials per pass of the Optimal-Silent fast-simulator cell.
 FASTSIM_TRIALS = 10
+#: Trials per pass of the probe-table series cell: one ``repro verify``
+#: count estimate.
+SERIES_TRIALS = 100
 #: Fresh interpreters timed by the cold-start cell.
 COLD_START_REPEATS = 3
 #: The cold-start child: import the CLI, then print its own peak RSS in
@@ -304,6 +309,45 @@ def _smoke_mode(cell: str, seed: int) -> dict:
     }
 
 
+def _smoke_series(seed: int) -> dict:
+    """Time a series of count-engine trials that share one probe table.
+
+    ``repro verify``'s count estimate for its tiny Optimal-Silent target
+    at n=4: ``SERIES_TRIALS`` fresh engines from the target's initial
+    start, each run to silence, all on one protocol instance and one
+    :class:`~repro.core.countsim.ProbeTable`, as ``verify_target`` runs
+    them.  ``seconds`` is the whole series, construction included;
+    ``events_per_second`` is events over run seconds.
+    """
+    protocol = _tiny_optimal(4)
+    states = _initial_start(protocol)
+    table = ProbeTable(protocol)
+    events = 0
+    run_seconds = 0.0
+    start = time.perf_counter()
+    for trial in range(SERIES_TRIALS):
+        rng = make_rng(seed, "smoke-series", trial)
+        sim = CountSimulation(
+            protocol, copy.deepcopy(states), rng=rng, probe_table=table
+        )
+        began = time.perf_counter()
+        sim.run_until_silent()
+        run_seconds += time.perf_counter() - began
+        events += sim.events
+    return {
+        "engine": "count-series",
+        "protocol": type(protocol).__name__,
+        "n": protocol.n,
+        "trials": SERIES_TRIALS,
+        "events": events,
+        "table_hits": table.hits,
+        "table_entries": len(table),
+        "run_seconds": round(run_seconds, 6),
+        "seconds": round(time.perf_counter() - start, 6),
+        "events_per_second": events / run_seconds,
+    }
+
+
 def _smoke_memory(n: int, seed: int) -> dict:
     """Traced bytes per slot the count engine holds after a jump-mode
     run from the CIW worst case to silence.
@@ -531,6 +575,13 @@ def bench_suite():
             higher_is_better=True,
         )
     suite.cell(
+        "count-series-optimal-n4",
+        lambda seed, repeat: _smoke_series(seed)["events_per_second"],
+        repeats=3,
+        metric="events_per_second",
+        higher_is_better=True,
+    )
+    suite.cell(
         "count-memory-n8192",
         lambda seed, repeat: _smoke_memory(8192, seed)["bytes_per_slot"],
         repeats=1,
@@ -638,6 +689,7 @@ def main(argv=None) -> int:
         _repeat_cell(lambda name=name: _smoke_mode(name, args.seed), args.repeats)
         for name in MODE_CELLS
     ]
+    cells.append(_repeat_cell(lambda: _smoke_series(args.seed), args.repeats))
 
     cold_start = _smoke_cold_start(max(COLD_START_REPEATS, args.repeats))
     cold_start_passed = not cold_start["numpy_loaded"]
