@@ -104,7 +104,7 @@ def bench_suite():
         lambda seed, repeat: (_detection_cell(32, 1, seed, "bench-h1"), None)[1],
         repeats=3,
     )
-    for n, repeats in ((8, 3), (12, 2)):
+    for n, repeats in ((8, 3), (12, 2), (16, 1)):
         suite.cell(
             f"sublinear-log-n{n}",
             lambda seed, repeat, n=n: _sublinear_log_rate(n, seed),

@@ -144,11 +144,12 @@ def _check_panel(
         measured=[[e.sync for e in p] for p in paths],
         expected="exactly the path d -3-> c -2-> b -1-> a",
     )
-    verdict = check_path_consistency(a.tree, paths[0], d.tree.name)
+    # Without a path there is nothing to check, and the check fails.
+    verdict = check_path_consistency(a.tree, paths[0], d.tree.name) if paths else None
     report.add_check(
         f"{panel}-a-passes-consistency",
         passed=verdict is True,
-        measured=str(verdict),
+        measured="no path" if verdict is None else str(verdict),
         expected=f"True (match at compared edge {matching_edge_index})",
     )
     # No collision is (correctly) declared between any honest pair.
@@ -166,10 +167,11 @@ def _check_panel(
     )
     # The contrast case: an impostor named "a" with no history fails.
     impostor = FigureAgent("a")
+    caught = find_collision(d, impostor)
     report.add_check(
         f"{panel}-impostor-caught",
-        passed=find_collision(d, impostor),
-        measured=True,
+        passed=caught,
+        measured=caught,
         expected="d's path to 'a' is inconsistent with the impostor",
     )
     report.notes.append(f"--- {panel} panel replay ---")

@@ -48,31 +48,42 @@ def check_path_consistency(
     """
     if not path:
         raise ValueError("consistency checks need a path with at least one edge")
-    labels = [i_name] + [edge.child.name for edge in path]
-    if j_tree.name != labels[-1]:
-        raise ValueError(
-            f"path ends at {labels[-1]!r} but verifier is {j_tree.name!r}"
-        )
-
-    # Walk j's tree along the reversed label sequence.  Trees built by
-    # the protocol have at most one child per name under any node, but
-    # adversarial initial trees may not; exploring every matching branch
-    # keeps the check sound either way (any branch with a matching sync
-    # certifies consistency).  The walk keeps an explicit stack of
-    # ``(node, position)`` pairs, where ``position`` indexes the path
-    # edge compared next, from ``p`` down to ``1`` (1-based like the
-    # paper); a recursive closure here would leave a reference cycle
-    # behind on every call.
-    stack = [(j_tree, len(path))]
-    while stack:
-        node, position = stack.pop()
-        wanted = labels[position - 1]
-        sync = path[position - 1].sync
-        for edge in node.edges:
-            if edge.child.name != wanted:
-                continue
-            if edge.sync == sync:
-                return CONSISTENT
-            if position > 1:
-                stack.append((edge.child, position - 1))
+    end_name = path[-1].child.name
+    if j_tree.name != end_name:
+        raise ValueError(f"path ends at {end_name!r} but verifier is {j_tree.name!r}")
+    if _reversed_walk_matches(j_tree, path, len(path), i_name):
+        return CONSISTENT
     return INCONSISTENT
+
+
+def _reversed_walk_matches(
+    node: HistoryTree, path: Sequence[TreeEdge], position: int, i_name: str
+) -> bool:
+    """Whether a walk below ``node`` along the reversed path finds a sync match.
+
+    ``position`` indexes the path edge compared next, from ``p`` down to
+    ``1`` (1-based like the paper): ``node``'s child labelled
+    ``n_{position-1}`` must carry that edge's sync, or the walk goes on
+    below it.  Trees built by the protocol have at most one child per
+    name under any node, but adversarial initial trees may not;
+    exploring every matching branch keeps the check sound either way
+    (any branch with a matching sync certifies consistency).  Labels are
+    read off the path's edges, and the recursion is a plain function: a
+    self-recursive closure would leave a reference cycle behind on
+    every call.
+    """
+    wanted = path[position - 2].child.name if position > 1 else i_name
+    sync = path[position - 1].sync
+    for edge in node.edges:
+        child = edge.child
+        if child.name != wanted:
+            continue
+        if edge.sync == sync:
+            return True
+        if (
+            position > 1
+            and child.edges
+            and _reversed_walk_matches(child, path, position - 1, i_name)
+        ):
+            return True
+    return False

@@ -29,7 +29,7 @@ from typing import Protocol as TypingProtocol
 
 from repro.protocols.parameters import SublinearParameters
 from repro.protocols.sublinear.consistency import INCONSISTENT, check_path_consistency
-from repro.protocols.sublinear.history_tree import HistoryTree
+from repro.protocols.sublinear.history_tree import HistoryTree, _walk_live_paths
 
 
 class HasNameTreeClock(TypingProtocol):
@@ -49,13 +49,23 @@ def find_collision(a: HasNameTreeClock, b: HasNameTreeClock) -> bool:
     mechanism, and for ``H >= 1`` the two same-named agents must still
     recognize each other on direct contact, since neither tree can hold
     a path ending in the agent's own name).
+
+    Each direction is one walk over the accuser's live paths that checks
+    every path ending at the partner's name as it reaches it and stops
+    at the first inconsistent one.
     """
     if a.name == b.name:
         return True
     for i, j in ((a, b), (b, a)):
-        for path in i.tree.paths_to_name(j.name, i.clock):
-            if check_path_consistency(j.tree, path, i.tree.name) is INCONSISTENT:
-                return True
+        j_tree, i_name = j.tree, i.tree.name
+        if _walk_live_paths(
+            i.tree,
+            j.name,
+            i.clock,
+            [],
+            lambda path: check_path_consistency(j_tree, path, i_name) is INCONSISTENT,
+        ):
+            return True
     return False
 
 

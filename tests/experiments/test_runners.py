@@ -8,6 +8,7 @@ plus unit tests of their pure helpers.
 import pytest
 
 from repro.core.rng import make_rng
+from repro.experiments import figure2
 from repro.experiments.cli import main
 from repro.experiments.figure1 import (
     is_parent_closed,
@@ -26,6 +27,7 @@ from repro.experiments.theorem21 import (
     time_to_second_leader,
 )
 from repro.protocols.optimal_silent import OptimalSilentSSR, Role
+from repro.protocols.sublinear.history_tree import HistoryTree
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 from repro.service.jobs import JobSpec, JobValidationError
 
@@ -93,6 +95,23 @@ class TestFigure2:
         report = run_figure2()
         assert report.all_passed
         assert len(report.rows) == 8  # 4 agents x 2 panels
+
+    def test_missing_path_fails_the_consistency_check(self, monkeypatch):
+        monkeypatch.setattr(HistoryTree, "paths_to_name", lambda self, target, clock: [])
+        report = run_figure2()
+        for panel in ("left", "right"):
+            check = report.checks[f"{panel}-a-passes-consistency"]
+            assert not check.passed
+            assert check.measured == "no path"
+            assert not report.checks[f"{panel}-d-has-one-path-to-a"].passed
+
+    def test_impostor_check_records_the_verdict(self, monkeypatch):
+        monkeypatch.setattr(figure2, "find_collision", lambda a, b: False)
+        report = run_figure2()
+        for panel in ("left", "right"):
+            check = report.checks[f"{panel}-impostor-caught"]
+            assert check.passed is False
+            assert check.measured is False
 
 
 class TestTheorem21Components:

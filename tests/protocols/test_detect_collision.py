@@ -3,14 +3,20 @@
 import gc
 from dataclasses import dataclass, field
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.core.rng import make_rng
 from repro.protocols.parameters import calibrated_sublinear
+from repro.protocols.sublinear.consistency import INCONSISTENT, check_path_consistency
 from repro.protocols.sublinear.detect_collision import (
     detect_name_collision,
     find_collision,
     merge_histories,
 )
 from repro.protocols.sublinear.history_tree import HistoryTree
+from repro.protocols.sublinear.protocol import SublinearTimeSSR
 
 
 @dataclass
@@ -187,3 +193,111 @@ class TestNoCyclicGarbage:
         finally:
             if enabled:
                 gc.enable()
+
+
+def reference_find_collision(a, b):
+    """The collect-then-check search ``find_collision`` replaced, kept
+    verbatim as the verdict reference."""
+    if a.name == b.name:
+        return True
+    for i, j in ((a, b), (b, a)):
+        for path in i.tree.paths_to_name(j.name, i.clock):
+            if check_path_consistency(j.tree, path, i.tree.name) is INCONSISTENT:
+                return True
+    return False
+
+
+def random_partner_tree(name, labels, syncs, depth, rng):
+    """A tree over ``labels`` and ``syncs``, up to three children per node."""
+    node = HistoryTree.singleton(name)
+    if depth > 0:
+        for _ in range(rng.randrange(4)):
+            node.graft(
+                random_partner_tree(rng.choice(labels), labels, syncs, depth - 1, rng),
+                sync=rng.choice(syncs),
+                expires=rng.randrange(8),
+            )
+    return node
+
+
+@st.composite
+def named_trees(draw, name, depth=3):
+    node = HistoryTree.singleton(name)
+    if depth > 0:
+        for _ in range(draw(st.integers(0, 3))):
+            child = draw(named_trees(draw(st.sampled_from("abcdef")), depth=depth - 1))
+            node.graft(
+                child,
+                sync=draw(st.integers(1, 4)),
+                expires=draw(st.integers(0, 6)),
+            )
+    return node
+
+
+class TestFindCollisionReference:
+    """``find_collision`` gives the collect-then-check search's verdict."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_protocol_grown_trees(self, n):
+        protocol = SublinearTimeSSR(n)
+        rng = make_rng(n, "grown-collisions")
+        agents = protocol.unique_names_configuration(rng)
+        # Two agents share a name, so impostors are caught (or missed).
+        agents[-1] = protocol.unique_names_configuration(rng)[0]
+        agents[-1].name = agents[-1].tree.name = agents[0].name
+        for _ in range(40 * n):
+            i, j = rng.sample(range(n - 1), 2)
+            protocol.transition(agents[i], agents[j], rng)
+        verdicts = set()
+        for a in agents:
+            for b in agents:
+                if a is b or a.name == b.name:
+                    continue
+                for clock_shift in (0, 5):
+                    a.clock += clock_shift
+                    expected = reference_find_collision(a, b)
+                    assert find_collision(a, b) is expected
+                    a.clock -= clock_shift
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_adversarial_random_trees(self):
+        # Accusers carry the protocol's adversarial trees (dead edges,
+        # repeated child names); each partner's tree is drawn from the
+        # labels and syncs of the accuser's tree, so the partner also
+        # holds paths back to the accuser and both directions run.
+        protocol = SublinearTimeSSR(16)
+        rng = make_rng(0, "adversarial-collisions")
+        verdicts = []
+        for _ in range(200):
+            a = Agent("i", protocol._random_tree("i", rng), clock=rng.randrange(4))
+            edges = list(a.tree.iter_edges())
+            labels = ["i"] + [edge.child.name for edge in edges]
+            syncs = [edge.sync for edge in edges] + [0]
+            for target in sorted(set(labels) - {"i"}):
+                for _ in range(3):
+                    tree = random_partner_tree(target, labels, syncs, protocol.params.h, rng)
+                    b = Agent(target, tree, clock=rng.randrange(4))
+                    for x, y in ((a, b), (b, a)):
+                        expected = reference_find_collision(x, y)
+                        assert find_collision(x, y) is expected
+                        verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
+    @given(data=st.data(), clocks=st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    @settings(max_examples=80, deadline=None)
+    def test_hypothesis_trees(self, data, clocks):
+        a_name, b_name = data.draw(st.sampled_from("abcdef")), data.draw(st.sampled_from("abcdef"))
+        assume(a_name != b_name)
+        a = Agent(a_name, data.draw(named_trees(a_name)), clock=clocks[0])
+        b = Agent(b_name, data.draw(named_trees(b_name)), clock=clocks[1])
+        assert find_collision(a, b) is reference_find_collision(a, b)
+
+    def test_verifier_root_other_than_its_name_raises(self):
+        # b's tree root disagrees with b's name: checking a's path to
+        # "x" against it violates Protocol 8's precondition.
+        a, b = Agent("a"), Agent("x", HistoryTree.singleton("y"))
+        a.tree.graft(HistoryTree.singleton("x"), sync=1, expires=10)
+        for search in (find_collision, reference_find_collision):
+            with pytest.raises(ValueError):
+                search(a, b)
