@@ -34,7 +34,7 @@ from repro.protocols.base import RankingProtocol
 from repro.protocols.parameters import SublinearParameters, calibrated_sublinear
 from repro.protocols.propagate_reset import ResetHooks, propagate_reset_interaction
 from repro.protocols.sublinear.detect_collision import detect_name_collision
-from repro.protocols.sublinear.history_tree import HistoryTree, TreeEdge
+from repro.protocols.sublinear.history_tree import HistoryTree
 from repro.protocols.sublinear.names import (
     EMPTY_NAME,
     append_random_bit,
@@ -245,13 +245,11 @@ class SublinearTimeSSR(RankingProtocol[SublinearAgent]):
             if depth > 0 and rng.random() < 0.6:
                 for _ in range(rng.randrange(1, 3)):
                     child = build(rng.choice(names), depth - 1)
-                    node.edges.append(
-                        TreeEdge(
-                            sync=rng.randint(1, self.params.s_max),
-                            # Remaining timer in 0..T_H (clock starts at 0).
-                            expires=rng.randrange(self.params.t_h + 1),
-                            child=child,
-                        )
+                    node.graft(
+                        child,
+                        sync=rng.randint(1, self.params.s_max),
+                        # Remaining timer in 0..T_H (clock starts at 0).
+                        expires=rng.randrange(self.params.t_h + 1),
                     )
             return node
 

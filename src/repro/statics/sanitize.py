@@ -19,7 +19,10 @@ configurations and checks the contract directly:
   with every non-participant's graph.  Immutable containers (tuples,
   frozensets) and enum singletons are traversed but never reported:
   sharing them is legitimate and the sublinear protocols do it on
-  purpose with their frozenset rosters.
+  purpose with their frozenset rosters.  So are objects whose
+  ``shareable()`` method says so: the history-tree leaves that copies
+  share, which are never mutated.  Attributes are read from
+  ``__dict__`` and ``__slots__`` alike.
 * **third-agent mutation** -- every non-participant must ``repr`` the
   same before and after the interaction.
 * **hidden nondeterminism** -- replaying the transition from a second
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import is_dataclass
 from enum import Enum
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -61,8 +63,9 @@ def mutable_ids(obj: Any, path: str = "state") -> Dict[int, str]:
 
     Enum members are singletons shared by design and primitives are
     interned/copied freely by Python, so neither is recorded.  Immutable
-    containers are traversed (their *contents* may be mutable) but not
-    recorded themselves.
+    containers, and objects whose ``shareable()`` returns true, are
+    traversed (their *contents* may be mutable) but not recorded
+    themselves.
     """
     found: Dict[int, str] = {}
 
@@ -75,7 +78,9 @@ def mutable_ids(obj: Any, path: str = "state") -> Dict[int, str]:
             return
         if id(node) in found:
             return
-        found[id(node)] = where
+        shareable = getattr(node, "shareable", None)
+        if not (callable(shareable) and shareable()):
+            found[id(node)] = where
         if isinstance(node, Mapping):
             for key, value in node.items():
                 visit(key, f"{where} key {key!r}")
@@ -83,12 +88,23 @@ def mutable_ids(obj: Any, path: str = "state") -> Dict[int, str]:
         elif isinstance(node, (list, set)):
             for position, item in enumerate(node):
                 visit(item, f"{where}[{position}]")
-        elif is_dataclass(node) or hasattr(node, "__dict__"):
-            for name, value in vars(node).items():
+        else:
+            for name, value in _attributes(node):
                 visit(value, f"{where}.{name}")
 
     visit(obj, path)
     return found
+
+
+def _attributes(node: Any) -> List[Tuple[str, Any]]:
+    """``(name, value)`` for each instance attribute, in ``__dict__`` or ``__slots__``."""
+    attributes = list(getattr(node, "__dict__", {}).items())
+    for klass in type(node).__mro__:
+        slots = klass.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name not in ("__dict__", "__weakref__") and hasattr(node, name):
+                attributes.append((name, getattr(node, name)))
+    return attributes
 
 
 def _shared_paths(

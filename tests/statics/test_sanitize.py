@@ -8,9 +8,11 @@ escape), with witness configurations attached.
 import random
 
 from repro.core.adversary import adversarial_battery
+from repro.core.rng import make_rng
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.parameters import OptimalSilentParameters, ResetParameters
+from repro.protocols.sublinear.history_tree import HistoryTree
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 from repro.statics.findings import Severity
 from repro.statics.mutants import BrokenRankingSSR, NondeterministicRankingSSR
@@ -19,6 +21,7 @@ from repro.statics.sanitize import (
     RULE_NONDETERMINISM,
     RULE_SCHEMA_ESCAPE,
     mutable_ids,
+    sanitize_configuration,
     sanitize_protocol,
 )
 from repro.statics.schema import schema_for
@@ -27,6 +30,41 @@ from repro.statics.schema import schema_for
 def tiny_optimal(n: int) -> OptimalSilentSSR:
     params = OptimalSilentParameters(reset=ResetParameters(r_max=2, d_max=2), e_max=2)
     return OptimalSilentSSR(n, params)
+
+
+def grown_sublinear(protocol, n: int):
+    """Agents after 2 n interactions, while trees still grow.
+
+    Shallow trees are when agents share leaves: a depth-(H-1) snapshot
+    reuses the source's shared leaves above its cut, and once every tree
+    is full depth its shared leaves all sit below the cut.
+    """
+    rng = make_rng(n, "sanitize-grown")
+    agents = protocol.unique_names_configuration(rng)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        protocol.transition(agents[i], agents[j], rng)
+    return agents
+
+
+def tree_nodes(tree: HistoryTree):
+    return [tree] + [edge.child for edge in tree.iter_edges()]
+
+
+class GraftsTheSourceTree(SublinearTimeSSR):
+    """Mutant: the initiator also grafts the responder's own tree, uncopied."""
+
+    def transition(self, a, b, rng):
+        a, b = super().transition(a, b, rng)
+        a.tree.graft(b.tree, sync=1, expires=a.clock + 1)
+        return a, b
+
+
+class Slotted:
+    __slots__ = ("scratch",)
+
+    def __init__(self, scratch):
+        self.scratch = scratch
 
 
 class TestMutableIds:
@@ -57,6 +95,22 @@ class TestMutableIds:
         ids = mutable_ids(agent)
         assert id(agent.scratch) in ids
 
+    def test_slots_attributes_visited(self):
+        agent = Slotted([1])
+        ids = mutable_ids(agent)
+        assert id(agent) in ids and id(agent.scratch) in ids
+        assert ids[id(agent.scratch)] == "state.scratch"
+
+    def test_shared_tree_leaves_traverse_without_being_recorded(self):
+        tree = HistoryTree("a")
+        tree.graft(HistoryTree("b"), sync=1, expires=5)
+        copy = tree.copy(1)
+        shared = copy.edges[0].child
+        assert shared.shareable()
+        ids = mutable_ids(copy)
+        assert id(shared) not in ids
+        assert id(copy) in ids and id(copy.edges) in ids
+
 
 class TestCleanProtocols:
     def test_silent_n_state_is_clean(self):
@@ -76,6 +130,19 @@ class TestCleanProtocols:
         protocol = SublinearTimeSSR(4)
         findings = sanitize_protocol(protocol, rng=random.Random(0))
         assert findings == []
+
+    def test_sublinear_grown_trees_share_only_leaves(self):
+        protocol = SublinearTimeSSR(5, h=3)
+        agents = grown_sublinear(protocol, 5)
+        seen = {}
+        shared = []
+        for agent in agents:
+            for node in tree_nodes(agent.tree):
+                if seen.setdefault(id(node), agent) is not agent:
+                    shared.append(node)
+        assert shared, "no leaf is shared: the sweep below would prove nothing"
+        assert all(node.shareable() and not node.edges for node in shared)
+        assert sanitize_configuration(protocol, agents, label="grown") == []
 
 
 class TestMutantsAreFlagged:
@@ -100,6 +167,14 @@ class TestMutantsAreFlagged:
         # The witness names the shared structure by attribute path.
         assert any("scratch" in f.message for f in aliasing)
         assert any(f.witness for f in aliasing), "aliasing needs a witness"
+
+    def test_shared_tree_node_with_edges_flagged(self):
+        protocol = GraftsTheSourceTree(5, h=3)
+        agents = grown_sublinear(protocol, 5)
+        findings = sanitize_configuration(protocol, agents, label="grown")
+        aliasing = [f for f in findings if f.rule_id == RULE_ALIASING]
+        assert aliasing
+        assert any("responder-output.tree" in f.message for f in aliasing)
 
     def test_nondeterministic_ranking_flagged(self):
         protocol = NondeterministicRankingSSR(3)
