@@ -1,7 +1,10 @@
 """Tests for the experiment measurement machinery."""
 
+import math
+
 import pytest
 
+from repro.core import countsim
 from repro.core.rng import make_rng
 from repro.experiments.common import (
     ConvergenceOutcome,
@@ -160,6 +163,66 @@ class TestMeasureConvergence:
         )
         assert outcome.converged
         assert not outcome.silent_certified
+
+
+#: Every ConvergenceOutcome field of one seeded run per (engine, start)
+#: on SilentNStateSSR(8): (converged, convergence_time, interactions,
+#: silent_certified, regressions); n is 8 throughout and a failed run's
+#: time is NaN.  Each start's seed is the same on every engine, and
+#: without numpy the vector engine is the count engine's scalar path,
+#: so it reproduces the count rows.
+_PINNED_OUTCOMES = {
+    ("generic", "worst"): (True, 35.25, 288, True, 0),
+    ("generic", "correct"): (True, 0.0, 0, True, 0),
+    ("generic", "budget"): (False, math.nan, 4, False, 0),
+    ("count", "worst"): (True, 25.75, 206, True, 0),
+    ("count", "correct"): (True, 0.0, 0, True, 0),
+    ("count", "budget"): (False, math.nan, 4, False, 0),
+    ("vector", "worst"): (True, 21.625, 239, True, 0),
+    ("vector", "correct"): (True, 0.0, 0, True, 0),
+    ("vector", "budget"): (False, math.nan, 4, False, 0),
+}
+
+
+class TestPinnedOutcomes:
+    """Per-seed outcomes of ``measure_convergence`` on each engine.
+
+    The goldens pin convergence times only; these pin every field,
+    including the interaction count, the silence certificate and the
+    regression count, for a worst-case start, an already correct start
+    and a budget (0.5 parallel time) too small to converge in.
+    """
+
+    @pytest.mark.parametrize("start", ["worst", "correct", "budget"])
+    @pytest.mark.parametrize("engine", ["generic", "count", "vector"])
+    def test_every_field_is_pinned(self, engine, start):
+        protocol = SilentNStateSSR(8)
+        if start == "correct":
+            states = list(range(8))
+        else:
+            states = protocol.worst_case_configuration()
+        outcome = measure_convergence(
+            protocol,
+            states,
+            rng=make_rng(34, "pin", start),
+            max_time=0.5 if start == "budget" else 10_000,
+            engine=engine,
+        )
+        pinned_engine = "count" if engine == "vector" and countsim._np is None else engine
+        converged, time, interactions, certified, regressions = _PINNED_OUTCOMES[
+            pinned_engine, start
+        ]
+        assert (
+            outcome.n,
+            outcome.converged,
+            outcome.interactions,
+            outcome.silent_certified,
+            outcome.regressions,
+        ) == (8, converged, interactions, certified, regressions)
+        if math.isnan(time):
+            assert math.isnan(outcome.convergence_time)
+        else:
+            assert outcome.convergence_time == time
 
 
 class TestRepeatConvergence:
