@@ -18,12 +18,16 @@ orthogonal, composable pieces:
 
 An :class:`Adversary` bundles a selector with a corruption model;
 :data:`ADVERSARIES` registers the named combinations the CLI and the
-experiments expose.  Adversaries act through a :class:`FaultSurface`, an
-engine-neutral view of a running population that both strikes and
-steps it, with implementations for the generic per-agent
-:class:`~repro.core.simulation.Simulation` (:class:`SimulationSurface`)
-and the count engine's multiset (:class:`CountSurface`) -- the latter is
-what makes large-n chaos runs affordable.
+experiments expose.  Adversaries act on an :data:`Engine` directly:
+the generic per-agent :class:`~repro.core.simulation.Simulation` and
+the count engine's multiset
+(:class:`~repro.core.countsim.CountSimulation`, what makes large-n
+chaos runs affordable) keep one contract -- victims, a live state,
+``corrupt``, the ``ticks`` clock, ``advance``, ``correct`` and
+``stabilized`` (see docs/robustness.md, "The engine contract").
+Victim references are opaque to selectors and corruption models:
+agent indices on the generic engine, slot ids with multiplicity on
+the count engine, one reference per victim agent either way.
 
 :func:`measure_recovery` runs a fault process against a protocol on
 either engine and reports per-strike recovery times plus availability;
@@ -54,9 +58,7 @@ from typing import (
     Union,
 )
 
-from repro.core.configuration import is_silent
 from repro.core.countsim import CountSimulation, select_engine
-from repro.core.protocol import PopulationProtocol
 from repro.core.simulation import Simulation
 from repro.obs.context import current_recorder
 from repro.obs.log import get_logger
@@ -67,23 +69,24 @@ _LOG = get_logger("chaos")
 
 S = TypeVar("S")
 
+#: The engines adversaries strike and :func:`measure_recovery` steps.
+Engine = Union[Simulation[Any], CountSimulation]
+
 __all__ = [
     "ADVERSARIES",
     "Adversary",
     "BurstProcess",
     "CloneCorruption",
     "CorruptionModel",
-    "CountSurface",
+    "Engine",
     "FaultEvent",
     "FaultProcess",
-    "FaultSurface",
     "LeaderVictims",
     "MaxRankVictims",
     "PoissonProcess",
     "RandomStateCorruption",
     "RecoveryRecord",
     "RecoveryReport",
-    "SimulationSurface",
     "UniformVictims",
     "VictimSelector",
     "adversary_names",
@@ -179,207 +182,6 @@ class PoissonProcess(FaultProcess):
 
 
 # ---------------------------------------------------------------------------
-# The surface adversaries act on
-# ---------------------------------------------------------------------------
-
-
-class FaultSurface(ABC):
-    """Engine-neutral view of a running population for fault injection.
-
-    A surface both strikes and steps its engine.  Victim references are
-    opaque to selectors and corruption models: agent indices on the
-    generic engine, slot ids (with multiplicity) on the count engine.
-    The number of references equals the number of victim *agents*
-    either way.
-    """
-
-    def __init__(self, protocol: PopulationProtocol[Any]):
-        self.protocol = protocol
-        #: Total agent-corruptions applied through this surface.
-        self.injected = 0
-
-    @abstractmethod
-    def sample_victims(self, count: int, rng: random.Random) -> List[Any]:
-        """``min(count, n)`` distinct uniformly random victim agents."""
-
-    @abstractmethod
-    def ranked_victims(self, count: int, *, highest: bool) -> List[Any]:
-        """Up to ``count`` victims by rank order.
-
-        ``highest=False`` targets the leadership (rank 1 first);
-        ``highest=True`` the max-rank agents.  Unranked agents are never
-        selected, so fewer than ``count`` references may come back.
-        """
-
-    @abstractmethod
-    def sample_live_state(self, rng: random.Random, *, leader: bool = False) -> Any:
-        """A copy of a live agent's state (the clone adversary's source).
-
-        With ``leader=True`` prefers a rank-1 agent, falling back to a
-        uniform agent when no leader exists.
-        """
-
-    @abstractmethod
-    def overwrite(self, victims: Sequence[Any], new_states: Sequence[Any]) -> None:
-        """Overwrite the victims' states and resync all bookkeeping."""
-
-    @abstractmethod
-    def ticks(self) -> int:
-        """Interactions elapsed so far, silent dwell included."""
-
-    @abstractmethod
-    def advance(self, interactions: int) -> None:
-        """Let ``interactions`` more interactions happen."""
-
-    @abstractmethod
-    def correct(self) -> bool:
-        """Whether the configuration is currently correct."""
-
-    @abstractmethod
-    def stabilized(self) -> bool:
-        """Correct and, for silent protocols, provably silent."""
-
-
-class SimulationSurface(FaultSurface):
-    """Fault surface over the generic per-agent :class:`Simulation`.
-
-    ``overwrite`` restarts the simulation's monitors via ``on_start`` --
-    a fault is not an interaction, so incremental monitors must be
-    re-synchronized; the world changed behind the protocol's back.
-    """
-
-    def __init__(self, sim: Simulation[Any]):
-        super().__init__(sim.protocol)
-        self.sim = sim
-
-    def sample_victims(self, count: int, rng: random.Random) -> List[int]:
-        n = self.protocol.n
-        return rng.sample(range(n), min(count, n))
-
-    def _ranked_agents(self) -> List[Tuple[int, int]]:
-        rank_of = getattr(self.protocol, "rank_of", None)
-        if rank_of is None:
-            return []
-        ranked: List[Tuple[int, int]] = []
-        for index, state in enumerate(self.sim.states):
-            rank = rank_of(state)
-            if isinstance(rank, int):
-                ranked.append((rank, index))
-        return ranked
-
-    def ranked_victims(self, count: int, *, highest: bool) -> List[int]:
-        ranked = sorted(self._ranked_agents(), reverse=highest)
-        return [index for _, index in ranked[:count]]
-
-    def sample_live_state(self, rng: random.Random, *, leader: bool = False) -> Any:
-        source: Optional[int] = None
-        if leader:
-            leaders = [index for rank, index in self._ranked_agents() if rank == 1]
-            if leaders:
-                source = leaders[rng.randrange(len(leaders))]
-        if source is None:
-            source = rng.randrange(self.protocol.n)
-        return self.protocol.clone_state(self.sim.states[source])
-
-    def overwrite(self, victims: Sequence[int], new_states: Sequence[Any]) -> None:
-        clone = self.protocol.clone_state
-        for index, state in zip(victims, new_states):
-            self.sim.states[index] = clone(state)
-        self.injected += len(victims)
-        for monitor in self.sim.monitors:
-            monitor.on_start(self.sim.states)
-
-    def ticks(self) -> int:
-        return self.sim.interactions
-
-    def advance(self, interactions: int) -> None:
-        self.sim.run(interactions)
-
-    def correct(self) -> bool:
-        return self.protocol.is_correct(self.sim.states)
-
-    def stabilized(self) -> bool:
-        return self.correct() and (
-            not self.protocol.silent or is_silent(self.protocol, self.sim.states)
-        )
-
-
-class CountSurface(FaultSurface):
-    """Fault surface over the count engine's ``{state: count}`` multiset.
-
-    Victim references are slot ids with multiplicity; the heavy lifting
-    (Fenwick/monitor/partition resync) is
-    :meth:`repro.core.countsim.CountSimulation.corrupt`.
-
-    Once the configuration is provably silent, ``CountSimulation.run``
-    returns without consuming its budget (nothing can change until the
-    next fault); :meth:`advance` credits the unconsumed interactions to
-    a virtual clock, so fault timelines and availability accounting see
-    the same parallel time the generic engine would.
-    """
-
-    def __init__(self, sim: CountSimulation):
-        super().__init__(sim.protocol)
-        self.sim = sim
-        self._skipped = 0
-
-    def sample_victims(self, count: int, rng: random.Random) -> List[int]:
-        return self.sim.sample_victim_slots(min(count, self.sim.n), rng)
-
-    def ranked_victims(self, count: int, *, highest: bool) -> List[int]:
-        ranked = sorted(
-            (
-                (self.sim.slot_rank(slot), slot, slot_count)
-                for slot, slot_count in self.sim.occupied_slots()
-                if self.sim.slot_rank(slot) > 0
-            ),
-            reverse=highest,
-        )
-        victims: List[int] = []
-        for _, slot, slot_count in ranked:
-            take = min(slot_count, count - len(victims))
-            victims.extend([slot] * take)
-            if len(victims) >= count:
-                break
-        return victims
-
-    def sample_live_state(self, rng: random.Random, *, leader: bool = False) -> Any:
-        if leader:
-            leaders = [
-                slot
-                for slot, _ in self.sim.occupied_slots()
-                if self.sim.slot_rank(slot) == 1
-            ]
-            if leaders:
-                # All rank-1 agents share a slot state per slot; pick one
-                # slot uniformly (they are interchangeable sources).
-                return self.sim.slot_state(leaders[rng.randrange(len(leaders))])
-        return self.sim.slot_state(self.sim.sample_agent_slot(rng))
-
-    def overwrite(self, victims: Sequence[int], new_states: Sequence[Any]) -> None:
-        self.sim.corrupt(victims, new_states)
-        self.injected += len(victims)
-
-    def ticks(self) -> int:
-        return self.sim.interactions + self._skipped
-
-    def advance(self, interactions: int) -> None:
-        before = self.sim.interactions
-        self.sim.run(interactions)
-        consumed = self.sim.interactions - before
-        if consumed < interactions and self.sim.silent:
-            # Provably silent: the rest of the budget is null
-            # interactions, skipped on the virtual clock.
-            self._skipped += interactions - consumed
-
-    def correct(self) -> bool:
-        return self.sim.correct
-
-    def stabilized(self) -> bool:
-        return self.sim.correct and (not self.protocol.silent or self.sim.silent)
-
-
-# ---------------------------------------------------------------------------
 # Who: victim selectors
 # ---------------------------------------------------------------------------
 
@@ -389,7 +191,7 @@ class VictimSelector(ABC):
 
     @abstractmethod
     def select(
-        self, surface: FaultSurface, count: int, rng: random.Random
+        self, engine: Engine, count: int, rng: random.Random
     ) -> List[Any]:
         """Victim references for one strike (possibly fewer than ``count``)."""
 
@@ -398,27 +200,27 @@ class UniformVictims(VictimSelector):
     """The standard transient-fault model: any agent is fair game."""
 
     def select(
-        self, surface: FaultSurface, count: int, rng: random.Random
+        self, engine: Engine, count: int, rng: random.Random
     ) -> List[Any]:
-        return surface.sample_victims(count, rng)
+        return engine.sample_victims(count, rng)
 
 
 class LeaderVictims(VictimSelector):
     """Targets the leadership: rank-1 agents first, then rank 2, ..."""
 
     def select(
-        self, surface: FaultSurface, count: int, rng: random.Random
+        self, engine: Engine, count: int, rng: random.Random
     ) -> List[Any]:
-        return surface.ranked_victims(count, highest=False)
+        return engine.ranked_victims(count, highest=False)
 
 
 class MaxRankVictims(VictimSelector):
     """Targets the max-rank agents (the leaves of the ranking tree)."""
 
     def select(
-        self, surface: FaultSurface, count: int, rng: random.Random
+        self, engine: Engine, count: int, rng: random.Random
     ) -> List[Any]:
-        return surface.ranked_victims(count, highest=True)
+        return engine.ranked_victims(count, highest=True)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +233,7 @@ class CorruptionModel(ABC):
 
     @abstractmethod
     def corrupt_states(
-        self, surface: FaultSurface, count: int, rng: random.Random
+        self, engine: Engine, count: int, rng: random.Random
     ) -> List[Any]:
         """``count`` replacement states (drawn before any overwrite)."""
 
@@ -440,9 +242,9 @@ class RandomStateCorruption(CorruptionModel):
     """Fresh independent ``random_state`` draws -- anything representable."""
 
     def corrupt_states(
-        self, surface: FaultSurface, count: int, rng: random.Random
+        self, engine: Engine, count: int, rng: random.Random
     ) -> List[Any]:
-        return [surface.protocol.random_state(rng) for _ in range(count)]
+        return [engine.protocol.random_state(rng) for _ in range(count)]
 
 
 class CloneCorruption(CorruptionModel):
@@ -462,10 +264,10 @@ class CloneCorruption(CorruptionModel):
         self.source = source
 
     def corrupt_states(
-        self, surface: FaultSurface, count: int, rng: random.Random
+        self, engine: Engine, count: int, rng: random.Random
     ) -> List[Any]:
-        template = surface.sample_live_state(rng, leader=self.source == "leader")
-        clone = surface.protocol.clone_state
+        template = engine.sample_live_state(rng, leader=self.source == "leader")
+        clone = engine.protocol.clone_state
         return [clone(template) for _ in range(count)]
 
 
@@ -482,21 +284,19 @@ class Adversary:
     selector: VictimSelector
     corruption: CorruptionModel
 
-    def strike(
-        self, surface: FaultSurface, count: int, rng: random.Random
-    ) -> int:
+    def strike(self, engine: Engine, count: int, rng: random.Random) -> int:
         """Corrupt up to ``count`` agents; return how many were hit.
 
         Victims are selected first, then replacement states are drawn,
         then the overwrite happens -- a fixed RNG consumption order so
         identical seeds produce identical strikes on either engine.
         """
-        victims = self.selector.select(surface, count, rng)
+        victims = self.selector.select(engine, count, rng)
         if not victims:
             _LOG.debug("adversary %s found no victims (asked for %d)", self.name, count)
             return 0
-        states = self.corruption.corrupt_states(surface, len(victims), rng)
-        surface.overwrite(victims, states)
+        states = self.corruption.corrupt_states(engine, len(victims), rng)
+        engine.corrupt(victims, states)
         _LOG.debug(
             "adversary %s overwrote %d agent(s)", self.name, len(victims)
         )
@@ -628,22 +428,20 @@ def measure_recovery(
     def phase(name: str) -> ContextManager[None]:
         return obs.phase(name) if obs is not None else nullcontext()
 
-    surface: FaultSurface
+    sim: Engine
     if batched is not None:
         mode = (
             "active"
             if protocol.silent and getattr(protocol, "silent_class", None)
             else "auto"
         )
-        surface = CountSurface(
-            CountSimulation(
-                protocol,
-                list(initial_states) if initial_states is not None else None,
-                rng=rng,
-                mode=mode,
-                batched=batched,
-                recorder=obs,
-            )
+        sim = CountSimulation(
+            protocol,
+            list(initial_states) if initial_states is not None else None,
+            rng=rng,
+            mode=mode,
+            batched=batched,
+            recorder=obs,
         )
     else:
         monitors: List[Any] = []
@@ -651,32 +449,30 @@ def measure_recovery(
             monitor = protocol.convergence_monitor()
             monitor.recorder = obs
             monitors = [monitor, SampledMetricsMonitor(obs, monitor, n)]
-        surface = SimulationSurface(
-            Simulation(
-                protocol, initial_states, rng=rng, monitors=monitors, recorder=obs
-            )
+        sim = Simulation(
+            protocol, initial_states, rng=rng, monitors=monitors, recorder=obs
         )
 
     report = RecoveryReport()
 
     def advance_chunk(limit_ticks: int) -> None:
         """One probe chunk (never past ``limit_ticks``), crediting availability."""
-        before = surface.ticks()
-        surface.advance(min(n, limit_ticks - before))
-        advanced = (surface.ticks() - before) / n
+        before = sim.ticks
+        sim.advance(min(n, limit_ticks - before))
+        advanced = (sim.ticks - before) / n
         report.total_time += advanced
-        if surface.correct():
+        if sim.correct:
             report.correct_time += advanced
 
     def advance_until_stable(budget_time: float) -> float:
         """Advance to stabilization; return the parallel time it took."""
-        start = surface.ticks()
+        start = sim.ticks
         deadline = start + max(1, int(round(budget_time * n)))
-        while not surface.stabilized():
-            if surface.ticks() >= deadline:
+        while not sim.stabilized:
+            if sim.ticks >= deadline:
                 return float("nan")
             advance_chunk(deadline)
-        return (surface.ticks() - start) / n
+        return (sim.ticks - start) / n
 
     with phase("settle"):
         first = advance_until_stable(settle_time)
@@ -687,19 +483,19 @@ def measure_recovery(
 
     # Strikes fire on a timeline anchored at the initial stabilization, so
     # the population dwells (accruing availability) between strikes.
-    origin = surface.ticks()
+    origin = sim.ticks
     for event in process.events(rng):
         target = origin + int(round(event.at * n))
         with phase("dwell"):
-            while surface.ticks() < target:
+            while sim.ticks < target:
                 advance_chunk(target)
-        struck = adversary.strike(surface, event.agents, rng)
-        broke = not surface.correct()
+        struck = adversary.strike(sim, event.agents, rng)
+        broke = not sim.correct
         if obs is not None:
             obs.inc_gauge("fault_backlog")
             obs.event(
                 "strike",
-                t=surface.ticks() / n,
+                t=sim.ticks / n,
                 agents=event.agents,
                 injected=struck,
                 broke_correctness=broke,
@@ -710,7 +506,7 @@ def measure_recovery(
         recovered = elapsed == elapsed  # not NaN
         if obs is not None and recovered:
             obs.inc_gauge("fault_backlog", -1.0)
-            obs.event("recovery", t=surface.ticks() / n, recovery_time=elapsed)
+            obs.event("recovery", t=sim.ticks / n, recovery_time=elapsed)
         report.records.append(
             RecoveryRecord(
                 event=event,

@@ -124,10 +124,16 @@ id, or to a sorted list from the second member on.
 
 Fault injection
 ---------------
+This engine and :class:`repro.core.simulation.Simulation` keep one
+contract, so adversaries and measurements take either (see
+docs/robustness.md, "The engine contract").  Victims are slot ids with
+multiplicity (:meth:`CountSimulation.sample_victims`,
+:meth:`CountSimulation.ranked_victims`), and
 :meth:`CountSimulation.corrupt` edits the count multiset in place
 (decrement victim slots, increment corrupted-state slots) and resyncs
-every piece of incremental bookkeeping.  Adversaries reach it through
-:class:`repro.core.chaos.CountSurface`, which is what lets
+every piece of incremental bookkeeping.  Once the configuration is
+provably silent, :meth:`CountSimulation.advance` credits the rest of
+its budget to ``ticks`` without simulating it.  That is what lets
 ``measure_recovery(engine="count")`` run recovery experiments at
 n=8192+ instead of n~256.
 """
@@ -155,6 +161,7 @@ from typing import (
     Union,
 )
 
+from repro.core.configuration import is_silent
 from repro.core.errors import ConfigurationError, NotSilentError
 from repro.core.fenwick import GrowableFenwick, draws_with_getrandbits
 from repro.core.protocol import PopulationProtocol, check_population
@@ -263,7 +270,9 @@ def select_engine(protocol: PopulationProtocol[Any], engine: str) -> Optional[bo
     stabilization, and jump mode skips the null interactions before it.
     Any other protocol runs on the generic engine.  Raises
     ``ValueError`` for an unknown name, and for ``"count"`` or
-    ``"vector"`` on a protocol this engine cannot run.
+    ``"vector"`` on a protocol this engine cannot run or that is not
+    silent: it certifies stabilization by silence alone, with no
+    confirmation window.
     """
     if engine not in ENGINES:
         raise ValueError(f"'engine' must be one of {list(ENGINES)}, got {engine!r}")
@@ -275,6 +284,11 @@ def select_engine(protocol: PopulationProtocol[Any], engine: str) -> Optional[bo
         raise ValueError(
             f"{type(protocol).__name__} is not count-engine eligible "
             "(needs a registered lossless state schema)"
+        )
+    if not protocol.silent:
+        raise ValueError(
+            f"{type(protocol).__name__} is not silent; the count engine "
+            "certifies stabilization by silence only"
         )
     return engine == "vector"
 
@@ -428,6 +442,8 @@ class CountSimulation:
     ----------
     interactions:
         Interactions accounted for so far (null + effective).
+    ticks:
+        ``interactions`` plus the silent dwell :meth:`advance` skipped.
     events:
         Transition applications (every interaction in interaction mode;
         only the sampled effective events in jump mode).
@@ -554,6 +570,8 @@ class CountSimulation:
         self._passive_tree = GrowableFenwick()
 
         self.interactions = 0
+        # Null interactions ``advance`` credited without simulating them.
+        self._skipped = 0
         self.events = 0
         self.changes = 0
         self._last_change = 0
@@ -655,21 +673,14 @@ class CountSimulation:
                 out.append(self._clone(self._reps[slot]))
         return out
 
-    def correct_streak(self, current_step: int) -> int:
-        """Length (in interactions) of the current correct streak."""
-        if not self.correct or self.streak_start is None:
-            return 0
-        return current_step - self.streak_start
-
     def run(self, interactions: int) -> None:
         """Account for up to ``interactions`` further interactions.
 
         Returns early if the configuration becomes provably silent --
         every remaining interaction would be null, so callers needing
-        the full budget on their clock may simply add it (the engine
+        the full budget on their clock may simply add it (this call
         does not, keeping ``interactions`` at the point silence was
-        established; :meth:`repro.core.chaos.CountSurface.advance`
-        credits it to a virtual clock).
+        established; :meth:`advance` credits it to ``ticks``).
         """
         if self._obs is None:
             self._advance(interactions)
@@ -962,6 +973,49 @@ class CountSimulation:
                 else 1 << 62
             )
             self.run(budget)
+
+    # -- the engine contract (shared with Simulation) -------------------
+
+    @property
+    def ticks(self) -> int:
+        """Interactions elapsed so far, silent dwell included."""
+        return self.interactions + self._skipped
+
+    def advance(self, interactions: int) -> None:
+        """Let ``interactions`` more interactions elapse on ``ticks``.
+
+        What :meth:`run` leaves of the budget once the configuration is
+        provably silent is null, and is credited to ``ticks`` alone.
+        """
+        before = self.interactions
+        self.run(interactions)
+        if self.silent:
+            self._skipped += interactions - (self.interactions - before)
+
+    @property
+    def stabilized(self) -> bool:
+        """Correct and, for silent protocols, provably silent."""
+        return self.correct and (not self.protocol.silent or self.silent)
+
+    def run_until_stable(self, max_interactions: int, confirm_interactions: int) -> bool:
+        """Run until correct and provably silent; ``False`` if
+        ``max_interactions`` more interactions pass first.
+
+        Silence alone certifies, so ``confirm_interactions`` is unused.
+        A correct start that is silent (checked exactly, as interaction
+        mode's ``silent`` reads ``False``) enters jump mode and is stable
+        with no draw.  Otherwise :meth:`run` gets the whole budget in one
+        call: jump and active mode drop their pending draw at a
+        deadline, so chunking the budget would move the trajectory.
+        """
+        if not self.silent and self.correct and is_silent(
+            self.protocol, self.expand_states()
+        ):
+            self._enter_jump_mode()
+        return (
+            self.run_until_silent(max_interactions=self.interactions + max_interactions)
+            and self.correct
+        )
 
     # -- slots ---------------------------------------------------------
 
@@ -1464,6 +1518,37 @@ class CountSimulation:
         """Slot of one uniformly random agent (weight = slot count)."""
         return self._fresh_count_tree().sample(rng)
 
+    def sample_victims(self, count: int, rng: random.Random) -> List[int]:
+        """Slots of ``min(count, n)`` distinct uniformly random agents."""
+        return self.sample_victim_slots(min(count, self.n), rng)
+
+    def ranked_victims(self, count: int, *, highest: bool) -> List[int]:
+        """Slots of up to ``count`` ranked agents, with multiplicity:
+        rank 1 first, or the highest ranks."""
+        rank = self._slot_rank
+        ranked = sorted(
+            (
+                (rank[slot], slot, slot_count)
+                for slot, slot_count in self.occupied_slots()
+                if rank[slot] > 0
+            ),
+            reverse=highest,
+        )
+        victims: List[int] = []
+        for _, slot, slot_count in ranked:
+            victims.extend([slot] * min(slot_count, count - len(victims)))
+            if len(victims) >= count:
+                break
+        return victims
+
+    def sample_live_state(self, rng: random.Random, *, leader: bool = False) -> S:
+        """A copy of a uniform agent's state, or of a uniform rank-1 slot's
+        if ``leader`` and one exists (the clone adversary's source)."""
+        rank = self._slot_rank
+        leaders = [slot for slot, _ in self.occupied_slots() if rank[slot] == 1] if leader else []
+        slot = leaders[rng.randrange(len(leaders))] if leaders else self.sample_agent_slot(rng)
+        return self.slot_state(slot)
+
     def sample_victim_slots(self, count: int, rng: random.Random) -> List[int]:
         """Slots of ``count`` distinct agents drawn without replacement.
 
@@ -1490,10 +1575,6 @@ class CountSimulation:
     def slot_state(self, slot: int) -> S:
         """An independent copy of the representative state of ``slot``."""
         return self._clone(self._reps[slot])
-
-    def slot_rank(self, slot: int) -> int:
-        """Rank of the slot's state (0 when the state is unranked)."""
-        return self._slot_rank[slot]
 
     def occupied_slots(self) -> List[Tuple[int, int]]:
         """``(slot, count)`` pairs for every slot with agents in it."""

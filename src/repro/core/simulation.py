@@ -8,16 +8,24 @@ the population size ``n``.
 For protocols whose states are small integers there is a much faster
 specialized engine in :mod:`repro.core.fastpath`; this generic engine is
 the reference implementation the fast paths are validated against.
+
+It keeps one contract with the count engine,
+:class:`repro.core.countsim.CountSimulation`: the fault-injection
+methods adversaries strike through (victims are agent indices here),
+the ``ticks`` clock with :meth:`Simulation.advance`, the ``correct`` /
+``silent`` / ``stabilized`` verdicts and :meth:`Simulation.run_until_stable`
+-- see docs/robustness.md, "The engine contract".
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Any, Callable, Generic, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.core.configuration import is_silent
 from repro.core.errors import SimulationLimitError
-from repro.core.monitors import Monitor
+from repro.core.monitors import ConvergenceMonitor, Monitor
 from repro.core.protocol import PopulationProtocol, check_population
 from repro.core.scheduler import Scheduler, UniformRandomScheduler
 from repro.obs.context import current_recorder
@@ -42,7 +50,10 @@ class Simulation(Generic[S]):
     scheduler:
         Defaults to the standard uniform random scheduler.
     monitors:
-        Observers notified around every interaction.
+        Observers notified around every interaction.  The first
+        :class:`~repro.core.monitors.ConvergenceMonitor` among them
+        keeps ``streak_start`` and ``regressions``, and
+        :meth:`run_until_stable` needs one.
     recorder:
         Optional :class:`~repro.obs.metrics.MetricsRecorder`; defaults
         to the ambient recorder (see :mod:`repro.obs.context`).  When
@@ -74,6 +85,9 @@ class Simulation(Generic[S]):
         # construction time; mutating ``self.monitors`` afterwards is
         # unsupported.
         self._has_monitors = bool(self.monitors)
+        self._convergence: Optional[ConvergenceMonitor[S]] = next(
+            (m for m in self.monitors if isinstance(m, ConvergenceMonitor)), None
+        )
         self._obs = recorder if recorder is not None else current_recorder()
         self.interactions = 0
         for monitor in self.monitors:
@@ -126,6 +140,104 @@ class Simulation(Generic[S]):
             self._obs.count_interactions(
                 self.interactions - before, time.perf_counter() - start
             )
+
+    # -- the engine contract (shared with CountSimulation) --------------
+
+    @property
+    def ticks(self) -> int:
+        """Interactions elapsed so far (every one of them simulated)."""
+        return self.interactions
+
+    def advance(self, interactions: int) -> None:
+        """Let ``interactions`` more interactions elapse."""
+        self.run(interactions)
+
+    @property
+    def correct(self) -> bool:
+        """Whether the configuration is correct now (a scan of the states)."""
+        return self.protocol.is_correct(self.states)
+
+    @property
+    def silent(self) -> bool:
+        """Whether the protocol is silent and the configuration is, exactly."""
+        return self.protocol.silent and is_silent(self.protocol, self.states)
+
+    @property
+    def stabilized(self) -> bool:
+        """Correct and, for silent protocols, silent."""
+        return self.correct and (not self.protocol.silent or self.silent)
+
+    @property
+    def streak_start(self) -> Optional[int]:
+        """Interaction at which the current correct streak began, or ``None``."""
+        return self._convergence.streak_start if self._convergence else None
+
+    @property
+    def regressions(self) -> int:
+        """Times correctness was lost after having held."""
+        return self._convergence.regressions if self._convergence else 0
+
+    def run_until_stable(self, max_interactions: int, confirm_interactions: int) -> bool:
+        """Run until stable; ``False`` if ``max_interactions`` more
+        interactions pass first.
+
+        Stable means correct and silent or, as the empirical proxy for a
+        non-silent protocol, correct for ``confirm_interactions`` in a
+        row.  Both are probed before the first step and then every
+        ``max(n, 16)`` interactions.  Needs a ConvergenceMonitor.
+        """
+        monitor = self._convergence
+        if monitor is None:
+            raise ValueError("run_until_stable needs a ConvergenceMonitor attached")
+        deadline = self.interactions + max_interactions
+        probe_every = max(self.protocol.n, 16)
+        while True:
+            if monitor.correct and (
+                self.silent
+                or monitor.correct_streak(self.interactions) >= confirm_interactions
+            ):
+                return True
+            if self.interactions >= deadline:
+                return False
+            self.run(min(probe_every, deadline - self.interactions))
+
+    def sample_victims(self, count: int, rng: random.Random) -> List[int]:
+        """``min(count, n)`` distinct uniformly random agent indices."""
+        n = self.protocol.n
+        return rng.sample(range(n), min(count, n))
+
+    def _ranked_agents(self) -> List[Tuple[int, int]]:
+        """``(rank, index)`` of every agent with an integer rank."""
+        rank_of = getattr(self.protocol, "rank_of", None)
+        if rank_of is None:
+            return []
+        ranks = ((rank_of(state), index) for index, state in enumerate(self.states))
+        return [(rank, index) for rank, index in ranks if isinstance(rank, int)]
+
+    def ranked_victims(self, count: int, *, highest: bool) -> List[int]:
+        """Up to ``count`` ranked agents: rank 1 first, or the highest ranks."""
+        ranked = sorted(self._ranked_agents(), reverse=highest)
+        return [index for _, index in ranked[:count]]
+
+    def sample_live_state(self, rng: random.Random, *, leader: bool = False) -> S:
+        """A copy of a uniform agent's state, or of a rank-1 agent's if
+        ``leader`` and one exists (the clone adversary's source)."""
+        leaders = [i for rank, i in self._ranked_agents() if rank == 1] if leader else []
+        source = leaders[rng.randrange(len(leaders))] if leaders else rng.randrange(self.protocol.n)
+        return self.protocol.clone_state(self.states[source])
+
+    def corrupt(self, victims: Sequence[int], new_states: Sequence[S]) -> None:
+        """Overwrite agent ``victims[i]`` with a copy of ``new_states[i]``.
+
+        A fault is not an interaction, so ``interactions`` does not
+        advance; the monitors restart through ``on_start``, since the
+        world changed behind the protocol's back.
+        """
+        clone = self.protocol.clone_state
+        for index, state in zip(victims, new_states):
+            self.states[index] = clone(state)
+        for monitor in self.monitors:
+            monitor.on_start(self.states)
 
     def run_until(
         self,

@@ -20,10 +20,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 from repro.analysis.stats import TrialSummary, summarize_trials
-from repro.core.configuration import is_silent
 from repro.core.countsim import CountSimulation, ProbeTable, select_engine
 from repro.core.monitors import Monitor
 from repro.core.parallel import ParallelTrialRunner
@@ -87,105 +86,38 @@ def measure_convergence(
         probes, so it leaves the table alone.
     """
     batched = select_engine(protocol, engine)
-    if batched is not None:
-        return _measure_convergence_counted(
-            protocol, states, rng=rng, max_time=max_time, batched=batched,
-            probe_table=probe_table,
-        )
     n = protocol.n
-    monitor = protocol.convergence_monitor()
-    monitors: List[Monitor] = [monitor]
-    obs = current_recorder()
-    if obs is not None:
-        monitor.recorder = obs
-        monitors.append(SampledMetricsMonitor(obs, monitor, n))
-    sim = Simulation(protocol, states, rng=rng, monitors=monitors)
+    sim: Union[Simulation[S], CountSimulation]
+    if batched is None:
+        monitor = protocol.convergence_monitor()
+        monitors: List[Monitor] = [monitor]
+        obs = current_recorder()
+        if obs is not None:
+            monitor.recorder = obs
+            monitors.append(SampledMetricsMonitor(obs, monitor, n))
+        sim = Simulation(protocol, states, rng=rng, monitors=monitors)
+    else:
+        sim = CountSimulation(
+            protocol, list(states), rng=rng, batched=batched, probe_table=probe_table
+        )
     if confirm_time is None:
         confirm_time = 30.0 + 20.0 * math.log(n)
     max_interactions = int(max_time * n)
-    confirm_interactions = int(confirm_time * n)
-    probe_every = max(n, 16)
-
-    while True:
-        if monitor.correct:
-            if protocol.silent and is_silent(protocol, sim.states):
-                return ConvergenceOutcome(
-                    n=n,
-                    converged=True,
-                    convergence_time=(monitor.streak_start or 0) / n,
-                    interactions=sim.interactions,
-                    silent_certified=True,
-                    regressions=monitor.regressions,
-                )
-            if monitor.correct_streak(sim.interactions) >= confirm_interactions:
-                return ConvergenceOutcome(
-                    n=n,
-                    converged=True,
-                    convergence_time=(monitor.streak_start or 0) / n,
-                    interactions=sim.interactions,
-                    silent_certified=False,
-                    regressions=monitor.regressions,
-                )
-        if sim.interactions >= max_interactions:
-            return ConvergenceOutcome(
-                n=n,
-                converged=False,
-                convergence_time=float("nan"),
-                interactions=sim.interactions,
-                silent_certified=False,
-                regressions=monitor.regressions,
-            )
-        burst = min(probe_every, max_interactions - sim.interactions)
-        sim.run(burst)
-
-
-def _measure_convergence_counted(
-    protocol: RankingProtocol[S],
-    states: Sequence[S],
-    *,
-    rng: random.Random,
-    max_time: float,
-    batched: bool,
-    probe_table: Optional[ProbeTable],
-) -> ConvergenceOutcome:
-    """Count-engine measurement path: exact silence-certified outcomes.
-
-    A silent protocol stabilizes exactly when it is correct and silent,
-    so the measurement is simply "run until provably silent"; the
-    confirmation-window machinery never applies here.
-    """
-    n = protocol.n
-    sim = CountSimulation(
-        protocol, list(states), rng=rng, batched=batched, probe_table=probe_table
-    )
-    max_interactions = int(max_time * n)
-    # Match the generic path's time-zero probe: an initially silent and
-    # correct configuration stabilized at time 0 regardless of budget.
-    if sim.correct and is_silent(protocol, states):
+    if not sim.run_until_stable(max_interactions, int(confirm_time * n)):
         return ConvergenceOutcome(
             n=n,
-            converged=True,
-            convergence_time=0.0,
-            interactions=0,
-            silent_certified=True,
-            regressions=0,
-        )
-    converged = sim.run_until_silent(max_interactions=max_interactions)
-    if converged and sim.correct:
-        return ConvergenceOutcome(
-            n=n,
-            converged=True,
-            convergence_time=(sim.streak_start or 0) / n,
-            interactions=sim.interactions,
-            silent_certified=True,
+            converged=False,
+            convergence_time=float("nan"),
+            interactions=max_interactions,
+            silent_certified=False,
             regressions=sim.regressions,
         )
     return ConvergenceOutcome(
         n=n,
-        converged=False,
-        convergence_time=float("nan"),
-        interactions=max_interactions,
-        silent_certified=False,
+        converged=True,
+        convergence_time=(sim.streak_start or 0) / n,
+        interactions=sim.interactions,
+        silent_certified=sim.silent,
         regressions=sim.regressions,
     )
 

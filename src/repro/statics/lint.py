@@ -285,11 +285,7 @@ def _fault_model_findings(
     """
     # Imported lazily: the static passes should not drag the dynamic
     # fault machinery in at module import.
-    from repro.core.chaos import (
-        SimulationSurface,
-        adversary_names,
-        make_adversary,
-    )
+    from repro.core.chaos import adversary_names, make_adversary
     from repro.core.simulation import Simulation
 
     findings: List[Finding] = []
@@ -326,9 +322,7 @@ def _fault_model_findings(
         sim = Simulation(protocol, rng=random.Random(LINT_SEED))
         strike_rng = random.Random(LINT_SEED)
         sim.run(4 * protocol.n)
-        adversary.strike(
-            SimulationSurface(sim), max(1, protocol.n // 2), strike_rng
-        )
+        adversary.strike(sim, max(1, protocol.n // 2), strike_rng)
         problems = [
             f"agent {index}: {problem}"
             for index, state in enumerate(sim.states)

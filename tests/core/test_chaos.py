@@ -1,9 +1,9 @@
 """Tests for repro.core.chaos and the engine-parity recovery contract.
 
 Covers the composable adversary pieces (fault processes, victim
-selectors + corruption models via :class:`Adversary`), the
-engine-neutral fault surfaces over both the generic and the count
-engine, and :func:`repro.core.chaos.measure_recovery`: its
+selectors + corruption models via :class:`Adversary`), the fault side
+of the contract both the generic and the count engine keep, and
+:func:`repro.core.chaos.measure_recovery`: its
 recovery accounting, and the cross-engine contract of identical
 semantics and statistically indistinguishable recovery-time
 distributions.
@@ -18,10 +18,8 @@ from repro.core.chaos import (
     Adversary,
     BurstProcess,
     CloneCorruption,
-    CountSurface,
     FaultEvent,
     PoissonProcess,
-    SimulationSurface,
     UniformVictims,
     adversary_names,
     make_adversary,
@@ -92,24 +90,25 @@ class TestFaultProcesses:
 def _stable_ciw_pair(n):
     """A stabilized CIW population on both engines (states 0..n-1)."""
     states = list(range(n))
-    protocol = SilentNStateSSR(n)
-    sim = Simulation(protocol, states, rng=random.Random(1))
+    sim = Simulation(SilentNStateSSR(n), states, rng=random.Random(1))
     count = CountSimulation(SilentNStateSSR(n), states, rng=random.Random(1))
-    return SimulationSurface(sim), CountSurface(count)
+    return sim, count
 
 
 class TestFaultSurfaces:
+    """The fault-injection half of the engine contract, on both engines."""
+
     @pytest.mark.parametrize("which", [0, 1], ids=["generic", "count"])
     def test_sample_victims_counts(self, which, rng):
-        surface = _stable_ciw_pair(8)[which]
-        victims = surface.sample_victims(3, rng)
+        engine = _stable_ciw_pair(8)[which]
+        victims = engine.sample_victims(3, rng)
         assert len(victims) == 3
-        assert len(surface.sample_victims(99, rng)) == 8  # capped at n
+        assert len(engine.sample_victims(99, rng)) == 8  # capped at n
 
     def test_count_engine_rejects_more_victims_than_agents(self, rng):
         """Asked for more agents than exist, the engine raises as
         ``rng.sample`` does; asked for all n, it takes every agent."""
-        sim = _stable_ciw_pair(8)[1].sim
+        sim = _stable_ciw_pair(8)[1]
         with pytest.raises(ValueError, match="9 victims from 8 agents"):
             sim.sample_victim_slots(9, rng)
         assert sorted(sim.sample_victim_slots(8, rng)) == sorted(
@@ -118,24 +117,20 @@ class TestFaultSurfaces:
 
     @pytest.mark.parametrize("which", [0, 1], ids=["generic", "count"])
     def test_ranked_victims_target_leadership(self, which, rng):
-        surface = _stable_ciw_pair(8)[which]
-        low = surface.ranked_victims(2, highest=False)
-        high = surface.ranked_victims(2, highest=True)
+        engine = _stable_ciw_pair(8)[which]
+        low = engine.ranked_victims(2, highest=False)
+        high = engine.ranked_victims(2, highest=True)
         # CIW rank(state) == state + 1, so leadership = states {0, 1},
         # max rank = states {7, 6} -- on either victim representation.
-        assert sorted(surface.protocol.rank_of(_state_of(surface, v)) for v in low) == [
-            1,
-            2,
-        ]
-        assert sorted(
-            surface.protocol.rank_of(_state_of(surface, v)) for v in high
-        ) == [7, 8]
+        rank_of = engine.protocol.rank_of
+        assert sorted(rank_of(_state_of(engine, v)) for v in low) == [1, 2]
+        assert sorted(rank_of(_state_of(engine, v)) for v in high) == [7, 8]
 
     @pytest.mark.parametrize("which", [0, 1], ids=["generic", "count"])
     def test_sample_live_state_leader(self, which, rng):
-        surface = _stable_ciw_pair(8)[which]
-        state = surface.sample_live_state(rng, leader=True)
-        assert surface.protocol.rank_of(state) == 1
+        engine = _stable_ciw_pair(8)[which]
+        state = engine.sample_live_state(rng, leader=True)
+        assert engine.protocol.rank_of(state) == 1
 
     def test_generic_overwrite_resyncs_monitors(self, rng):
         protocol = SilentNStateSSR(6)
@@ -143,17 +138,14 @@ class TestFaultSurfaces:
         sim = Simulation(protocol, list(range(6)), rng=rng, monitors=[monitor])
         sim.run(1)
         assert monitor.correct
-        surface = SimulationSurface(sim)
-        surface.overwrite([0], [1])  # duplicate rank 2
-        assert sim.states[0] == 1
+        sim.corrupt([0], [1])  # duplicate rank 2
+        assert sim.states == [1, 1, 2, 3, 4, 5]  # exactly one agent overwritten
         assert not monitor.correct
-        assert surface.injected == 1
 
     def test_count_overwrite_updates_multiset(self, rng):
-        _, surface = _stable_ciw_pair(6)
-        sim = surface.sim
-        victims = surface.ranked_victims(1, highest=False)  # the leader slot
-        surface.overwrite(victims, [3])
+        _, sim = _stable_ciw_pair(6)
+        victims = sim.ranked_victims(1, highest=False)  # the leader slot
+        sim.corrupt(victims, [3])
         assert sorted(sim.expand_states()) == [1, 2, 3, 3, 4, 5]
         assert not sim.correct
 
@@ -161,49 +153,47 @@ class TestFaultSurfaces:
         # Three agents share state 2 -> the slot is returned three times.
         states = [2, 2, 2, 0, 1, 5]
         sim = CountSimulation(SilentNStateSSR(6), states, rng=random.Random(2))
-        surface = CountSurface(sim)
-        high = surface.ranked_victims(3, highest=True)
-        assert [surface.sim.slot_state(v) for v in high] == [5, 2, 2]
+        high = sim.ranked_victims(3, highest=True)
+        assert [sim.slot_state(v) for v in high] == [5, 2, 2]
 
     @pytest.mark.parametrize("engine", ["generic", "count"])
     def test_advance_on_silent_correct_configuration(self, engine):
-        """Silent dwell: the count surface skips it on its virtual clock.
+        """Silent dwell: the count engine skips it on its tick clock.
 
-        Both surfaces advance ``ticks()`` by exactly the requested
+        Both engines advance ``ticks`` by exactly the requested
         interactions; only the generic engine actually simulates them.
         The count engine (in the active mode ``measure_recovery`` uses)
-        returns at once from a provably silent configuration, and the
-        surface credits the skipped null interactions to its clock.
+        returns at once from a provably silent configuration and
+        credits the skipped null interactions to ``ticks`` alone.
         """
         n = 8
         protocol = SilentNStateSSR(n)
         if engine == "generic":
             sim = Simulation(protocol, list(range(n)), rng=random.Random(3))
-            surface = SimulationSurface(sim)
         else:
             sim = CountSimulation(
                 protocol, list(range(n)), rng=random.Random(3), mode="active"
             )
-            surface = CountSurface(sim)
-        assert surface.correct() and surface.stabilized()
-        surface.advance(10 * n)
-        surface.advance(5 * n)
-        assert surface.ticks() == 15 * n
+        assert sim.correct and sim.stabilized
+        sim.advance(10 * n)
+        sim.advance(5 * n)
+        assert sim.ticks == 15 * n
         assert sim.interactions == (15 * n if engine == "generic" else 0)
-        assert surface.correct() and surface.stabilized()
+        assert sim.correct and sim.stabilized
         # A strike ends the dwell: the count engine simulates again.
-        surface.overwrite(surface.ranked_victims(1, highest=False), [3])
-        assert not surface.correct() and not surface.stabilized()
-        surface.advance(n)
-        assert surface.ticks() == 16 * n
+        sim.corrupt(sim.ranked_victims(1, highest=False), [3])
+        assert not sim.correct and not sim.stabilized
+        sim.advance(n)
+        assert sim.ticks == 16 * n
         assert sim.interactions == (16 * n if engine == "generic" else n)
+        assert sim.parallel_time == sim.interactions / n  # skipped dwell stays out
 
 
-def _state_of(surface, victim):
-    """Resolve a victim reference to a state on either surface type."""
-    if isinstance(surface, CountSurface):
-        return surface.sim.slot_state(victim)
-    return surface.sim.states[victim]
+def _state_of(engine, victim):
+    """Resolve a victim reference to a state on either engine."""
+    if isinstance(engine, CountSimulation):
+        return engine.slot_state(victim)
+    return engine.states[victim]
 
 
 class TestAdversaries:
@@ -221,44 +211,39 @@ class TestAdversaries:
     @pytest.mark.parametrize("name", adversary_names())
     @pytest.mark.parametrize("which", [0, 1], ids=["generic", "count"])
     def test_each_adversary_strikes_both_engines(self, name, which, rng):
-        surface = _stable_ciw_pair(8)[which]
-        struck = make_adversary(name).strike(surface, 3, rng)
-        assert struck == 3
-        assert surface.injected == 3
+        engine = _stable_ciw_pair(8)[which]
+        assert make_adversary(name).strike(engine, 3, rng) == 3
 
     def test_clone_leader_manufactures_rank_collision(self, rng):
-        surface, _ = _stable_ciw_pair(8)
+        sim, _ = _stable_ciw_pair(8)
         adversary = Adversary("t", UniformVictims(), CloneCorruption("leader"))
-        adversary.strike(surface, 3, rng)
-        assert surface.sim.states.count(0) >= 3  # clones of the rank-1 state
+        assert adversary.strike(sim, 3, rng) == 3
+        assert sim.states.count(0) >= 3  # clones of the rank-1 state
 
     def test_strike_corrupts_exactly_k_distinct_agents(self):
-        surface, _ = _stable_ciw_pair(8)
-        victims = UniformVictims().select(surface, 3, make_rng(1, "strike"))
+        sim, _ = _stable_ciw_pair(8)
+        victims = UniformVictims().select(sim, 3, make_rng(1, "strike"))
         assert len(set(victims)) == 3
-        assert make_adversary("random").strike(surface, 3, make_rng(1, "strike")) == 3
-        assert surface.injected == 3
+        assert make_adversary("random").strike(sim, 3, make_rng(1, "strike")) == 3
 
     def test_strike_caps_at_population(self):
-        surface, _ = _stable_ciw_pair(4)
-        assert make_adversary("random").strike(surface, 99, make_rng(2, "strike")) == 4
-        assert surface.injected == 4
+        sim, _ = _stable_ciw_pair(4)
+        assert make_adversary("random").strike(sim, 99, make_rng(2, "strike")) == 4
 
     def test_strike_resynchronizes_monitors(self, rng):
         protocol = SilentNStateSSR(4)
         monitor = protocol.convergence_monitor()
         sim = Simulation(protocol, [0, 1, 2, 3], rng=rng, monitors=[monitor])
         assert monitor.correct
-        surface = SimulationSurface(sim)
         adversary = make_adversary("random")
         strike_rng = make_rng(3, "strike")
         # Strike until the ranking actually breaks (some strikes may
         # happen to rewrite a state with its own value).
         for _ in range(50):
-            adversary.strike(surface, 2, strike_rng)
+            assert adversary.strike(sim, 2, strike_rng) == 2
             if not protocol.is_correct(sim.states):
                 break
-        assert monitor.correct == protocol.is_correct(sim.states) == surface.correct()
+        assert monitor.correct == protocol.is_correct(sim.states) == sim.correct
 
     def test_ranked_strikes_identical_across_engines(self):
         """Deterministic selectors: same seed -> same multiset, either engine.
@@ -269,11 +254,9 @@ class TestAdversaries:
         """
         for name in ("leader", "max-rank"):
             generic, count = _stable_ciw_pair(8)
-            make_adversary(name).strike(generic, 3, make_rng(5, name))
-            make_adversary(name).strike(count, 3, make_rng(5, name))
-            assert sorted(count.sim.expand_states()) == sorted(
-                generic.sim.states
-            ), name
+            assert make_adversary(name).strike(generic, 3, make_rng(5, name)) == 3
+            assert make_adversary(name).strike(count, 3, make_rng(5, name)) == 3
+            assert sorted(count.expand_states()) == sorted(generic.states), name
 
 
 def _ks_statistic(a, b):

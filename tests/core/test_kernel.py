@@ -28,12 +28,14 @@ import sys
 import pytest
 
 import repro.core.countsim as countsim_module
-from repro.core.countsim import CountSimulation
+from repro.core.countsim import CountSimulation, count_engine_eligible, select_engine
 from repro.core.rng import make_rng
 from repro.experiments import frontier, table1
 from repro.protocols.base import RankingProtocol
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
+from repro.protocols.loose_stabilization import LooselyStabilizingLE
 from repro.protocols.optimal_silent import OptimalSilentSSR
+from repro.protocols.propagate_reset import ResetParameters, ResetTimingProtocol
 from repro.statics.schema import FieldSpec, IntRange, register_schema, scalar_schema
 from tests.core.test_countsim import ks_statistic
 
@@ -111,6 +113,27 @@ class TestSelection:
             frontier.run(quick=True, engine="warp")
         with pytest.raises(ValueError):
             table1.run(quick=True, engine="warp")
+
+    @pytest.mark.parametrize("engine", ["count", "vector"])
+    @pytest.mark.parametrize(
+        "make_protocol",
+        [
+            lambda: LooselyStabilizingLE(8, t_max=40),
+            lambda: ResetTimingProtocol(8, ResetParameters(r_max=3, d_max=4)),
+        ],
+        ids=["loose", "reset"],
+    )
+    def test_count_engines_refuse_non_silent_protocols(self, make_protocol, engine):
+        """Both protocols are count-engine eligible but not silent, and
+        the count engine certifies stabilization by silence only: the
+        policy names the protocol and refuses it; ``auto`` runs it on
+        the generic engine."""
+        protocol = make_protocol()
+        assert count_engine_eligible(protocol) and not protocol.silent
+        name = type(protocol).__name__
+        with pytest.raises(ValueError, match=f"{name} is not silent"):
+            select_engine(protocol, engine)
+        assert select_engine(protocol, "auto") is None
 
     def test_fallback_without_numpy(self, monkeypatch):
         """Without numpy ``batched=True`` is accepted and takes the scalar
