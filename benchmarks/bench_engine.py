@@ -23,7 +23,7 @@ Three entry points:
   the count engine falls below 50x the generic engine on
   SilentNStateSSR at n=1024, if class-pruned pair classification
   falls below 10x a full scan at n=8192, if the count engine holds
-  more than 450 traced bytes per slot after a jump-mode witness run at
+  more than 250 traced bytes per slot after a jump-mode witness run at
   n=8192, or if a fresh ``import repro.experiments.cli`` loads numpy.
 * ``repro bench --suite engine`` — the ledgered harness entry point
   (:func:`bench_suite` below): the same cells with repeats, gated
@@ -64,9 +64,10 @@ MIN_COUNT_SPEEDUP = 50.0
 #: this factor at n=8192 (bootstrap-CI separated, not just means).
 MIN_PRUNING_SPEEDUP = 10.0
 #: Most tracemalloc-traced bytes per slot the count engine may hold
-#: after a jump-mode run from the CIW witness at n=8192 (flat slot
-#: tables: ~376; the earlier per-slot tuples and lists: ~673).
-MAX_BYTES_PER_SLOT = 450
+#: after a jump-mode run from the CIW witness at n=8192: the reading,
+#: ~208 in a fresh process, plus a 20% margin.  (Slots keyed by key
+#: tuples read ~376; the earlier per-slot tuples and lists ~673.)
+MAX_BYTES_PER_SLOT = 250
 #: Interleaved unrecorded/recorded pass pairs behind the smoke's
 #: recording-overhead figure.
 RECORDING_PAIRS = 10
@@ -132,12 +133,17 @@ def test_fastpath_effective_interactions(benchmark, seed):
     assert interactions > 10_000_000  # Theta(n^3) accounted in milliseconds
 
 
+def _witness_counts(n: int) -> list:
+    """The CIW worst case as the ``(rank, count)`` pairs
+    :meth:`CountSimulation.from_counts` takes."""
+    return [(rank, count) for rank, count in enumerate(worst_case_ciw_counts(n)) if count]
+
+
 def _count_engine_convergence(n: int, seed: int) -> int:
     """Run the count engine to silence from the CIW worst case."""
-    protocol = SilentNStateSSR(n)
-    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    sim = CountSimulation(
-        protocol, states, rng=make_rng(seed, "count-eng", n), mode="jump"
+    sim = CountSimulation.from_counts(
+        SilentNStateSSR(n), _witness_counts(n), rng=make_rng(seed, "count-eng", n),
+        mode="jump",
     )
     sim.run_until_silent()
     return sim.interactions
@@ -229,10 +235,12 @@ def _smoke_jump(n: int, seed: int, recorder=None, full_scan: bool = False) -> di
     the pruning's gain alone.
     """
     protocol = (FullScanSilentNStateSSR if full_scan else SilentNStateSSR)(n)
-    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
+    counts = _witness_counts(n)
     rng = make_rng(seed, "smoke-count", n)
     start = time.perf_counter()
-    sim = CountSimulation(protocol, states, rng=rng, mode="jump", recorder=recorder)
+    sim = CountSimulation.from_counts(
+        protocol, counts, rng=rng, mode="jump", recorder=recorder
+    )
     built = time.perf_counter()
     sim.run_until_silent()
     done = time.perf_counter()
@@ -361,11 +369,11 @@ def _smoke_memory(n: int, seed: int) -> dict:
     lower than a fresh one.
     """
     protocol = SilentNStateSSR(n)
-    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
+    counts = _witness_counts(n)
     rng = make_rng(seed, "smoke-memory", n)
     tracemalloc.start()
     try:
-        sim = CountSimulation(protocol, states, rng=rng, mode="jump")
+        sim = CountSimulation.from_counts(protocol, counts, rng=rng, mode="jump")
         sim.run_until_silent()
         traced = tracemalloc.get_traced_memory()[0]
     finally:

@@ -34,9 +34,14 @@ produces -- enforced by the distributional tests in
 Eligibility is derived from the static schema registry
 (:mod:`repro.statics.schema`): the engine needs a registered schema
 whose canonical :meth:`~repro.statics.schema.StateSchema.key` is
-lossless, i.e. every declared field participates in the key.  Protocols
-carrying unhashable out-of-key structures (history trees, rosters) fall
-back to the generic engine -- see :func:`count_engine_eligible`.
+lossless, i.e. every declared field participates in the key, every key
+field has an enumerable domain (so the dense
+:meth:`~repro.statics.schema.StateSchema.index` exists) and the schema
+declares every field a state carries.  Protocols carrying unhashable
+out-of-key structures (history trees, rosters) or undeclared fields
+fall back to the generic engine -- see :func:`count_engine_eligible`.
+An engine can start from an agent list or, without expanding one, from
+a state -> count map (:meth:`CountSimulation.from_counts`).
 
 Modes
 -----
@@ -71,10 +76,11 @@ Modes
 ``active``
     Partition agents into *active* and *passive* using the protocol's
     optional ``silent_class`` hook and skip passive-passive pairs with
-    one geometric draw.  ``silent_class(state)`` returns a hashable
-    class or ``None`` (always active); the contract is that two states
-    with *distinct* non-``None`` classes form null pairs in both
-    orders (checked statically by ``repro lint``).  A slot is passive
+    one geometric draw.  ``silent_class(state)`` returns ``None``
+    (always active) or a class, an int in ``0..n``; the contract is
+    that two states with *distinct* non-``None`` classes form null
+    pairs in both orders (both checked statically by ``repro lint``;
+    the engine raises on a class outside the range).  A slot is passive
     when it is the only occupied slot of its class and its diagonal is
     null (trivially so at count 1).  Unlike jump mode this needs no
     pair classification and survives fault injection at O(1)
@@ -107,20 +113,32 @@ module loads, so a run that never draws a batch never loads it.
 
 Slot tables
 -----------
-Every distinct state key ever seen gets an int slot id, and per-slot
-data lives in flat storage indexed by it, so a slot costs ~376 traced
-bytes (n=8192 witness run; see docs/performance.md, "Engine memory").
-``_counts`` and ``_reps`` are lists, ``_slot_rank`` an ``array('q')``
-and ``_classified`` a ``bytearray``.  The memo maps the packed ordered
-pair ``si << 32 | sj`` to the packed outputs ``ta << 32 | tb`` (or
+Every distinct state ever seen gets an int slot id, in first-seen
+order, and per-slot data lives in flat storage indexed by it, so a slot
+costs ~208 traced bytes (n=8192 witness run; see
+docs/performance.md, "Engine memory").  States are looked up by their
+schema's dense index (:meth:`~repro.statics.schema.StateSchema.index`),
+not by canonical key tuples, which are built only at the boundary
+(:meth:`CountSimulation.occupancy`, the probe table).  ``_slot_of_index``
+maps an index to its slot, or -1: an ``array('q')`` over the whole index
+range when that is at most ``4 n`` (Silent-n-state-SSR: exactly ``n``),
+else a dict holding the indices seen (Optimal-Silent-SSR's range is a
+few hundred times ``n``).  A state outside the schema has no index, so a
+transition output that escapes it raises
+:class:`~repro.core.errors.ConfigurationError` instead of getting a
+slot.  ``_counts`` and ``_reps`` are lists, ``_slot_rank`` an
+``array('q')`` and ``_classified`` a ``bytearray``.  The memo maps the
+packed ordered pair ``si << 32 | sj`` to the packed outputs ``ta << 32 | tb`` (or
 ``_RANDOMIZED``), so slot ids must stay below 2**32.  Jump mode stores
 effective pair ``p`` as ``(_pair_a[p], _pair_b[p])``, two
 ``array('q')`` columns, and threads each slot's pairs through an
 intrusive linked list: ``_adj_head[slot]`` is the slot's first link,
 link ``2p`` / ``2p + 1`` is pair ``p`` seen from its first / second
 endpoint, ``_adj_next[link]`` is the next link, and -1 ends a list.
-``_class_lists`` maps a ``silent_class`` to its only classified slot
-id, or to a sorted list from the second member on.
+``_class_member`` is an ``array('q')`` over the classes ``0..n``
+holding each class's first classified slot id (-1: none yet), and the
+dict ``_class_lists`` the ascending member list of each class that has
+more than one.
 
 Fault injection
 ---------------
@@ -147,11 +165,14 @@ import random
 import time
 from array import array
 from itertools import accumulate
+from dataclasses import fields, is_dataclass
 from typing import (
     Any,
     Dict,
     Hashable,
+    Iterable,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -167,7 +188,7 @@ from repro.core.fenwick import GrowableFenwick, draws_with_getrandbits
 from repro.core.protocol import PopulationProtocol, check_population
 from repro.core.rng import DEFAULT_SEED
 from repro.obs.context import current_recorder
-from repro.statics.schema import StateSchema, has_schema, schema_for
+from repro.statics.schema import SchemaError, StateSchema, has_schema, schema_for
 
 #: numpy's import spec, ``None`` iff numpy is not installed.  numpy
 #: itself is imported on the batched sampler's first draw.
@@ -235,18 +256,49 @@ class _SpyRandom(random.Random):
         raise NotImplementedError("spy RNG state is the wrapped RNG's state")
 
 
+def _ineligibility(protocol: PopulationProtocol[Any], schema: StateSchema) -> Optional[str]:
+    """Why :class:`CountSimulation` cannot run ``protocol``, or ``None``."""
+    declared = {spec.name for role in schema.roles for spec in role.fields}
+    lossy = [
+        spec.name for role in schema.roles for spec in role.fields if not spec.in_key
+    ]
+    if lossy:
+        return f"its schema excludes fields {lossy} from the canonical key"
+    if schema.index_size is None:
+        return "its schema has key fields whose domains are not enumerable"
+    # The role attribute selects the role schema; every other field of a
+    # state must be declared by some role, or equal keys could hide
+    # states that differ.
+    sample = protocol.initial_state(random.Random(0))
+    if is_dataclass(sample):
+        undeclared = [
+            spec.name
+            for spec in fields(sample)
+            if spec.name != "role" and spec.name not in declared
+        ]
+        if undeclared:
+            return f"its schema declares no field {undeclared}"
+    return None
+
+
 def count_engine_eligible(protocol: PopulationProtocol[Any]) -> bool:
     """Whether :class:`CountSimulation` can run ``protocol``.
 
-    Requires a registered state schema whose canonical key is lossless:
-    every declared field has ``in_key=True``, so two states with equal
-    keys are interchangeable.  Protocols with out-of-key fields (e.g.
-    the sublinear protocol's history trees) must use the generic engine.
+    Requires a registered state schema whose canonical key is lossless,
+    so two states with equal keys are interchangeable, and dense:
+
+    * every declared field has ``in_key=True``;
+    * every key field's domain is enumerable, so the schema's dense
+      :meth:`~repro.statics.schema.StateSchema.index` exists;
+    * every dataclass field of a state (the protocol's
+      ``initial_state``), other than ``role``, is declared by some role
+      of the schema.
+
+    Protocols with out-of-key fields (e.g. the sublinear protocol's
+    history trees) or undeclared ones (``ResetTimingProtocol``'s
+    unbounded ``generation``) must use the generic engine.
     """
-    if not has_schema(protocol):
-        return False
-    schema = schema_for(protocol)
-    return all(spec.in_key for role in schema.roles for spec in role.fields)
+    return has_schema(protocol) and _ineligibility(protocol, schema_for(protocol)) is None
 
 
 #: Memo marker for pairs whose transition consults the RNG.
@@ -283,7 +335,8 @@ def select_engine(protocol: PopulationProtocol[Any], engine: str) -> Optional[bo
     if not count_engine_eligible(protocol):
         raise ValueError(
             f"{type(protocol).__name__} is not count-engine eligible "
-            "(needs a registered lossless state schema)"
+            "(needs a registered state schema that declares every state field "
+            "and keys them all over enumerable domains)"
         )
     if not protocol.silent:
         raise ValueError(
@@ -368,6 +421,27 @@ MAX_BATCH = 16384
 #: run can reach.
 _NEVER = 1 << 63
 
+#: An index range of at most this many times ``n`` gets an array slot
+#: map; a larger one a dict (see "Slot tables" in the module docstring).
+_ARRAY_SLOT_MAP_FACTOR = 4
+
+
+class _SlotDict(Dict[int, int]):
+    """The dict slot map: like the array one, reads -1 for "no slot"."""
+
+    def __missing__(self, index: int) -> int:
+        return -1
+
+
+class _Counts:
+    """The ``(state, count)`` pairs :meth:`CountSimulation.from_counts`
+    hands the constructor, which loads (and checks) them in one pass."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Iterable[Tuple[Any, int]]):
+        self.pairs = pairs
+
 
 class ProbeTable:
     """Probe outcomes shared by a series of count engines on one protocol.
@@ -384,10 +458,12 @@ class ProbeTable:
 
     The table is bound to one protocol instance, and an engine on any
     other instance refuses it.  It holds at most one entry per ordered
-    pair of states the series met; ``hits`` counts the probes it saved.
+    pair of states the series met, and the schema index of each output
+    key it served (``indices``), so a served output costs no index
+    computation; ``hits`` counts the probes it saved.
     """
 
-    __slots__ = ("protocol", "hits", "outputs")
+    __slots__ = ("protocol", "hits", "outputs", "indices")
 
     def __init__(self, protocol: PopulationProtocol[Any]):
         self.protocol = protocol
@@ -395,6 +471,7 @@ class ProbeTable:
         self.outputs: Dict[
             Tuple[Hashable, Hashable], Optional[Tuple[Hashable, Any, Hashable, Any]]
         ] = {}
+        self.indices: Dict[Hashable, int] = {}
 
     def __len__(self) -> int:
         return len(self.outputs)
@@ -413,6 +490,8 @@ class CountSimulation:
         Initial configuration (``protocol.n`` agent states).  The input
         objects are never mutated: transitions always run on copies of
         slot representatives (``protocol.clone_state``).
+        :meth:`from_counts` builds the same engine from a state ->
+        count map.
     rng:
         Source of randomness for scheduling and randomized transitions.
     mode:
@@ -458,7 +537,7 @@ class CountSimulation:
     def __init__(
         self,
         protocol: PopulationProtocol[S],
-        states: Optional[List[S]] = None,
+        states: Optional[Sequence[S]] = None,
         *,
         rng: random.Random,
         mode: str = "auto",
@@ -481,20 +560,20 @@ class CountSimulation:
             )
         self.protocol = protocol
         self.rng = rng
-        if states is None:
-            states = protocol.initial_configuration(rng)
-        check_population(protocol, states)
+        pairs: Iterable[Tuple[S, int]]
+        if isinstance(states, _Counts):
+            pairs = states.pairs
+        else:
+            if states is None:
+                states = protocol.initial_configuration(rng)
+            check_population(protocol, states)
+            pairs = ((state, 1) for state in states)
         schema = schema_for(protocol)  # raises KeyError when unregistered
-        lossy = [
-            spec.name
-            for role in schema.roles
-            for spec in role.fields
-            if not spec.in_key
-        ]
-        if lossy:
+        reason = _ineligibility(protocol, schema)
+        if reason is not None:
             raise ValueError(
-                f"{type(protocol).__name__} schema excludes fields {lossy} from "
-                "the canonical key; the count engine needs lossless state keys "
+                f"{type(protocol).__name__} is not count-engine eligible: {reason}; "
+                "the count engine needs lossless, enumerable state keys "
                 "(use the generic Simulation instead)"
             )
         if mode in ("jump", "active") and not protocol.silent:
@@ -510,6 +589,7 @@ class CountSimulation:
             )
         self._schema: StateSchema = schema
         self._key = schema.key
+        self._index = schema.index
         self._spy = _SpyRandom(rng)
         self._clone = protocol.clone_state
         n = protocol.n
@@ -523,8 +603,14 @@ class CountSimulation:
         self._obs_next = 0
         self._occupied = 0  # slots with non-zero count (distinct states)
 
-        # -- slot tables: one slot per distinct state key ever seen -----
-        self._slot_of_key: Dict[Hashable, int] = {}
+        # -- slot tables: one slot per distinct state ever seen ---------
+        index_size = schema.index_size
+        assert index_size is not None  # eligibility guarantees it
+        self._slot_of_index: Union[array, _SlotDict] = (
+            array("q", [-1]) * index_size
+            if index_size <= _ARRAY_SLOT_MAP_FACTOR * n
+            else _SlotDict()
+        )
         self._reps: List[S] = []
         self._counts: List[int] = []
         self._count_tree = GrowableFenwick()
@@ -555,17 +641,19 @@ class CountSimulation:
         self._adj_next = array("q")
         self._pair_tree = GrowableFenwick()
         self._classified = bytearray()
-        # Classified slots by ``silent_class``: a bare slot id for a
-        # class's only member, an ascending list from the second on.
-        # Slots of class ``None`` are candidates for every other slot.
-        self._class_lists: Dict[Hashable, Union[int, List[int]]] = {}
+        # Classified slots by ``silent_class``: each class's first member
+        # (-1: none; allocated on first use), and the ascending member
+        # list of each class with more than one.  Slots of class
+        # ``None`` are candidates for every other slot.
+        self._class_member = array("q")
+        self._class_lists: Dict[int, List[int]] = {}
         self._none_class: List[int] = []
 
         # -- active-mode structures (used only when mode == "active") ---
         self._active_mode = mode == "active"
-        self._slot_class: List[Optional[Hashable]] = []
+        self._slot_class: List[Optional[int]] = []
         self._self_null: List[Optional[bool]] = []
-        self._class_slots: Dict[Hashable, Set[int]] = {}
+        self._class_slots: Dict[int, Set[int]] = {}
         self._active_tree = GrowableFenwick()
         self._passive_tree = GrowableFenwick()
 
@@ -594,26 +682,38 @@ class CountSimulation:
         # memo itself: a pair first probed elsewhere ends one batch.
         self._batch_nulls: Set[int] = set()
 
-        # Tally the initial states by key (slots in first-seen order),
-        # then set each slot's count once.  A key is lossless only inside
-        # the schema, so each key's first state is checked against it and
-        # any other state under that key must equal the first: an
-        # out-of-schema state raises before any tree is built, instead of
+        # Tally the initial states into slots (in first-seen order), then
+        # set each slot's count once.  An agent list arrives as pairs of
+        # count 1.  An index is lossless only inside the schema, so each
+        # index's first state is checked against it and any other state
+        # under that index must equal the first: an out-of-schema state
+        # (or a bad count) raises before any tree is built, instead of
         # being merged into (or standing in for) a different state.
-        key = self._key
-        slot_of_key = self._slot_of_key
+        index_of = self._index
+        slot_of_index = self._slot_of_index
         reps = self._reps
         tally: List[int] = []
-        for state in states:
-            state_key = key(state)
-            slot = slot_of_key.get(state_key)
-            if slot is None:
+        total = 0
+        for state, count in pairs:
+            if count.__class__ is not int or count <= 0:
+                raise ValueError(
+                    f"state {state!r} has count {count!r}; counts must be positive ints"
+                )
+            total += count
+            try:
+                index = index_of(state)
+            except SchemaError as error:
+                raise self._outside(state, error) from None
+            slot = slot_of_index[index]
+            if slot < 0:
                 self._check_state(state)
-                slot = self._new_slot(state_key, state)
+                slot = self._new_slot(index, state)
                 tally.append(0)
             elif state != reps[slot]:
                 self._check_state(state)
-            tally[slot] += 1
+            tally[slot] += count
+        if total != n:
+            raise ValueError(f"counts sum to {total}, protocol expects {n} agents")
         for slot, count in enumerate(tally):
             self._set_count(slot, count)
         if mode != "jump":
@@ -627,6 +727,41 @@ class CountSimulation:
             self._obs = obs
             self._profile = bool(getattr(obs, "profile", False))
             self._obs_next = obs.sample_every
+
+    @classmethod
+    def from_counts(
+        cls,
+        protocol: PopulationProtocol[S],
+        counts: Union[Mapping[S, int], Iterable[Tuple[S, int]]],
+        *,
+        rng: random.Random,
+        mode: str = "auto",
+        batched: bool = False,
+        recorder: Optional[Any] = None,
+        probe_table: Optional[ProbeTable] = None,
+    ) -> "CountSimulation":
+        """The engine on the configuration ``counts`` describes, without
+        expanding it into an agent list.
+
+        ``counts`` is an ordered state -> count map: a mapping, or an
+        iterable of ``(state, count)`` pairs (unhashable states; a
+        generator is read once and never held).  The engine is the one
+        the constructor builds from the list holding each state
+        ``count`` times, in the map's order -- same slots, same draws.
+        Raises :class:`ValueError` unless every count is a positive int
+        and the counts sum to ``protocol.n``; each distinct state is
+        checked against the schema once.
+        """
+        pairs = counts.items() if isinstance(counts, Mapping) else counts
+        return cls(
+            protocol,
+            _Counts(pairs),  # type: ignore[arg-type]
+            rng=rng,
+            mode=mode,
+            batched=batched,
+            recorder=recorder,
+            probe_table=probe_table,
+        )
 
     # -- public surface ------------------------------------------------
 
@@ -658,9 +793,10 @@ class CountSimulation:
 
     def occupancy(self) -> Dict[Hashable, int]:
         """Multiset of canonical state keys with non-zero counts."""
-        keys = {slot: key for key, slot in self._slot_of_key.items()}
+        key = self._key
+        reps = self._reps
         return {
-            keys[slot]: count
+            key(reps[slot]): count
             for slot, count in enumerate(self._counts)
             if count > 0
         }
@@ -1028,15 +1164,28 @@ class CountSimulation:
                 "state: " + "; ".join(problems)
             )
 
-    def _slot_for_state(self, state: S) -> int:
-        key = self._key(state)
-        slot = self._slot_of_key.get(key)
-        return self._new_slot(key, state) if slot is None else slot
+    def _outside(self, state: S, error: SchemaError) -> ConfigurationError:
+        """The error for a ``state`` the schema has no index for."""
+        self._check_state(state)  # raises with the schema's own words
+        return ConfigurationError(
+            f"state {state!r} is not a {self._schema.protocol_name} state: {error}"
+        )
 
-    def _new_slot(self, key: Hashable, state: S) -> int:
-        """Create the slot for a state whose ``key`` has no slot yet."""
+    def _slot_of(self, state: S) -> int:
+        """The slot of ``state``, created for it if its index has none; a
+        state outside the schema has no index and raises
+        :class:`ConfigurationError` naming it."""
+        try:
+            index = self._index(state)
+        except SchemaError as error:
+            raise self._outside(state, error) from None
+        slot = self._slot_of_index[index]
+        return self._new_slot(index, state) if slot < 0 else slot
+
+    def _new_slot(self, index: int, state: S) -> int:
+        """Create the slot for a state whose ``index`` has no slot yet."""
         slot = len(self._reps)
-        self._slot_of_key[key] = slot
+        self._slot_of_index[index] = slot
         self._reps.append(state)
         self._counts.append(0)
         if not self._count_stale:
@@ -1050,8 +1199,7 @@ class CountSimulation:
                 rank = r
         self._slot_rank.append(rank)
         if self._active_mode:
-            assert self._class_of is not None
-            self._slot_class.append(self._class_of(state))
+            self._slot_class.append(self._class_for(state))
             self._self_null.append(None)
             self._active_tree.append(0)
             self._passive_tree.append(0)
@@ -1136,30 +1284,23 @@ class CountSimulation:
             spy = self._spy
             spy.rearm(self.rng)
             out_a, out_b = self.protocol.transition(initiator, responder, spy)
-            key = self._key
-            slot_of_key = self._slot_of_key
-            key_a = key(out_a)
-            ta = slot_of_key.get(key_a)
-            if ta is None:
-                ta = self._new_slot(key_a, out_a)
-            key_b = key(out_b)
-            tb = slot_of_key.get(key_b)
-            if tb is None:
-                tb = self._new_slot(key_b, out_b)
+            ta = self._slot_of(out_a)
+            tb = self._slot_of(out_b)
             self._memo[pair] = _RANDOMIZED if spy.used else ta << 32 | tb
             table = self._probe_table
             if table is not None:
+                key = self._key
                 clone = self._clone
                 table.outputs[key(reps[si]), key(reps[sj])] = (
                     _RANDOMIZED if spy.used
-                    else (key_a, clone(out_a), key_b, clone(out_b))
+                    else (key(out_a), clone(out_a), key(out_b), clone(out_b))
                 )
         elif entry is _RANDOMIZED:
             initiator = self._clone(self._reps[si])
             responder = self._clone(self._reps[sj])
             out_a, out_b = self.protocol.transition(initiator, responder, self.rng)
-            ta = self._slot_for_state(out_a)
-            tb = self._slot_for_state(out_b)
+            ta = self._slot_of(out_a)
+            tb = self._slot_of(out_b)
         else:
             ta = entry >> 32
             tb = entry & 0xFFFFFFFF
@@ -1184,16 +1325,22 @@ class CountSimulation:
         if stored is None:
             return False  # not met in the series yet, or randomized
         key_a, state_a, key_b, state_b = stored
-        slot_of_key = self._slot_of_key
-        ta = slot_of_key.get(key_a)
-        if ta is None:
-            ta = self._new_slot(key_a, self._clone(state_a))
-        tb = slot_of_key.get(key_b)
-        if tb is None:
-            tb = self._new_slot(key_b, self._clone(state_b))
+        ta = self._served_slot(table, key_a, state_a)
+        tb = self._served_slot(table, key_b, state_b)
         entry = self._memo[pair] = ta << 32 | tb
         table.hits += 1
         return entry
+
+    def _served_slot(self, table: ProbeTable, key: Hashable, state: S) -> int:
+        """The slot of a table's output, created from a clone if new.
+
+        The table's states passed ``_slot_of`` when they were probed.
+        """
+        index = table.indices.get(key)
+        if index is None:
+            index = table.indices[key] = self._index(state)
+        slot = self._slot_of_index[index]
+        return self._new_slot(index, self._clone(state)) if slot < 0 else slot
 
     def _apply(self, si: int, sj: int, ta: int, tb: int) -> None:
         # In jump mode a slot that fills up is classified on the spot,
@@ -1392,6 +1539,7 @@ class CountSimulation:
         self._adj_next = array("q")
         self._pair_tree = GrowableFenwick()
         self._classified = bytearray(k)
+        self._class_member = array("q")
         self._class_lists = {}
         self._none_class = []
         self._cum_stale = True
@@ -1415,25 +1563,28 @@ class CountSimulation:
         is_pair_null = self.protocol.is_pair_null
         reps = self._reps
         a = reps[m]
-        cm = None if self._class_of is None else self._class_of(a)
+        cm = None if self._class_of is None else self._class_for(a)
         candidates: Sequence[int]
         if cm is None:
             # No class partition, or a wildcard slot: full scan.
             candidates = [j for j, done in enumerate(classified) if done]
             bisect.insort(self._none_class, m)
         else:
-            class_lists = self._class_lists
-            members = class_lists.get(cm)
-            if members is None:
-                # Most classes only ever hold one slot: store it bare.
-                class_lists[cm] = m
+            class_member = self._class_member
+            if not class_member:
+                class_member = self._class_member = array("q", [-1]) * (self.n + 1)
+            first = class_member[cm]
+            if first < 0:
+                # Most classes only ever hold one slot: no list for it.
+                class_member[cm] = m
                 members = [m]
-            elif isinstance(members, int):
-                members = class_lists[cm] = (
-                    [members, m] if members < m else [m, members]
-                )
             else:
-                bisect.insort(members, m)
+                class_lists = self._class_lists
+                members = class_lists.get(cm)
+                if members is None:
+                    members = class_lists[cm] = [first, m] if first < m else [m, first]
+                else:
+                    bisect.insort(members, m)
             candidates = (
                 sorted(members + self._none_class) if self._none_class else members
             )
@@ -1447,6 +1598,18 @@ class CountSimulation:
                     self._register_pair(m, j)
                 if not is_pair_null(b, a):
                     self._register_pair(j, m)
+
+    def _class_for(self, state: S) -> Optional[int]:
+        """``silent_class(state)``, held to its contract: ``None`` or an
+        int in ``0..n`` (it indexes ``_class_member``)."""
+        assert self._class_of is not None
+        cls = self._class_of(state)
+        if cls is None or (cls.__class__ is int and 0 <= cls <= self.n):
+            return cls
+        raise ConfigurationError(
+            f"{type(self.protocol).__name__}.silent_class({state!r}) returned "
+            f"{cls!r}; the contract is None or an int in 0..{self.n}"
+        )
 
     def _register_pair(self, i: int, j: int) -> None:
         """Add the effective pair ``(i, j)``; the caller weighs it."""
@@ -1622,7 +1785,7 @@ class CountSimulation:
             self._exit_jump_mode()
         for slot, state in zip(victims, new_states):
             self._set_count(slot, counts[slot] - 1)
-            target = self._slot_for_state(self._clone(state))
+            target = self._slot_of(self._clone(state))
             self._set_count(target, counts[target] + 1)
         self._last_change = self.interactions
         self._cum_stale = True

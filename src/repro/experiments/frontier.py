@@ -10,9 +10,11 @@ identical per-seed trajectories, see
 Each trial accounts for ~n^3/2 scheduler interactions (5 * 10^20 at
 n = 10^7), which is the sense in which this row walks toward the
 n = 10^9 frontier.  From the witness the engine holds k ~ n slots, so
-memory, not time, bounds n: ~376 traced bytes per slot after a run
+memory, not time, bounds n: ~208 traced bytes per slot after a run
 (n = 8192; see docs/performance.md, "Engine memory"), and a single
-n = 10^6 trial peaks at ~510 MB resident.
+n = 10^6 trial peaks at ~273 MB resident.  The engine is built from the
+witness's rank counts (:meth:`CountSimulation.from_counts`), so no
+n-long agent list is ever expanded.
 
 The check against ground truth is the closed form validated by
 :func:`repro.analysis.exact.worst_case_expected_interactions` at small
@@ -47,9 +49,15 @@ ENGINES = ("count", "vector")
 def _frontier_trial(n: int, batched: bool, rng: random.Random) -> Dict[str, float]:
     """One timed worst-case CIW run; returns measurement + wall time."""
     protocol = SilentNStateSSR(n)
-    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
+    counts = worst_case_ciw_counts(n)
     started = time.perf_counter()
-    sim = CountSimulation(protocol, states, rng=rng, mode="jump", batched=batched)
+    sim = CountSimulation.from_counts(
+        protocol,
+        ((rank, count) for rank, count in enumerate(counts) if count),
+        rng=rng,
+        mode="jump",
+        batched=batched,
+    )
     sim.run_until_silent()
     wall = time.perf_counter() - started
     return {

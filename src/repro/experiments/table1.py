@@ -66,8 +66,13 @@ def _ciw_trial(n: int, batched: bool, rng: random.Random) -> float:
     never batches.
     """
     protocol = SilentNStateSSR(n)
-    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    sim = CountSimulation(protocol, states, rng=rng, mode="jump", batched=batched)
+    sim = CountSimulation.from_counts(
+        protocol,
+        ((rank, count) for rank, count in enumerate(worst_case_ciw_counts(n)) if count),
+        rng=rng,
+        mode="jump",
+        batched=batched,
+    )
     sim.run_until_silent()
     return sim.parallel_time
 

@@ -279,9 +279,11 @@ def _fault_model_findings(
       struck against a small simulation and every post-strike agent
       state still validates;
     * ``silent-class-soundness`` -- for silent protocols exposing
-      ``silent_class``, any two states with distinct non-``None``
-      classes must be null pairs in both orders (the contract the count
-      engine's active mode builds its skip distribution on).
+      ``silent_class``, every class is ``None`` or an int in ``0..n``
+      (the count engine indexes an array by it), and any two states
+      with distinct non-``None`` classes must be null pairs in both
+      orders (the contract the count engine's active mode builds its
+      skip distribution on).
     """
     # Imported lazily: the static passes should not drag the dynamic
     # fault machinery in at module import.
@@ -355,7 +357,24 @@ def _fault_model_findings(
     silent_class = getattr(protocol, "silent_class", None)
     if protocol.silent and silent_class is not None and schema.enumerable:
         states = schema.enumerate_states()
-        if len(states) > 2000:
+        out_of_range = [
+            f"{protocol.describe(state)} -> {cls!r}"
+            for state in states
+            if (cls := silent_class(state)) is not None
+            and not (cls.__class__ is int and 0 <= cls <= protocol.n)
+        ]
+        if out_of_range:
+            findings.append(
+                Finding(
+                    Severity.ERROR,
+                    target.name,
+                    "silent-class-soundness",
+                    f"silent_class returns classes outside None and 0..{protocol.n} "
+                    "(the count engine indexes its class map by them)",
+                    witness="; ".join(out_of_range[:4]),
+                )
+            )
+        elif len(states) > 2000:
             findings.append(
                 Finding(
                     Severity.WARNING,

@@ -17,8 +17,10 @@ This module makes the description *data*:
   exhaustive enumeration;
 * a :class:`StateSchema` bundles the role schemas of one protocol
   instance and exposes ``validate`` (runtime monitoring), ``key``
-  (canonical hashing for the model checker) and ``enumerate_states``
-  (the exact declared state space, when finite and small);
+  (canonical hashing for the model checker), ``index`` (a dense integer
+  form of the key, for the count engine's slot arrays) and
+  ``enumerate_states`` (the exact declared state space, when finite and
+  small);
 * protocols self-register a schema *builder* with
   :func:`register_schema`; consumers resolve one with
   :func:`schema_for`.
@@ -262,6 +264,14 @@ def _default_extract(state: Any, field_name: str) -> Any:
     return getattr(state, field_name)
 
 
+def _scalar_role_of(state: Any) -> None:
+    return None
+
+
+def _scalar_extract(state: Any, field_name: str) -> Any:
+    return state
+
+
 def _compile_key(
     index: int, names: Tuple[str, ...], extract: Callable[[Any, str], Any]
 ) -> Callable[[Any], Tuple[Any, ...]]:
@@ -275,6 +285,67 @@ def _compile_key(
     if len(names) == 1:
         return lambda state: (index, getter(state))
     return lambda state: (index,) + getter(state)
+
+
+def _position_of(domain: Domain) -> Tuple[int, Callable[[Any], int]]:
+    """An enumerable domain's size and its value -> position function.
+
+    ``IntRange`` maps ``v`` to ``v - lo`` and ``Choice`` an option to
+    its position; both raise :class:`SchemaError` outside the domain,
+    exactly where :meth:`Domain.contains` is false (a ``bool`` is not in
+    an ``IntRange``).
+    """
+    if isinstance(domain, IntRange):
+        lo, hi = domain.lo, domain.hi
+
+        def int_position(value: Any) -> int:
+            if (
+                value.__class__ is int
+                or (isinstance(value, int) and not isinstance(value, bool))
+            ) and lo <= value <= hi:
+                return value - lo
+            raise SchemaError(f"{value!r} outside {domain.describe()}")
+
+        return hi - lo + 1, int_position
+    options = tuple(domain.values())
+
+    def option_position(value: Any) -> int:
+        for position, option in enumerate(options):
+            if value is option or value == option:
+                return position
+        raise SchemaError(f"{value!r} outside {domain.describe()}")
+
+    return len(options), option_position
+
+
+def _compile_index(
+    offset: int, specs: Sequence[FieldSpec], extract: Callable[[Any, str], Any]
+) -> Tuple[int, Callable[[Any], int]]:
+    """One role's index span and function: ``offset`` plus a mixed radix
+    over its in-key fields, the first field most significant."""
+    plan: List[Tuple[str, Callable[[Any], int], int]] = []
+    span = 1
+    for spec in reversed(specs):
+        size, position = _position_of(spec.domain)
+        plan.insert(0, (spec.name, position, span))
+        span *= size
+    if not plan:
+        return span, lambda state: offset
+    if extract is _scalar_extract and offset == 0 and len(plan) == 1:
+        return span, plan[0][1]  # the one field is the state itself
+    get = getattr if extract is _default_extract else extract
+
+    def index(state: Any) -> int:
+        total = offset
+        for name, position, stride in plan:
+            try:
+                value = get(state, name)
+            except AttributeError:
+                raise SchemaError(f"missing field {name!r}") from None
+            total += position(value) * stride
+        return total
+
+    return span, index
 
 
 class StateSchema:
@@ -313,6 +384,28 @@ class StateSchema:
             )
             for index, role_schema in enumerate(self.roles)
         )
+        # The dense index (see :meth:`index`), compiled beside the key:
+        # each role a span of the product of its in-key domain sizes.
+        # ``None`` when some in-key domain is not enumerable.
+        self.index_size: Optional[int] = None
+        self._index_plan: Tuple[Tuple[Any, Callable[[Any], int]], ...] = ()
+        in_key = [
+            [spec for spec in role_schema.fields if spec.in_key]
+            for role_schema in self.roles
+        ]
+        if all(spec.domain.enumerable for specs in in_key for spec in specs):
+            offset = 0
+            plan = []
+            for role_schema, specs in zip(self.roles, in_key):
+                span, index_of = _compile_index(offset, specs, extract)
+                plan.append((role_schema.role, index_of))
+                offset += span
+            self._index_plan = tuple(plan)
+            self.index_size = offset
+            if role_of is _scalar_role_of and len(plan) == 1:
+                # A scalar schema's one role applies to every state: its
+                # index is the field's position, with no role lookup.
+                self.index = plan[0][1]  # type: ignore[method-assign]
 
     # -- lookup ---------------------------------------------------------
 
@@ -363,6 +456,26 @@ class StateSchema:
                 return key_of(state)
         raise SchemaError(f"state has unknown role: {role!r}")
 
+    def index(self, state: Any) -> int:
+        """Dense integer index of ``state`` in ``range(index_size)``.
+
+        A role's offset plus a mixed radix over its in-key field values,
+        so two states share an index exactly when they share a
+        :meth:`key`.  Raises :class:`SchemaError` when a key field's
+        value is outside its domain or missing, when the role is
+        unknown, and when the schema has no index (``index_size`` is
+        ``None``: some key field's domain is not enumerable).
+        """
+        role = self.role_of(state)
+        for candidate, index_of in self._index_plan:
+            if candidate is role or candidate == role:
+                return index_of(state)
+        if self.index_size is None:
+            raise NotEnumerableError(
+                f"{self.protocol_name} schema has key fields that are not enumerable"
+            )
+        raise SchemaError(f"state has unknown role: {role!r}")
+
     # -- enumeration ----------------------------------------------------
 
     @property
@@ -404,8 +517,8 @@ def scalar_schema(
         protocol_name,
         [RoleSchema(role=None, fields=(field_spec,), constraints=constraints,
                     build=build)],
-        role_of=lambda state: None,
-        extract=lambda state, name: state,
+        role_of=_scalar_role_of,
+        extract=_scalar_extract,
     )
 
 

@@ -40,12 +40,14 @@ from repro.core.simulation import Simulation
 from repro.protocols.base import RankingProtocol
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.optimal_silent import OptimalSilentSSR
+from repro.protocols.propagate_reset import ResetParameters, ResetTimingProtocol
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 from repro.protocols.sync_dictionary import SyncDictionarySSR
 from repro.statics.oracle import _initial_start, _tiny_optimal
 from repro.statics.schema import (
     FieldSpec,
     IntRange,
+    NonNegativeInt,
     register_schema,
     scalar_schema,
     schema_for,
@@ -224,6 +226,15 @@ def _epidemic_schema(protocol: EpidemicToy):
     return scalar_schema(
         "EpidemicToy", FieldSpec("value", IntRange(0, 1)), build=lambda value: value
     )
+
+
+class UnboundedToy(EpidemicToy):
+    """EpidemicToy over unbounded values: a key with no dense index."""
+
+
+@register_schema(UnboundedToy)
+def _unbounded_schema(protocol: UnboundedToy):
+    return scalar_schema("UnboundedToy", FieldSpec("value", NonNegativeInt()), build=int)
 
 
 class CountingCiw(SilentNStateSSR):
@@ -465,6 +476,160 @@ class TestEligibility:
                 protocol, [0, 1, 2, 3], rng=make_rng(6, "elig"), mode="warp"
             )
 
+    def test_undeclared_state_fields_are_ineligible(self):
+        """``ResetTimingProtocol``'s agents carry ``generation``, which no
+        role of its schema declares: equal keys could hide different
+        states, so neither the policy nor the constructor takes it."""
+        protocol = ResetTimingProtocol(6, ResetParameters(r_max=3, d_max=4))
+        assert not count_engine_eligible(protocol)
+        with pytest.raises(ValueError, match=r"declares no field \['generation'\]"):
+            CountSimulation(protocol, rng=make_rng(7, "elig"), mode="interaction")
+
+    def test_non_enumerable_key_fields_are_ineligible(self):
+        """A key field without an enumerable domain has no dense index."""
+        protocol = UnboundedToy(4)
+        assert not count_engine_eligible(protocol)
+        with pytest.raises(ValueError, match="not enumerable"):
+            CountSimulation(protocol, [0, 1, 2, 3], rng=make_rng(8, "elig"))
+
+
+# ---------------------------------------------------------------------------
+# Building from counts
+# ---------------------------------------------------------------------------
+
+
+def _first_seen_counts(schema, states):
+    """``states`` as ordered ``(state, count)`` pairs, in first-seen order."""
+    pairs = {}
+    for state in states:
+        key = schema.key(state)
+        if key in pairs:
+            pairs[key][1] += 1
+        else:
+            pairs[key] = [state, 1]
+    return [tuple(pair) for pair in pairs.values()]
+
+
+class TestFromCounts:
+    @staticmethod
+    def _observed(sim):
+        return (
+            [sim._schema.key(rep) for rep in sim._reps],  # slot order
+            sim.occupancy(),
+            sim.interactions,
+            sim.events,
+            sim.changes,
+            sim.mode,
+            sim.rng.getstate(),
+        )
+
+    @pytest.mark.parametrize("engine", _engine_classes())
+    @pytest.mark.parametrize("start", ["ciw-witness-64", "optimal-silent-random-8"])
+    def test_counts_and_list_build_the_same_engine(self, start, engine):
+        """Same slots in the same order, and the same run after them."""
+        if start == "ciw-witness-64":
+            protocol = SilentNStateSSR(64)
+            counts = worst_case_ciw_counts(64)
+            states = protocol.counts_to_configuration(counts)
+            pairs = {rank: count for rank, count in enumerate(counts) if count}
+            mode = "jump"
+        else:
+            protocol = OptimalSilentSSR(8)
+            states = protocol.random_configuration(make_rng(2, "from-counts"))
+            pairs = _first_seen_counts(schema_for(protocol), states)
+            mode = "auto"
+        batched = engine is VectorSimulation
+        runs = []
+        for sim in (
+            CountSimulation(
+                protocol, deepcopy(states), rng=make_rng(3, "from-counts"), mode=mode,
+                batched=batched,
+            ),
+            CountSimulation.from_counts(
+                protocol, deepcopy(pairs), rng=make_rng(3, "from-counts"), mode=mode,
+                batched=batched,
+            ),
+        ):
+            before = self._observed(sim)
+            assert sim.run_until_silent(max_interactions=10**9)
+            runs.append((before, self._observed(sim)))
+        assert runs[0] == runs[1]
+
+    def test_a_generator_is_read_once(self):
+        protocol = SilentNStateSSR(8)
+        pairs = ((rank, count) for rank, count in enumerate(worst_case_ciw_counts(8)) if count)
+        sim = CountSimulation.from_counts(protocol, pairs, rng=make_rng(4, "from-counts"))
+        assert sorted(sim.occupancy().values()) == [1] * 6 + [2]
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({0: 2, 1: 0, 2: 2}, "state 1 has count 0"),
+            ({0: 5, 1: -1}, "state 1 has count -1"),
+            ({0: 3, 1: True}, "state 1 has count True"),
+            ({0: 3, 1: 1.0}, "state 1 has count 1.0"),
+            ({0: 2, 1: 1}, "counts sum to 3, protocol expects 4"),
+            ({0: 2, 1: 3}, "counts sum to 5, protocol expects 4"),
+        ],
+        ids=["zero", "negative", "bool", "float", "short", "long"],
+    )
+    def test_counts_must_be_positive_ints_summing_to_n(self, counts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CountSimulation.from_counts(
+                SilentNStateSSR(4), counts, rng=make_rng(5, "from-counts")
+            )
+
+    def test_out_of_schema_state_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="state 7 is not"):
+            CountSimulation.from_counts(
+                SilentNStateSSR(4), {0: 2, 7: 2}, rng=make_rng(6, "from-counts")
+            )
+
+
+# ---------------------------------------------------------------------------
+# Out-of-schema transition outputs and classes
+# ---------------------------------------------------------------------------
+
+
+class UnmoddedCiw(SilentNStateSSR):
+    """Silent-n-state-SSR whose bump drops the ``mod n``: a collision at
+    the top rank sends the responder to rank ``n``, outside the schema."""
+
+    def transition(self, a, b, rng):
+        return (a, b + 1) if a == b else (a, b)
+
+
+class ShiftedClassCiw(SilentNStateSSR):
+    """Silent-n-state-SSR whose (sound) classes run past ``n``."""
+
+    def silent_class(self, state):
+        return state + self.n
+
+
+class TestSchemaEscape:
+    @pytest.mark.parametrize("mode", ["interaction", "jump", "active"])
+    def test_escaping_output_raises_naming_the_state(self, mode):
+        """The escaped rank has no schema index: the engine raises a
+        typed error naming it instead of opening a slot for it (or
+        aliasing another)."""
+        sim = CountSimulation(
+            UnmoddedCiw(4), [3, 3, 1, 2], rng=make_rng(9, "escape"), mode=mode
+        )
+        with pytest.raises(ConfigurationError, match=r"state 4 is not .*outside 0\.\.3"):
+            sim.run_until_silent(max_interactions=10**6)
+        assert [sim.slot_state(slot) for slot in range(len(sim._reps))] == [3, 1, 2]
+
+    @pytest.mark.parametrize("mode", ["jump", "active"])
+    def test_class_outside_the_range_raises(self, mode):
+        """``silent_class`` indexes an array of ``n + 1`` class members,
+        so a class past ``n`` raises instead of reading out of bounds."""
+        contract = r"returned 5; the contract is None or an int in 0\.\.4"
+        with pytest.raises(ConfigurationError, match=contract):
+            sim = CountSimulation(
+                ShiftedClassCiw(4), [0, 0, 1, 2], rng=make_rng(10, "class"), mode=mode
+            )
+            sim.run_until_silent(max_interactions=10**6)
+
 
 # ---------------------------------------------------------------------------
 # Exact agreement with CiwJumpSimulator
@@ -658,7 +823,11 @@ class TestMemoization:
         rng = make_rng(33, "memo")
         sim = CountSimulation(protocol, [0, 0, 1, 1, 2, 2], rng=rng, mode="interaction")
         sim.run(2000)
-        keys = {slot: key for key, slot in sim._slot_of_key.items()}
+        schema = sim._schema
+        keys = {
+            sim._slot_of_index[schema.index(state)]: schema.key(state)
+            for state in (0, 1, 2)
+        }
         probed = {
             (keys[pair >> 32], keys[pair & 0xFFFFFFFF]): entry
             for pair, entry in sim._memo.items()
@@ -745,7 +914,8 @@ class TestProbeTable:
         from tests.core.test_kernel import KernelCoinFlip
 
         protocol = KernelCoinFlip(4)
-        key = schema_for(protocol).key
+        schema = schema_for(protocol)
+        key = schema.key
         table = ProbeTable(protocol)
         for trial in range(10):
             runs = []
@@ -759,7 +929,7 @@ class TestProbeTable:
                 )
                 sim.run(200)
                 runs.append(self._observed(sim))
-                ones = sim._slot_of_key[key(1)]
+                ones = sim._slot_of_index[schema.index(1)]
                 assert sim._memo[ones << 32 | ones] is None
             assert runs[0] == runs[1], trial
         assert table.outputs[key(1), key(1)] is None
@@ -1023,6 +1193,25 @@ class TestBookkeeping:
         with pytest.raises(ConfigurationError, match=re.escape(f"state {bad!r} is not")):
             CountSimulation(protocol, states, rng=make_rng(8, "initial"), mode=mode)
         assert states.count(bad) == 1  # the input list is left as given
+
+    def test_occupancy_returns_canonical_key_tuples(self):
+        """Slots are found by dense index, but occupancy still reports
+        the schema's canonical key tuples, as the oracle builds them."""
+        from collections import Counter
+
+        protocol = OptimalSilentSSR(8)
+        schema = schema_for(protocol)
+        states = protocol.random_configuration(make_rng(11, "occupancy"))
+        sim = CountSimulation(protocol, deepcopy(states), rng=make_rng(12, "occupancy"))
+        assert sim.occupancy() == Counter(schema.key(state) for state in states)
+        assert sim.run_until_silent(max_interactions=10**8)
+        occupancy = sim.occupancy()
+        assert all(type(key) is tuple for key in occupancy)
+        assert occupancy == Counter(schema.key(state) for state in sim.expand_states())
+        assert sorted(key[:2] for key in occupancy) == [(0, rank) for rank in range(1, 9)]
+
+        ciw = CountSimulation(SilentNStateSSR(4), [3, 0, 2, 1], rng=make_rng(13, "occupancy"))
+        assert ciw.occupancy() == {(0, 3): 1, (0, 0): 1, (0, 2): 1, (0, 1): 1}
 
     def test_in_schema_duplicates_keep_their_counts(self):
         """Equal in-schema states under one key still share a slot: the

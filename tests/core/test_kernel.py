@@ -116,15 +116,10 @@ class TestSelection:
 
     @pytest.mark.parametrize("engine", ["count", "vector"])
     @pytest.mark.parametrize(
-        "make_protocol",
-        [
-            lambda: LooselyStabilizingLE(8, t_max=40),
-            lambda: ResetTimingProtocol(8, ResetParameters(r_max=3, d_max=4)),
-        ],
-        ids=["loose", "reset"],
+        "make_protocol", [lambda: LooselyStabilizingLE(8, t_max=40)], ids=["loose"]
     )
     def test_count_engines_refuse_non_silent_protocols(self, make_protocol, engine):
-        """Both protocols are count-engine eligible but not silent, and
+        """The protocol is count-engine eligible but not silent, and
         the count engine certifies stabilization by silence only: the
         policy names the protocol and refuses it; ``auto`` runs it on
         the generic engine."""
@@ -134,6 +129,21 @@ class TestSelection:
         with pytest.raises(ValueError, match=f"{name} is not silent"):
             select_engine(protocol, engine)
         assert select_engine(protocol, "auto") is None
+
+    @pytest.mark.parametrize("engine", ["count", "vector"])
+    def test_count_engines_refuse_reset_timing(self, engine):
+        """``ResetTimingProtocol``'s schema never declares the agents'
+        ``generation`` field, so equal keys could hide different states:
+        the protocol is not count-engine eligible (it is not silent
+        either), the policy names it and refuses it, the engine's
+        constructor refuses it too, and ``auto`` runs it generic."""
+        protocol = ResetTimingProtocol(8, ResetParameters(r_max=3, d_max=4))
+        assert not count_engine_eligible(protocol) and not protocol.silent
+        with pytest.raises(ValueError, match="ResetTimingProtocol is not count-engine eligible"):
+            select_engine(protocol, engine)
+        assert select_engine(protocol, "auto") is None
+        with pytest.raises(ValueError, match=r"declares no field \['generation'\]"):
+            CountSimulation(protocol, rng=make_rng(0, "reset"), mode="interaction")
 
     def test_fallback_without_numpy(self, monkeypatch):
         """Without numpy ``batched=True`` is accepted and takes the scalar

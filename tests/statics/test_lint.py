@@ -90,6 +90,41 @@ class TestMutantRun:
         assert result.findings[0].rule_id == "unknown-protocol"
 
 
+class TestSilentClassContract:
+    """``silent_class`` must return ``None`` or an int in ``0..n``: the
+    count engine indexes an array of ``n + 1`` class members by it."""
+
+    @staticmethod
+    def _silent_class_findings(protocol):
+        from repro.statics.lint import LintTarget, _fault_model_findings
+        from repro.statics.schema import schema_for
+
+        target = LintTarget(name=type(protocol).__name__, factory=type(protocol))
+        findings = _fault_model_findings(target, protocol, schema_for(protocol))
+        return [f for f in findings if f.rule_id == "silent-class-soundness"]
+
+    def test_shipped_classes_are_certified(self):
+        from repro.protocols.cai_izumi_wada import SilentNStateSSR
+
+        (finding,) = self._silent_class_findings(SilentNStateSSR(4))
+        assert finding.severity is Severity.INFO and "certified" in finding.message
+
+    def test_class_outside_the_range_is_an_error(self):
+        from repro.protocols.cai_izumi_wada import SilentNStateSSR
+
+        class ShiftedClasses(SilentNStateSSR):
+            """Still a sound partition (distinct ranks, distinct classes),
+            but the classes run past ``n``."""
+
+            def silent_class(self, state):
+                return state + self.n
+
+        (finding,) = self._silent_class_findings(ShiftedClasses(4))
+        assert finding.severity is Severity.ERROR
+        assert "outside None and 0..4" in finding.message
+        assert "-> 5" in finding.witness
+
+
 class TestAudit:
     def test_audit_rows_match_everywhere(self):
         result = run_lint(

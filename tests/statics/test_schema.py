@@ -261,3 +261,104 @@ class TestCompiledKeys:
         schema = schema_for(OptimalSilentSSR(4, tiny_params()))
         with pytest.raises(SchemaError, match="unknown role"):
             schema.key(object())
+
+
+class TestDenseIndex:
+    """``index`` is the count engine's slot-map key: a dense integer form
+    of ``key``, so it must be injective on the declared states and stay
+    inside ``range(index_size)``."""
+
+    @staticmethod
+    def protocols(n):
+        from repro.protocols.loose_stabilization import LooselyStabilizingLE
+        from repro.statics.mutants import BrokenRankingSSR, NondeterministicRankingSSR
+        from tests.core.test_countsim import CoinFlipToy, EpidemicToy, GaussToy
+        from tests.core.test_kernel import KernelCoinFlip
+
+        return [
+            SilentNStateSSR(n),
+            OptimalSilentSSR(n),
+            OptimalSilentSSR(n, tiny_params()),
+            LooselyStabilizingLE(n, t_max=3),
+            BrokenRankingSSR(n),
+            NondeterministicRankingSSR(n),
+            CoinFlipToy(n),
+            GaussToy(n),
+            EpidemicToy(n),
+            KernelCoinFlip(n),
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_index_is_injective_into_its_range(self, n):
+        for protocol in self.protocols(n):
+            schema = schema_for(protocol)
+            name = type(protocol).__name__
+            assert schema.enumerable and schema.index_size is not None, name
+            states = schema.enumerate_states()
+            indices = [schema.index(state) for state in states]
+            assert len(set(indices)) == len(states), name
+            assert all(0 <= index < schema.index_size for index in indices), name
+
+    def test_every_index_shape(self):
+        """A role's offset plus a mixed radix over its in-key fields,
+        first field most significant; out-of-key fields take no part."""
+        from types import SimpleNamespace
+
+        from repro.statics.schema import RoleSchema, StateSchema
+
+        roles = [
+            RoleSchema(role="a", fields=(FieldSpec("x", IntRange(0, 3)),)),
+            RoleSchema(role="b", fields=(FieldSpec("x", IntRange(1, 4)),
+                                         FieldSpec("tree", Anything(), in_key=False))),
+            RoleSchema(role="c", fields=(FieldSpec("x", IntRange(0, 3)),
+                                         FieldSpec("y", Choice(("p", "q", "r", "s"))))),
+            RoleSchema(role="d", fields=(FieldSpec("tree", Anything(), in_key=False),)),
+        ]
+        states = [
+            SimpleNamespace(role=role, x=2, y="s", tree=object()) for role in "abcd"
+        ]
+        attrs = StateSchema("Attrs", roles)
+        by_name = StateSchema("Dict", roles, role_of=lambda s: s["role"],
+                              extract=lambda s, name: s[name])
+        assert attrs.index_size == by_name.index_size == 4 + 4 + 16 + 1
+        expected = [2, 4 + 1, 8 + 2 * 4 + 3, 24]
+        assert [attrs.index(state) for state in states] == expected
+        assert [by_name.index(vars(state)) for state in states] == expected
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            (OptimalSilentAgent(role=Role.SETTLED, rank=9, children=0), "9 outside 1..4"),
+            (OptimalSilentAgent(role=Role.SETTLED, rank=True, children=0), "True outside"),
+            (OptimalSilentAgent(role=Role.SETTLED, rank="1", children=0), "'1' outside"),
+            (OptimalSilentAgent(role=Role.RESETTING, leader="X"), "'X' outside"),
+            (object(), "unknown role"),
+        ],
+        ids=["out-of-range", "bool", "wrong-type", "choice", "unknown-role"],
+    )
+    def test_index_raises_outside_the_schema(self, state, message):
+        schema = schema_for(OptimalSilentSSR(4, tiny_params()))
+        with pytest.raises(SchemaError, match=message):
+            schema.index(state)
+
+    def test_missing_field_raises(self):
+        from types import SimpleNamespace
+
+        from repro.statics.schema import RoleSchema, StateSchema
+
+        schema = StateSchema("Attrs", [
+            RoleSchema(role=None, fields=(FieldSpec("x", IntRange(0, 3)),
+                                          FieldSpec("y", IntRange(0, 3)))),
+        ])
+        with pytest.raises(SchemaError, match="missing field 'y'"):
+            schema.index(SimpleNamespace(x=1))
+
+    def test_no_index_without_enumerable_key_fields(self):
+        from repro.statics.schema import RoleSchema, StateSchema
+
+        schema = StateSchema("Counter", [
+            RoleSchema(role=None, fields=(FieldSpec("count", NonNegativeInt()),)),
+        ])
+        assert schema.index_size is None
+        with pytest.raises(NotEnumerableError):
+            schema.index(3)
