@@ -18,7 +18,6 @@ from repro.core.errors import (
     NotSilentError,
     ProtocolDefinitionError,
     ReproError,
-    SimulationLimitError,
 )
 from repro.core.countsim import CountSimulation, count_engine_eligible
 from repro.core.monitors import ConvergenceMonitor, Monitor
@@ -49,7 +48,6 @@ __all__ = [
     "ranks_are_permutation",
     "ReproError",
     "ConfigurationError",
-    "SimulationLimitError",
     "ProtocolDefinitionError",
     "NotSilentError",
     "DEFAULT_SEED",

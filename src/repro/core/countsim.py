@@ -201,7 +201,6 @@ __all__ = [
     "ENGINES",
     "ChaosParam",
     "CountSimulation",
-    "GrowableFenwick",  # historical import site; canonical home is core.fenwick
     "ProbeTable",
     "count_engine_eligible",
     "select_engine",

@@ -20,21 +20,6 @@ class ConfigurationError(ReproError):
     """
 
 
-class SimulationLimitError(ReproError):
-    """A simulation exceeded its interaction budget before finishing.
-
-    Raised by :meth:`repro.core.simulation.Simulation.run_until` (and the
-    experiment helpers built on it) when the requested predicate did not
-    become true within ``max_interactions`` steps.  The partially advanced
-    simulation state remains inspectable on the :class:`Simulation` object.
-    """
-
-    def __init__(self, message: str, interactions: int):
-        super().__init__(message)
-        #: Number of interactions that were executed before giving up.
-        self.interactions = interactions
-
-
 class ProtocolDefinitionError(ReproError):
     """A protocol definition is internally inconsistent.
 

@@ -37,7 +37,6 @@ from repro.core.rng import geometric
 
 __all__ = [
     "CiwJumpSimulator",
-    "FenwickTree",  # historical import site; canonical home is core.fenwick
     "uniform_random_ciw_counts",
     "worst_case_ciw_counts",
 ]

@@ -60,6 +60,13 @@ class PopulationProtocol(ABC, Generic[S]):
         """Population size this protocol instance is hard-wired for."""
         return self._n
 
+    def __getstate__(self) -> dict:
+        # The schema :func:`repro.statics.schema.schema_for` keeps on the
+        # instance does not pickle; a worker rebuilds it on first use.
+        state = self.__dict__.copy()
+        state.pop("_state_schema", None)
+        return state
+
     # ------------------------------------------------------------------
     # Core dynamics
     # ------------------------------------------------------------------

@@ -80,60 +80,3 @@ class CallbackScheduler(Scheduler):
 
     def next_pair(self, rng: random.Random) -> Pair:
         return self._choose(rng)
-
-
-class GraphScheduler(Scheduler):
-    """Uniform random interactions restricted to the edges of a graph.
-
-    The paper works in the complete graph ("the most difficult case");
-    related work (e.g. Sudo et al., SIROCCO 2020, cited as [57]) adapts
-    SSLE protocols to arbitrary connected topologies.  This scheduler
-    lets the engine explore that territory: each step picks a uniformly
-    random edge and a uniformly random orientation of it.
-
-    ``edges`` is an iterable of undirected pairs over ``0..n-1``; the
-    graph must be connected for any protocol in this package to make
-    global progress (not validated here -- disconnected graphs are
-    legitimately interesting failure demonstrations).
-    """
-
-    def __init__(self, n: int, edges):
-        if n < 2:
-            raise ValueError(f"need at least 2 agents, got {n}")
-        self.n = n
-        cleaned = []
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) not allowed")
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                cleaned.append(key)
-        if not cleaned:
-            raise ValueError("graph has no edges")
-        self.edges = cleaned
-
-    @classmethod
-    def complete(cls, n: int) -> "GraphScheduler":
-        """The complete graph (equivalent to UniformRandomScheduler)."""
-        return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-    @classmethod
-    def ring(cls, n: int) -> "GraphScheduler":
-        """A cycle -- the topology of the Chen & Chen (PODC '19) line."""
-        return cls(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def star(cls, n: int, center: int = 0) -> "GraphScheduler":
-        """A star: every interaction involves the center agent."""
-        return cls(n, [(center, i) for i in range(n) if i != center])
-
-    def next_pair(self, rng: random.Random) -> Pair:
-        u, v = self.edges[rng.randrange(len(self.edges))]
-        if rng.getrandbits(1):
-            return u, v
-        return v, u
-

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any, Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.configuration import is_silent
-from repro.core.errors import SimulationLimitError
 from repro.core.monitors import ConvergenceMonitor, Monitor
 from repro.core.protocol import PopulationProtocol, check_population
 from repro.core.scheduler import Scheduler, UniformRandomScheduler
@@ -238,47 +237,3 @@ class Simulation(Generic[S]):
             self.states[index] = clone(state)
         for monitor in self.monitors:
             monitor.on_start(self.states)
-
-    def run_until(
-        self,
-        predicate: Callable[["Simulation[S]"], bool],
-        *,
-        max_interactions: int,
-        check_every: Optional[int] = None,
-    ) -> int:
-        """Run until ``predicate(self)`` holds; return the interaction count.
-
-        The predicate is evaluated before the first step and then every
-        ``check_every`` interactions.  ``check_every`` defaults to
-        ``max(1, n)`` -- one unit of parallel time -- because predicates
-        are typically O(n) scans and polling them every interaction
-        turns an O(T) run into O(n T); pass ``check_every=1`` when the
-        exact first-hit interaction matters.  Raises
-        :class:`~repro.core.errors.SimulationLimitError` if the budget is
-        exhausted first.
-        """
-        if check_every is None:
-            check_every = max(1, self.protocol.n)
-        if check_every < 1:
-            raise ValueError(f"check_every must be >= 1, got {check_every}")
-        deadline = self.interactions + max_interactions
-        while True:
-            if predicate(self):
-                return self.interactions
-            if self.interactions >= deadline:
-                raise SimulationLimitError(
-                    f"predicate not reached within {max_interactions} interactions "
-                    f"(n={self.protocol.n})",
-                    interactions=self.interactions,
-                )
-            burst = min(check_every, deadline - self.interactions)
-            try:
-                for _ in range(burst):
-                    self.step()
-            except StopIteration:
-                if predicate(self):
-                    return self.interactions
-                raise SimulationLimitError(
-                    "scripted scheduler exhausted before predicate held",
-                    interactions=self.interactions,
-                ) from None

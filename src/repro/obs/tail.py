@@ -34,34 +34,6 @@ DEFAULT_SERIES = (
 )
 
 
-def sample_series(
-    records: Sequence[Dict[str, Any]], field: str
-) -> List[Tuple[float, float]]:
-    """``(t, value)`` points of one sampled field, in trace order."""
-    points: List[Tuple[float, float]] = []
-    for record in records:
-        if record.get("type") != "sample":
-            continue
-        t, value = record.get("t"), record.get(field)
-        if isinstance(t, (int, float)) and isinstance(value, (int, float)):
-            points.append((float(t), float(value)))
-    return points
-
-
-def available_series(records: Sequence[Dict[str, Any]]) -> List[str]:
-    """Numeric sample fields present in the trace (minus the time axis)."""
-    fields: Dict[str, None] = {}
-    for record in records:
-        if record.get("type") != "sample":
-            continue
-        for name, value in record.items():
-            if name in ("t", "v", "type", "interactions", "events", "changes"):
-                continue
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                fields.setdefault(name)
-    return list(fields)
-
-
 #: Sample fields never charted (time axis, bookkeeping, identities).
 _NON_SERIES_FIELDS = ("t", "v", "type", "interactions", "events", "changes", "span")
 

@@ -29,8 +29,6 @@ from repro.protocols.parameters import (
     SublinearParameters,
     calibrated_optimal_silent,
     calibrated_sublinear,
-    paper_optimal_silent,
-    paper_sublinear,
 )
 from repro.protocols.propagate_reset import (
     ResetHooks,
@@ -64,6 +62,4 @@ __all__ = [
     "SublinearParameters",
     "calibrated_optimal_silent",
     "calibrated_sublinear",
-    "paper_optimal_silent",
-    "paper_sublinear",
 ]

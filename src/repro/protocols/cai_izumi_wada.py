@@ -99,7 +99,7 @@ class SilentNStateSSR(RankingProtocol[int]):
 
 
 # ---------------------------------------------------------------------------
-# Declared state schema (consumed by repro.core.invariants and repro.statics)
+# Declared state schema (consumed by repro.statics and the count engine)
 # ---------------------------------------------------------------------------
 
 

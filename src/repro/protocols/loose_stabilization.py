@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.protocol import PopulationProtocol
 from repro.statics.schema import (
@@ -69,8 +69,8 @@ class LooselyStabilizingLE(PopulationProtocol[LooseAgent]):
     leader); unlike the SSR protocols this configuration is *not*
     stable -- that is the point -- so the stabilization-measurement
     helpers of :mod:`repro.experiments.common` do not apply.  Use
-    :meth:`time_to_unique_leader` and :meth:`holding_time` (or the
-    array-based fast loop in :mod:`repro.experiments.loose`).
+    :meth:`holding_time` (or the array-based fast loops in
+    :mod:`repro.experiments.loose`).
     """
 
     silent = False
@@ -139,23 +139,9 @@ class LooselyStabilizingLE(PopulationProtocol[LooseAgent]):
         return 2 * (self.t_max + 1)
 
     # ------------------------------------------------------------------
-    # Reference (object-based) measurements; the experiment uses the
+    # Reference (object-based) measurement; the experiment uses the
     # fast array loop for large horizons.
     # ------------------------------------------------------------------
-
-    def time_to_unique_leader(
-        self, states: List[LooseAgent], rng: random.Random, max_time: float
-    ) -> Optional[float]:
-        """Parallel time until exactly one leader exists (None = budget)."""
-        from repro.core.simulation import Simulation
-
-        sim = Simulation(self, states, rng=rng)
-        budget = int(max_time * self.n)
-        while not self.is_correct(sim.states):
-            if sim.interactions >= budget:
-                return None
-            sim.step()
-        return sim.parallel_time
 
     def holding_time(
         self, rng: random.Random, max_time: float
@@ -178,7 +164,7 @@ class LooselyStabilizingLE(PopulationProtocol[LooseAgent]):
 
 
 # ---------------------------------------------------------------------------
-# Declared state schema (consumed by repro.core.invariants and repro.statics)
+# Declared state schema (consumed by repro.statics and the count engine)
 # ---------------------------------------------------------------------------
 
 

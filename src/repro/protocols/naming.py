@@ -14,12 +14,10 @@ Section 1.1 places three problems in a strict hierarchy:
 
 This module gives the hierarchy a concrete API:
 
-* :func:`ranking_as_names` / :func:`naming_correct` -- the derivation
-  ranking => naming for any :class:`RankingProtocol`;
-* :func:`sublinear_names_view` -- Sublinear-Time-SSR additionally
-  solves naming *through its name field* before rosters fill (its
-  names stabilize strictly earlier than its ranks, which is measurable:
-  see ``tests/protocols/test_naming.py``);
+* :func:`names_are_unique` -- the naming correctness predicate; a
+  ranking's ranks satisfy it, and so do Sublinear-Time-SSR's name
+  fields, strictly earlier than its ranks are correct (see
+  ``tests/protocols/test_naming.py``);
 * :class:`NamingOnlyProtocol` -- a deliberately weakened wrapper that
   exposes names but censors their order, witnessing that the naming =>
   ranking converse has no generic derivation (each agent sees a bag of
@@ -29,10 +27,9 @@ This module gives the hierarchy a concrete API:
 from __future__ import annotations
 
 import random
-from typing import Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Hashable, Optional, Sequence, Tuple, TypeVar
 
 from repro.protocols.base import RankingProtocol
-from repro.protocols.sublinear.protocol import SubRole, SublinearAgent
 from repro.statics.schema import StateSchema, register_schema, schema_for
 
 S = TypeVar("S")
@@ -43,39 +40,6 @@ def names_are_unique(names: Sequence[Optional[Hashable]]) -> bool:
     if any(name is None for name in names):
         return False
     return len(set(names)) == len(names)
-
-
-def ranking_as_names(
-    protocol: RankingProtocol[S], states: Sequence[S]
-) -> List[Optional[int]]:
-    """Ranking => naming: each agent's rank is its name."""
-    return [protocol.rank_of(state) for state in states]
-
-
-def naming_correct(protocol: RankingProtocol[S], states: Sequence[S]) -> bool:
-    """Whether the ranking-derived naming is correct.
-
-    Note the asymmetry this makes visible: ranking correctness requires
-    the names to be exactly ``{1..n}``; naming only requires
-    distinctness, so a configuration can be naming-correct long before
-    (or without ever) being ranking-correct.
-    """
-    return names_are_unique(ranking_as_names(protocol, states))
-
-
-def sublinear_names_view(states: Sequence[SublinearAgent]) -> List[Optional[str]]:
-    """Sublinear-Time-SSR's *intrinsic* naming output: the name field.
-
-    ``None`` while an agent is resetting or still regrowing its name --
-    those configurations are naming-incorrect by definition.
-    """
-    names: List[Optional[str]] = []
-    for state in states:
-        if state.role is not SubRole.COLLECTING or not state.name:
-            names.append(None)
-        else:
-            names.append(state.name)
-    return names
 
 
 class NamingOnlyProtocol(RankingProtocol[Tuple]):

@@ -318,7 +318,7 @@ class OptimalSilentSSR(RankingProtocol[OptimalSilentAgent]):
 
 
 # ---------------------------------------------------------------------------
-# Declared state schema (consumed by repro.core.invariants and repro.statics)
+# Declared state schema (consumed by repro.statics and the count engine)
 # ---------------------------------------------------------------------------
 
 

@@ -11,9 +11,9 @@ additive terms.
 
 This module centralizes both choices:
 
-* :func:`paper_constants` -- the proof-grade values, used by tests that
-  check formulas and by anyone who wants maximum fidelity; and
-* :func:`calibrated_constants` -- smaller constants of the same
+* :func:`paper_reset_log_delay` -- the proof-grade reset constants,
+  which the ``reset`` experiment runs beside the calibrated ones; and
+* the ``calibrated_*`` factories -- smaller constants of the same
   asymptotic form, validated by the test battery (self-stabilization
   from adversarial configurations still succeeds), used as defaults by
   experiments and benchmarks.
@@ -122,38 +122,10 @@ def tau_timer(n: int, h: int, scale: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def paper_reset_linear_delay(n: int) -> ResetParameters:
-    """Proof-grade reset constants with the Theta(n) dormant delay."""
-    r_max = math.ceil(60 * _ln(n))
-    return ResetParameters(r_max=r_max, d_max=max(8 * n, 2 * r_max))
-
-
 def paper_reset_log_delay(n: int) -> ResetParameters:
     """Proof-grade reset constants with the Theta(log n) dormant delay."""
     r_max = math.ceil(60 * _ln(n))
     return ResetParameters(r_max=r_max, d_max=max(2 * r_max, math.ceil(8 * _ln(n))))
-
-
-def paper_optimal_silent(n: int) -> OptimalSilentParameters:
-    return OptimalSilentParameters(
-        reset=paper_reset_linear_delay(n), e_max=max(40 * n, 64)
-    )
-
-
-def paper_sublinear(n: int, h: int) -> SublinearParameters:
-    reset = paper_reset_log_delay(n)
-    name_bits = log2n_bits(n)
-    # Dormancy must leave room to regenerate a full random name.
-    reset = ResetParameters(
-        r_max=reset.r_max, d_max=max(reset.d_max, 2 * name_bits + reset.r_max)
-    )
-    return SublinearParameters(
-        reset=reset,
-        name_bits=name_bits,
-        h=h,
-        s_max=max(4 * n * n, 16),
-        t_h=tau_timer(n, h, scale=8.0),
-    )
 
 
 # ---------------------------------------------------------------------------

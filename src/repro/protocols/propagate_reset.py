@@ -253,7 +253,7 @@ class ResetTimingProtocol(PopulationProtocol[TimingAgent]):
 
 
 # ---------------------------------------------------------------------------
-# Declared state schema (consumed by repro.core.invariants and repro.statics)
+# Declared state schema (consumed by repro.statics and the count engine)
 # ---------------------------------------------------------------------------
 
 

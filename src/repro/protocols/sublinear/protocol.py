@@ -336,7 +336,7 @@ class SublinearTimeSSR(RankingProtocol[SublinearAgent]):
 
 
 # ---------------------------------------------------------------------------
-# Declared state schema (consumed by repro.core.invariants and repro.statics)
+# Declared state schema (consumed by repro.statics and the count engine)
 # ---------------------------------------------------------------------------
 
 

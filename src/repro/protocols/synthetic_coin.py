@@ -30,7 +30,7 @@ one has.  The bounds in Table 1 are unaffected.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
 from repro.core.scheduler import UniformRandomScheduler
 
@@ -77,26 +77,3 @@ def measure_coin_bias(
         coins[i] = toggle(coins[i])
         coins[j] = toggle(coins[j])
     return abs(ones / samples - 0.5)
-
-
-def coin_stream(
-    n: int, count: int, rng: random.Random, *, burn_in: int = 0
-) -> Tuple[List[int], int]:
-    """A stream of ``count`` partner-coin bits plus the interactions used.
-
-    Drives the flipping population and emits the initiator's coin at
-    every post-burn-in interaction -- the exact sequence a derandomized
-    protocol would consume.  Useful for statistical tests.
-    """
-    coins: List[int] = [0] * n
-    scheduler = UniformRandomScheduler(n)
-    bits: List[int] = []
-    step = 0
-    while len(bits) < count:
-        i, j = scheduler.next_pair(rng)
-        if step >= burn_in:
-            bits.append(coins[i])
-        coins[i] = toggle(coins[i])
-        coins[j] = toggle(coins[j])
-        step += 1
-    return bits, step

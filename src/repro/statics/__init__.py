@@ -3,9 +3,9 @@
 Layers (see docs/static_analysis.md for the rule catalogue):
 
 * :mod:`repro.statics.schema` -- declarative per-role state schemas;
-  the single source of truth consumed by the runtime invariant monitor
-  (:mod:`repro.core.invariants`), the model checker and the state-count
-  audit.  Protocol modules register builders at import time.
+  the single source of truth consumed by the sanitizer, the model
+  checker, the state-count audit and the count engine.  Protocol
+  modules register builders at import time.
 * :mod:`repro.statics.modelcheck` -- exhaustive small-n certification
   of closure, determinism, null-pair consistency, silence and
   probability-1 stabilization over the full configuration graph.

@@ -5,7 +5,7 @@ implementations must obey: the returned states may be the (mutated)
 participants or fresh objects, but they must never alias structure held
 by a **third** agent, must not touch agents that were not part of the
 interaction, and must be reproducible under an identically seeded RNG.
-Violations are invisible to the invariant monitors (which only look at
+Violations are invisible to schema validation (which only looks at
 values, never identity) yet corrupt simulations in ways that surface
 far from the cause -- a shared roster mutated through one agent shows
 up as another agent's "spontaneous" state change thousands of steps

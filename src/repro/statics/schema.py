@@ -1,12 +1,9 @@
 """Declarative state schemas: the single source of truth for state spaces.
 
 Every protocol in this package quantifies its correctness claims over a
-*declared* state space -- Table 1 counts it, the runtime invariant
-monitor polices it, and the small-n model checker enumerates it.  Before
-this module those three consumers each hand-rolled their own description
-(closed-form counting in :mod:`repro.analysis.statecount`, imperative
-checkers in :mod:`repro.core.invariants`, nothing for enumeration).
-This module makes the description *data*:
+*declared* state space -- Table 1 counts it, the sanitizer's
+``schema-escape`` rule polices it, and the small-n model checker
+enumerates it.  This module makes the description *data*:
 
 * a :class:`Domain` gives one field's legal values -- an integer range,
   a finite choice set, or an arbitrary predicate for spaces too large to
@@ -16,7 +13,7 @@ This module makes the description *data*:
   carries no delay timer") and a ``build`` constructor used for
   exhaustive enumeration;
 * a :class:`StateSchema` bundles the role schemas of one protocol
-  instance and exposes ``validate`` (runtime monitoring), ``key``
+  instance and exposes ``validate`` (the ``schema-escape`` check), ``key``
   (canonical hashing for the model checker), ``index`` (a dense integer
   form of the key, for the count engine's slot arrays) and
   ``enumerate_states`` (the exact declared state space, when finite and
@@ -553,15 +550,22 @@ def register_schema(protocol_type: type) -> Callable[[SchemaBuilder], SchemaBuil
 
 
 def schema_for(protocol: Any) -> StateSchema:
-    """Resolve and build the schema for a protocol instance.
+    """Resolve and build the schema for a protocol instance, once.
 
-    Raises :class:`KeyError` for protocols without a registered schema
-    (mirroring the historical ``invariant_for`` contract).
+    The schema is kept on the instance as ``_state_schema``, so the
+    count engine's eligibility check and its constructor share one
+    build; :class:`~repro.core.protocol.PopulationProtocol` leaves it
+    out of pickles, because builders close over local lambdas.  Raises
+    :class:`KeyError` for protocols without a registered schema.
     """
+    schema = getattr(protocol, "_state_schema", None)
+    if schema is not None:
+        return schema
     for klass in type(protocol).__mro__:
         builder = _SCHEMA_BUILDERS.get(klass)
         if builder is not None:
-            return builder(protocol)
+            schema = protocol._state_schema = builder(protocol)
+            return schema
     raise KeyError(
         f"no state schema registered for {type(protocol).__name__}; "
         "register one with repro.statics.schema.register_schema"

@@ -21,20 +21,21 @@ from dataclasses import replace
 import pytest
 
 import repro.core.countsim as countsim_module
+import repro.statics.schema as schema_module
 from repro.core.countsim import (
     CountSimulation,
-    GrowableFenwick,
     ProbeTable,
     count_engine_eligible,
+    select_engine,
 )
 from repro.core.configuration import is_silent
 from repro.core.errors import ConfigurationError, NotSilentError
 from repro.core.fastpath import (
     CiwJumpSimulator,
-    FenwickTree,
     uniform_random_ciw_counts,
     worst_case_ciw_counts,
 )
+from repro.core.fenwick import FenwickTree, GrowableFenwick
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
 from repro.protocols.base import RankingProtocol
@@ -491,6 +492,23 @@ class TestEligibility:
         assert not count_engine_eligible(protocol)
         with pytest.raises(ValueError, match="not enumerable"):
             CountSimulation(protocol, [0, 1, 2, 3], rng=make_rng(8, "elig"))
+
+    def test_schema_is_built_once_per_protocol_instance(self, monkeypatch):
+        """Engine selection and two constructions share one schema build."""
+        builder = schema_module._SCHEMA_BUILDERS[SilentNStateSSR]
+        builds = []
+
+        def counting_builder(protocol):
+            builds.append(protocol)
+            return builder(protocol)
+
+        monkeypatch.setitem(
+            schema_module._SCHEMA_BUILDERS, SilentNStateSSR, counting_builder
+        )
+        protocol = SilentNStateSSR(6)
+        for batched in (select_engine(protocol, "count"), select_engine(protocol, "vector")):
+            CountSimulation(protocol, rng=make_rng(int(batched), "once"), batched=batched)
+        assert builds == [protocol]
 
 
 # ---------------------------------------------------------------------------

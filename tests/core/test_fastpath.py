@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from repro.core.fastpath import (
     CiwJumpSimulator,
-    FenwickTree,
     uniform_random_ciw_counts,
     worst_case_ciw_counts,
 )
+from repro.core.fenwick import FenwickTree
 from repro.core.simulation import Simulation
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 

@@ -1,19 +1,16 @@
-"""Tests for the runtime invariant checkers.
+"""Protocols keep to their declared state spaces while they run.
 
 The main payoff: run every protocol from clean *and* adversarial starts
-with a strict InvariantMonitor attached and assert the protocol's own
-writes never leave the declared state space.
+with a strict schema monitor attached and assert the protocol's own
+writes never leave the declared state space.  The monitor validates
+through :func:`repro.statics.schema.schema_for`, the same schema the
+sanitizer's ``schema-escape`` rule and the count engine use.
 """
 
 import pytest
 
-from repro.core.invariants import (
-    InvariantMonitor,
-    InvariantViolation,
-    check_configuration,
-    check_schema,
-    invariant_for,
-)
+from repro.core.monitors import Monitor
+from repro.core.protocol import PopulationProtocol
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
@@ -27,52 +24,63 @@ from repro.protocols.sublinear.protocol import (
     SublinearTimeSSR,
 )
 from repro.protocols.sync_dictionary import SyncDictionarySSR
+from repro.statics.schema import has_schema, schema_for
+
+
+class InvariantMonitor(Monitor):
+    """Fails on the first participant state outside the declared schema.
+
+    Initial configurations may be adversarial on purpose, so only the
+    protocol's own writes (``after_step``) are checked.
+    """
+
+    def __init__(self, protocol: PopulationProtocol):
+        self.schema = schema_for(protocol)
+
+    def after_step(self, step, i, j, state_i, state_j):
+        for index, state in ((i, state_i), (j, state_j)):
+            problems = self.schema.validate(state)
+            assert not problems, f"interaction {step}, agent {index}: {problems}"
 
 
 class TestCheckers:
     def test_resolution(self):
-        # Resolution is schema-driven: every registered protocol gets the
-        # generic schema-validating checker, and subclasses resolve via
-        # the registry's MRO walk.
-        assert invariant_for(SilentNStateSSR(4)).__name__ == "check_schema"
-        assert invariant_for(OptimalSilentSSR(4)).__name__ == "check_schema"
-        assert invariant_for(SublinearTimeSSR(4, h=1)).__name__ == "check_schema"
+        # Resolution walks the registry by MRO: subclasses inherit their
+        # parent's schema, and a foreign protocol type has none.
+        class Foreign(SilentNStateSSR):
+            pass
+
+        class Alien(PopulationProtocol):
+            def transition(self, a, b, rng):
+                return a, b
+
+            def initial_state(self, rng):
+                return 0
+
+            def random_state(self, rng):
+                return 0
+
+            def is_correct(self, states):
+                return True
+
+            def summarize(self, state):
+                return state
+
+        assert schema_for(Foreign(4)).validate(3) == []
+        assert not has_schema(Alien(2))
         with pytest.raises(KeyError):
-
-            class Foreign(SilentNStateSSR):
-                pass
-
-            # Subclass still resolves (isinstance); a truly foreign type fails.
-            from repro.core.protocol import PopulationProtocol
-
-            class Alien(PopulationProtocol):
-                def transition(self, a, b, rng):
-                    return a, b
-
-                def initial_state(self, rng):
-                    return 0
-
-                def random_state(self, rng):
-                    return 0
-
-                def is_correct(self, states):
-                    return True
-
-                def summarize(self, state):
-                    return state
-
-            invariant_for(Alien(2))
+            schema_for(Alien(2))
 
     def test_optimal_silent_flags_leaked_fields(self):
         protocol = OptimalSilentSSR(6)
         bad = OptimalSilentAgent(role=Role.UNSETTLED, errorcount=5, rank=3)
-        problems = check_schema(protocol, bad)
+        problems = schema_for(protocol).validate(bad)
         assert any("leaked" in p for p in problems)
 
     def test_optimal_silent_flags_out_of_range_rank(self):
         protocol = OptimalSilentSSR(6)
         bad = OptimalSilentAgent(role=Role.SETTLED, rank=7)
-        assert check_schema(protocol, bad)
+        assert schema_for(protocol).validate(bad)
 
     def test_sublinear_flags_deep_tree(self):
         protocol = SublinearTimeSSR(4, h=1)
@@ -87,7 +95,7 @@ class TestCheckers:
             roster=frozenset(("0" * 6,)),
             tree=tree,
         )
-        problems = check_schema(protocol, bad)
+        problems = schema_for(protocol).validate(bad)
         assert any("depth" in p for p in problems)
 
     def test_sublinear_flags_mismatched_root(self):
@@ -98,38 +106,21 @@ class TestCheckers:
             roster=frozenset(("0" * 6,)),
             tree=HistoryTree.singleton("1" * 6),
         )
-        assert any("root" in p for p in check_schema(protocol, bad))
-
-    def test_check_configuration_prefixes_agent_index(self):
-        protocol = SilentNStateSSR(3)
-        problems = check_configuration(protocol, [0, 99, 1])
-        assert problems == ["agent 1: rank 99 outside 0..2"]
+        assert any("root" in p for p in schema_for(protocol).validate(bad))
 
 
 class TestInvariantMonitor:
     def test_strict_monitor_raises(self, rng):
-        protocol = SilentNStateSSR(3)
-
+        # The monitor below must be able to fail: an out-of-domain write
+        # is caught on the step that makes it.
         class Broken(SilentNStateSSR):
             def transition(self, a, b, rng):
                 return a, 99  # out of domain
 
         broken = Broken(3)
-        monitor = InvariantMonitor(broken)
-        sim = Simulation(broken, [0, 1, 2], rng=rng, monitors=[monitor])
-        with pytest.raises(InvariantViolation):
+        sim = Simulation(broken, [0, 1, 2], rng=rng, monitors=[InvariantMonitor(broken)])
+        with pytest.raises(AssertionError, match="rank 99 outside 0..2"):
             sim.run(10)
-
-    def test_lenient_monitor_collects(self, rng):
-        class Broken(SilentNStateSSR):
-            def transition(self, a, b, rng):
-                return a, 99
-
-        broken = Broken(3)
-        monitor = InvariantMonitor(broken, strict=False)
-        sim = Simulation(broken, [0, 1, 2], rng=rng, monitors=[monitor])
-        sim.run(5)
-        assert len(monitor.violations) >= 5
 
     def test_adversarial_start_not_flagged(self, rng):
         # Initial garbage is allowed; only the protocol's writes count.

@@ -31,7 +31,7 @@ from repro.obs import (
     recording,
     validate_trace,
 )
-from repro.obs.tail import available_series, render_trace, sample_series
+from repro.obs.tail import render_trace
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.optimal_silent import OptimalSilentSSR
 
@@ -468,10 +468,9 @@ class TestTail:
     def test_series_extraction(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         self._write_trace(path)
-        records = read_trace(path)
-        series = available_series(records)
-        assert "leaders" in series and "distinct_states" in series
-        points = sample_series(records, "leaders")
+        samples = [r for r in read_trace(path) if r.get("type") == "sample"]
+        assert all("leaders" in r and "distinct_states" in r for r in samples)
+        points = [(r["t"], r["leaders"]) for r in samples]
         assert points and all(t >= 0.0 for t, _ in points)
         # Ranked protocols always have >= 1 agent claiming rank 1, and
         # t is monotone along the trace.

@@ -7,7 +7,6 @@ from repro.core.errors import (
     NotSilentError,
     ProtocolDefinitionError,
     ReproError,
-    SimulationLimitError,
 )
 from repro.core.protocol import PopulationProtocol, check_population
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
@@ -18,15 +17,10 @@ class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for exc_type in (
             ConfigurationError,
-            SimulationLimitError,
             ProtocolDefinitionError,
             NotSilentError,
         ):
             assert issubclass(exc_type, ReproError)
-
-    def test_simulation_limit_carries_interactions(self):
-        error = SimulationLimitError("out of budget", interactions=123)
-        assert error.interactions == 123
 
 
 class TestPopulationProtocolBasics:

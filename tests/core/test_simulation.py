@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import ConfigurationError, SimulationLimitError
+from repro.core.errors import ConfigurationError
 from repro.core.monitors import Monitor
 from repro.core.scheduler import ScriptedScheduler
 from repro.core.simulation import Simulation
@@ -56,42 +56,6 @@ class TestSimulationBasics:
         )
         sim.run(100)  # script has only 2 steps
         assert sim.interactions == 2
-
-
-class TestRunUntil:
-    def test_predicate_already_true(self, rng):
-        protocol = SilentNStateSSR(3)
-        sim = Simulation(protocol, [0, 1, 2], rng=rng)
-        assert sim.run_until(lambda s: True, max_interactions=10) == 0
-
-    def test_default_check_every_is_population_scaled(self, rng):
-        # n = 3, so the default polls every 3 interactions: a predicate
-        # first true at interaction 1 is observed at the next boundary.
-        protocol = SilentNStateSSR(3)
-        sim = Simulation(protocol, rng=rng)
-        count = sim.run_until(lambda s: s.interactions >= 1, max_interactions=100)
-        assert count == 3
-
-    def test_runs_until_predicate(self, rng):
-        protocol = SilentNStateSSR(3)
-        sim = Simulation(protocol, rng=rng)
-        count = sim.run_until(
-            lambda s: s.interactions >= 7, max_interactions=100, check_every=1
-        )
-        assert count == 7
-
-    def test_budget_exhaustion_raises(self, rng):
-        protocol = SilentNStateSSR(3)
-        sim = Simulation(protocol, rng=rng)
-        with pytest.raises(SimulationLimitError) as info:
-            sim.run_until(lambda s: False, max_interactions=25, check_every=10)
-        assert info.value.interactions >= 25
-
-    def test_invalid_check_every(self, rng):
-        protocol = SilentNStateSSR(3)
-        sim = Simulation(protocol, rng=rng)
-        with pytest.raises(ValueError):
-            sim.run_until(lambda s: True, max_interactions=10, check_every=0)
 
 
 class TestMonitorContract:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rng import make_rng
-from repro.protocols.sublinear.history_tree import HistoryTree, TreeEdge, path_names
+from repro.protocols.sublinear.history_tree import HistoryTree, TreeEdge
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 
 
@@ -97,14 +97,6 @@ class TestMutation:
         assert tree.find_child("b") is None
         assert tree.find_child("c") is not None
 
-    def test_remove_named_subtrees_any_depth(self):
-        tree = leaf("a")
-        tree.graft(chain("b", 2, "a"), sync=1, expires=100)  # a below b
-        tree.remove_named_subtrees("a")
-        assert tree.find_child("b") is not None
-        assert tree.find_child("b").child.edges == []
-        assert tree.name == "a"  # root untouched
-
     def test_graft_appends(self):
         tree = leaf("a")
         tree.graft(leaf("b"), sync=7, expires=42)
@@ -142,11 +134,6 @@ class TestPathsToName:
         tree.graft(sub, sync=1, expires=100)
         assert not list(tree.paths_to_name("x", clock=3))
         assert list(tree.paths_to_name("b", clock=3))  # shorter path alive
-
-    def test_path_names_helper(self):
-        tree = chain("a", 1, "b", 2, "c")
-        (path,) = tree.paths_to_name("c", clock=0)
-        assert path_names(path, "a") == ["a", "b", "c"]
 
 
 class TestInvariants:
@@ -212,12 +199,6 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_copy_preserves_canonical(self, tree):
         assert tree.copy(10).canonical(0) == tree.canonical(0)
-
-    @given(tree=random_trees(), name=st.sampled_from("abcdefgh"))
-    @settings(max_examples=60, deadline=None)
-    def test_remove_named_subtrees_removes_all(self, tree, name):
-        tree.remove_named_subtrees(name)
-        assert not tree.contains_name(name)
 
     @given(tree=random_trees())
     @settings(max_examples=60, deadline=None)
@@ -399,7 +380,9 @@ class TestSharedLeaves:
         copy.graft(leaf("z"), sync=1, expires=5)
         for name in "abcdefgh":
             copy.remove_child(name)
-            copy.remove_named_subtrees(name)
+            for below in copy.edges:
+                if below.child.edges:
+                    below.child.remove_child(name)
         assert tree.canonical(0) == source
 
     def test_leaf_copy_is_a_fresh_node(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.rng import make_rng
+from repro.core.simulation import Simulation
 from repro.experiments.loose import fast_convergence_time, fast_holding_time
 from repro.protocols.loose_stabilization import LooseAgent, LooselyStabilizingLE
 
@@ -59,9 +60,10 @@ class TestLifecycle:
     def test_converges_from_random_start(self):
         p = LooselyStabilizingLE(16, t_max=10)
         rng = make_rng(1, "loose-conv")
-        states = [p.random_state(rng) for _ in range(16)]
-        elapsed = p.time_to_unique_leader(states, rng, max_time=20_000.0)
-        assert elapsed is not None
+        sim = Simulation(p, [p.random_state(rng) for _ in range(16)], rng=rng)
+        while not p.is_correct(sim.states):
+            assert sim.parallel_time < 20_000.0
+            sim.step()
 
     def test_holding_is_finite_at_small_t_max(self):
         p = LooselyStabilizingLE(16, t_max=4)

@@ -7,12 +7,9 @@ from repro.protocols.leader import has_unique_leader
 from repro.protocols.naming import (
     NamingOnlyProtocol,
     names_are_unique,
-    naming_correct,
-    ranking_as_names,
-    sublinear_names_view,
     _next_prime,
 )
-from repro.protocols.sublinear.protocol import SubRole, SublinearAgent, SublinearTimeSSR
+from repro.protocols.sublinear.protocol import SubRole, SublinearTimeSSR
 
 
 class TestPredicates:
@@ -22,16 +19,12 @@ class TestPredicates:
         assert not names_are_unique([1, None, 3])
         assert names_are_unique([])
 
-    def test_ranking_as_names(self):
-        protocol = SilentNStateSSR(3)
-        assert ranking_as_names(protocol, [2, 0, 1]) == [3, 1, 2]
-
     def test_hierarchy_on_a_correct_ranking(self):
         """ranking correct => naming correct => unique leader."""
         protocol = SilentNStateSSR(4)
         states = [3, 1, 0, 2]
         assert protocol.is_correct(states)
-        assert naming_correct(protocol, states)
+        assert names_are_unique([protocol.rank_of(s) for s in states])
         assert has_unique_leader(protocol, states)
 
     def test_naming_weaker_than_ranking(self):
@@ -45,13 +38,6 @@ class TestPredicates:
 
 
 class TestSublinearNamesView:
-    def test_resetting_agents_have_no_name(self):
-        states = [
-            SublinearAgent(role=SubRole.RESETTING, name=""),
-            SublinearAgent(role=SubRole.COLLECTING, name="0101"),
-        ]
-        assert sublinear_names_view(states) == [None, "0101"]
-
     def test_names_stabilize_before_ranks(self):
         """Sublinear-Time-SSR solves naming strictly earlier than ranking.
 
@@ -61,7 +47,8 @@ class TestSublinearNamesView:
         protocol = SublinearTimeSSR(6, h=1)
         rng = make_rng(1, "naming")
         states = protocol.unique_names_configuration(rng)
-        assert names_are_unique(sublinear_names_view(states))
+        assert all(s.role is SubRole.COLLECTING and s.name for s in states)
+        assert names_are_unique([s.name for s in states])
         assert not protocol.is_correct(states)  # ranks all default to 1
 
         sim = Simulation(protocol, states, rng=rng)
@@ -72,7 +59,8 @@ class TestSublinearNamesView:
             sim.step()
         assert sim.parallel_time > naming_time
         # And naming stayed correct the whole way (no reset was needed).
-        assert names_are_unique(sublinear_names_view(sim.states))
+        assert all(s.role is SubRole.COLLECTING for s in sim.states)
+        assert names_are_unique([s.name for s in sim.states])
 
 
 class TestNamingOnlyProtocol:

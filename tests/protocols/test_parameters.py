@@ -13,10 +13,7 @@ from repro.protocols.parameters import (
     calibrated_reset_log_delay,
     calibrated_sublinear,
     log2n_bits,
-    paper_optimal_silent,
-    paper_reset_linear_delay,
     paper_reset_log_delay,
-    paper_sublinear,
     tau_timer,
 )
 
@@ -73,10 +70,9 @@ class TestTauTimer:
 class TestDerivedSets:
     @pytest.mark.parametrize("n", [4, 16, 64, 256])
     def test_paper_and_calibrated_share_asymptotic_form(self, n):
-        for factory in (paper_reset_linear_delay, calibrated_reset_linear_delay):
-            params = factory(n)
-            assert params.d_max >= 2 * params.r_max  # D_max = Omega(R_max)
-            assert params.d_max >= n  # Theta(n) dormancy
+        params = calibrated_reset_linear_delay(n)
+        assert params.d_max >= 2 * params.r_max  # D_max = Omega(R_max)
+        assert params.d_max >= n  # Theta(n) dormancy
         for factory in (paper_reset_log_delay, calibrated_reset_log_delay):
             params = factory(n)
             assert params.d_max >= 2 * params.r_max
@@ -84,19 +80,16 @@ class TestDerivedSets:
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_optimal_silent_e_max_linear(self, n):
-        for factory in (paper_optimal_silent, calibrated_optimal_silent):
-            params = factory(n)
-            assert params.e_max >= 8 * n  # ranking fits with slack
+        assert calibrated_optimal_silent(n).e_max >= 8 * n  # ranking fits with slack
 
     @pytest.mark.parametrize("n,h", [(8, 0), (8, 1), (16, 2), (16, 4)])
     def test_sublinear_dormancy_fits_renaming(self, n, h):
-        for factory in (paper_sublinear, calibrated_sublinear):
-            params = factory(n, h)
-            # Dormant agents append one name bit per interaction: the
-            # delay must leave room to regrow a full name.
-            assert params.reset.d_max >= params.name_bits
-            assert params.h == h
-            assert params.s_max >= n * n  # Theta(n^2) sync values
+        params = calibrated_sublinear(n, h)
+        # Dormant agents append one name bit per interaction: the
+        # delay must leave room to regrow a full name.
+        assert params.reset.d_max >= params.name_bits
+        assert params.h == h
+        assert params.s_max >= n * n  # Theta(n^2) sync values
 
     def test_paper_r_max_is_60_ln_n(self):
         n = 100

@@ -8,7 +8,6 @@ from repro.core.rng import make_rng
 from repro.experiments.common import measure_convergence
 from repro.protocols.sublinear.protocol import SubRole, SublinearTimeSSR
 from repro.protocols.synthetic_coin import (
-    coin_stream,
     measure_coin_bias,
     partner_coin_bit,
     toggle,
@@ -47,16 +46,6 @@ class TestBiasDecay:
         rng = make_rng(4, "coin-early")
         bias = measure_coin_bias(n, 8, rng, sample_after=0)
         assert bias > 0.2
-
-    def test_stream_has_both_values_and_no_strong_serial_bias(self):
-        n = 32
-        rng = make_rng(5, "coin-stream")
-        bits, _ = coin_stream(n, 20_000, rng, burn_in=2_000)
-        ones = sum(bits)
-        assert abs(ones / len(bits) - 0.5) < 0.02
-        # Lag-1 correlation of the consumed stream stays mild.
-        agree = sum(1 for x, y in zip(bits, bits[1:]) if x == y)
-        assert abs(agree / (len(bits) - 1) - 0.5) < 0.05
 
 
 class TestDerandomizedNames:

@@ -14,12 +14,14 @@ import pytest
 from repro.core.countsim import CHAOS_PARAMS
 from repro.experiments.chaos import run_chaos
 from repro.experiments.cli import build_parser
+from repro.experiments.registry import run_experiment
 from repro.service.jobs import (
     JOB_KINDS,
     AdmissionError,
     JobManager,
     JobSpec,
     JobValidationError,
+    execute_spec,
 )
 from repro.service.store import JobStore
 
@@ -132,6 +134,43 @@ class TestCacheKey:
         """Cache keys minted by earlier releases stay valid: a change to
         the canonical form would orphan every cached result."""
         assert JobSpec.from_payload(payload).cache_key(sha="0" * 40) == key
+
+
+class TestExecuteSpec:
+    """``execute_spec`` runs the ``run`` and ``bench`` kinds through their
+    real executors, with nothing faked."""
+
+    def test_run_job_equals_run_experiment(self):
+        spec = JobSpec.from_payload(
+            {"kind": "run", "spec": {"experiment": "figure1", "seed": 24301}}
+        )
+        body = execute_spec(spec)
+        report = run_experiment("figure1", quick=True, seed=24301)
+        assert body["ok"] is report.all_passed is True
+        assert body["result"]["experiment"] == "figure1"
+        assert body["result"]["rows"] == report.rows
+        assert body["result"]["checks"] == {
+            name: {
+                "passed": check.passed,
+                "measured": check.measured,
+                "expected": check.expected,
+            }
+            for name, check in report.checks.items()
+        }
+
+    def test_one_cell_bench_job_names_its_cell(self):
+        spec = JobSpec.from_payload({
+            "kind": "bench",
+            "spec": {"suite": "engine", "cells": ["count-jump-n1024"], "repeats": 1},
+        })
+        body = execute_spec(spec)
+        assert body["ok"] is True
+        result = body["result"]
+        assert result["suite"] == "engine"
+        [cell] = result["cells"]
+        assert cell["cell"] == "count-jump-n1024"
+        assert cell["repeats"] == 1 and len(cell["values"]) == 1
+        assert cell["values"][0] > 0
 
 
 class TestManager:

@@ -4,8 +4,7 @@ Two guarantees:
 
 * **coverage** -- every concrete protocol class exported from
   :mod:`repro.protocols` (plus the lint-only wrappers) resolves a
-  schema, so ``invariant_for`` and ``repro lint`` can never silently
-  skip one;
+  schema, so ``repro lint`` can never silently skip one;
 * **adversary containment** -- every configuration the adversarial
   battery produces validates against the declared schema, across seeds
   (property-style): the adversary covers the state space, it does not
@@ -19,7 +18,6 @@ import pytest
 
 import repro.protocols as protocols_pkg
 from repro.core.adversary import adversarial_battery
-from repro.core.invariants import invariant_for
 from repro.core.protocol import PopulationProtocol
 from repro.protocols import (
     DirectCollisionSSR,
@@ -87,10 +85,8 @@ class TestCoverage:
         )
         protocol = FACTORIES[name]()
         assert has_schema(protocol), f"{name} has no registered state schema"
-        # invariant_for must resolve through the same registry.
-        checker = invariant_for(protocol)
         state = protocol.initial_state(random.Random(0))
-        assert checker(protocol, state) == []
+        assert schema_for(protocol).validate(state) == []
 
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_wrappers_and_extras_resolve(self, name):
