@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro.core.chaos import BurstProcess, measure_recovery
+from repro.core.chaos import measure_recovery, periodic_events
 from repro.core.rng import make_rng
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.optimal_silent import OptimalSilentSSR
@@ -57,7 +57,7 @@ def _recovery_run(protocol_name: str, n: int, seed: int):
         agents, budget = max(1, n // 8), 50.0 * n
     report = measure_recovery(
         protocol,
-        BurstProcess.periodic(period=2.0 * n, agents=agents, count=2),
+        periodic_events(2.0 * n, agents, 2),
         rng=make_rng(seed, "bench-chaos", protocol_name, n),
         initial_states=initial,
         settle_time=10.0,

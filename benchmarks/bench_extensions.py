@@ -7,7 +7,7 @@ and the synthetic-coin derandomization of the renaming step.
 
 import pytest
 
-from repro.core.chaos import BurstProcess, measure_recovery
+from repro.core.chaos import measure_recovery, periodic_events
 from repro.core.rng import make_rng
 from repro.experiments.ablation import run as run_ablation
 from repro.experiments.faults import run as run_faults
@@ -26,7 +26,7 @@ def test_recovery_from_total_corruption(benchmark, seed):
         rng = make_rng(seed, "bench-recovery")
         report = measure_recovery(
             protocol,
-            BurstProcess.periodic(period=100.0, agents=24, count=1),
+            periodic_events(100.0, 24, 1),
             rng=rng,
             settle_time=20_000.0,
             max_recovery_time=20_000.0,
@@ -97,7 +97,7 @@ def bench_suite():
         rng = make_rng(seed, "bench-recovery")
         report = measure_recovery(
             protocol,
-            BurstProcess.periodic(period=100.0, agents=24, count=1),
+            periodic_events(100.0, 24, 1),
             rng=rng,
             settle_time=20_000.0,
             max_recovery_time=20_000.0,

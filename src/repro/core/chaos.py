@@ -1,35 +1,33 @@
-"""Transient faults: composable adversaries and recovery measurement.
+"""Transient faults: named adversaries and recovery measurement.
 
 Self-stabilization promises recovery from *arbitrary* transient faults,
 so a single fault model (uniform victims overwritten with random states)
-under-tests the claim.  This module decomposes the adversary into three
-orthogonal, composable pieces:
+under-tests the claim.  A fault has three orthogonal parts:
 
-* **When** faults strike -- a :class:`FaultProcess` yielding timed
-  :class:`FaultEvent` instances: scripted bursts (:class:`BurstProcess`,
-  e.g. :meth:`BurstProcess.periodic`) or memoryless continuous
-  corruption (:class:`PoissonProcess`).
-* **Who** gets hit -- a :class:`VictimSelector`: uniform random agents,
-  the current leader(s) (lowest ranks first), or the max-rank agents.
-* **What** gets written -- a :class:`CorruptionModel`: fresh
-  ``random_state`` draws, or *cloning* (overwrite victims with a copy of
-  a live agent's state -- the classic trap for leader election, since a
-  cloned leader is indistinguishable from the real one).
+* **When** faults strike -- a time-ordered stream of
+  :class:`FaultEvent` instances: evenly spaced bursts
+  (:func:`periodic_events`) or memoryless continuous corruption
+  (:func:`poisson_events`).
+* **Who** gets hit -- a victim function: uniform random agents, the
+  current leader(s) (lowest ranks first), or the max-rank agents.
+* **What** gets written -- a replacement-state function: fresh
+  ``random_state`` draws, or *clones* of one live agent's state (the
+  classic trap for leader election, since a cloned leader is
+  indistinguishable from the real one).
 
-An :class:`Adversary` bundles a selector with a corruption model;
-:data:`ADVERSARIES` registers the named combinations the CLI and the
-experiments expose.  Adversaries act on an :data:`Engine` directly:
-the generic per-agent :class:`~repro.core.simulation.Simulation` and
-the count engine's multiset
-(:class:`~repro.core.countsim.CountSimulation`, what makes large-n
-chaos runs affordable) keep one contract -- victims, a live state,
-``corrupt``, the ``ticks`` clock, ``advance``, ``correct`` and
-``stabilized`` (see docs/robustness.md, "The engine contract").
-Victim references are opaque to selectors and corruption models:
-agent indices on the generic engine, slot ids with multiplicity on
-the count engine, one reference per victim agent either way.
+:data:`ADVERSARIES` names each (victim, replacement-state) pair the CLI
+and the experiments expose, and :func:`strike` runs one by name.
+Adversaries act on an :data:`~repro.core.countsim.Engine` directly: the
+generic per-agent :class:`~repro.core.simulation.Simulation` and the
+count engine's multiset (:class:`~repro.core.countsim.CountSimulation`,
+what makes large-n chaos runs affordable) keep one contract -- victims,
+a live state, ``corrupt``, the ``ticks`` clock, ``advance``,
+``correct`` and ``stabilized`` (see docs/robustness.md, "The engine
+contract").  Victim references are opaque to the adversary functions:
+agent indices on the generic engine, slot ids with multiplicity on the
+count engine, one reference per victim agent either way.
 
-:func:`measure_recovery` runs a fault process against a protocol on
+:func:`measure_recovery` runs a fault stream against a protocol on
 either engine and reports per-strike recovery times plus availability;
 the ``faults`` experiment, the ``repro chaos`` CLI subcommand and the
 job service all measure recovery through it.
@@ -41,7 +39,6 @@ reproducibility contract.
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
@@ -49,54 +46,39 @@ from typing import (
     Callable,
     ContextManager,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
     TypeVar,
-    Union,
 )
 
-from repro.core.countsim import CountSimulation, select_engine
-from repro.core.simulation import Simulation
+from repro.core.countsim import Engine, build_engine
 from repro.obs.context import current_recorder
 from repro.obs.log import get_logger
-from repro.obs.metrics import SampledMetricsMonitor
 from repro.protocols.base import RankingProtocol
 
 _LOG = get_logger("chaos")
 
 S = TypeVar("S")
 
-#: The engines adversaries strike and :func:`measure_recovery` steps.
-Engine = Union[Simulation[Any], CountSimulation]
-
 __all__ = [
     "ADVERSARIES",
-    "Adversary",
-    "BurstProcess",
-    "CloneCorruption",
-    "CorruptionModel",
-    "Engine",
     "FaultEvent",
-    "FaultProcess",
-    "LeaderVictims",
-    "MaxRankVictims",
-    "PoissonProcess",
-    "RandomStateCorruption",
     "RecoveryRecord",
     "RecoveryReport",
-    "UniformVictims",
-    "VictimSelector",
     "adversary_names",
-    "make_adversary",
     "measure_recovery",
+    "periodic_events",
+    "poisson_events",
+    "strike",
 ]
 
 
 # ---------------------------------------------------------------------------
-# When: fault processes
+# When: fault streams
 # ---------------------------------------------------------------------------
 
 
@@ -114,212 +96,92 @@ class FaultEvent:
             raise ValueError(f"event must hit >= 1 agent, got {self.agents}")
 
 
-class FaultProcess(ABC):
-    """A (possibly random) stream of fault events, ordered by time."""
-
-    @abstractmethod
-    def events(self, rng: random.Random) -> Iterator[FaultEvent]:
-        """Yield events in non-decreasing time order.
-
-        Randomized processes draw all randomness from ``rng`` lazily,
-        interleaved with the consumer's own use of the same stream --
-        part of the single-seed reproducibility contract.
-        """
+def periodic_events(period: float, agents: int, count: int) -> List[FaultEvent]:
+    """``count`` strikes of ``agents`` corruptions, every ``period`` time."""
+    if period <= 0:
+        raise ValueError(f"period must be positive, got {period}")
+    return [FaultEvent(at=period * (i + 1), agents=agents) for i in range(count)]
 
 
-class BurstProcess(FaultProcess):
-    """A fixed script of bursts (:meth:`periodic` is the common case)."""
-
-    def __init__(self, events: Sequence[FaultEvent]):
-        times = [event.at for event in events]
-        if times != sorted(times):
-            raise ValueError("events must be ordered by time")
-        self._events: Tuple[FaultEvent, ...] = tuple(events)
-
-    @property
-    def bursts(self) -> Tuple[FaultEvent, ...]:
-        return self._events
-
-    @classmethod
-    def periodic(cls, period: float, agents: int, count: int) -> "BurstProcess":
-        """``count`` strikes of ``agents`` corruptions, every ``period`` time."""
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        return cls(
-            [FaultEvent(at=period * (i + 1), agents=agents) for i in range(count)]
-        )
-
-    def events(self, rng: random.Random) -> Iterator[FaultEvent]:
-        return iter(self._events)
-
-
-class PoissonProcess(FaultProcess):
+def poisson_events(
+    rate: float, *, agents: int = 1, horizon: float, rng: random.Random
+) -> Iterator[FaultEvent]:
     """Memoryless continuous corruption at ``rate`` events per time unit.
 
     Each event corrupts ``agents`` agents; the stream ends at parallel
     time ``horizon`` (it must be finite: an unbounded Poisson stream
-    never lets ``measure_recovery`` finish).
+    never lets :func:`measure_recovery` finish).  The gaps are drawn
+    from ``rng`` lazily, one per event as it is consumed: handed the
+    RNG :func:`measure_recovery` strikes with, they interleave with the
+    strikes' own draws -- part of the single-seed reproducibility
+    contract.  The arguments are checked at once.
     """
+    if rate <= 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    if agents < 1:
+        raise ValueError(f"agents must be >= 1, got {agents}")
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
 
-    def __init__(self, rate: float, *, agents: int = 1, horizon: float):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if agents < 1:
-            raise ValueError(f"agents must be >= 1, got {agents}")
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        self.rate = rate
-        self.agents = agents
-        self.horizon = horizon
-
-    def events(self, rng: random.Random) -> Iterator[FaultEvent]:
+    def stream() -> Iterator[FaultEvent]:
         at = 0.0
         while True:
-            at += rng.expovariate(self.rate)
-            if at >= self.horizon:
+            at += rng.expovariate(rate)
+            if at >= horizon:
                 return
-            yield FaultEvent(at=at, agents=self.agents)
+            yield FaultEvent(at=at, agents=agents)
+
+    return stream()
 
 
 # ---------------------------------------------------------------------------
-# Who: victim selectors
+# Who and what: named adversaries
 # ---------------------------------------------------------------------------
 
-
-class VictimSelector(ABC):
-    """Chooses which agents a strike hits."""
-
-    @abstractmethod
-    def select(
-        self, engine: Engine, count: int, rng: random.Random
-    ) -> List[Any]:
-        """Victim references for one strike (possibly fewer than ``count``)."""
+#: ``(engine, count, rng)`` -> victim references, or replacement states.
+StrikeFn = Callable[[Engine, int, random.Random], List[Any]]
 
 
-class UniformVictims(VictimSelector):
+def _uniform_victims(engine: Engine, count: int, rng: random.Random) -> List[Any]:
     """The standard transient-fault model: any agent is fair game."""
-
-    def select(
-        self, engine: Engine, count: int, rng: random.Random
-    ) -> List[Any]:
-        return engine.sample_victims(count, rng)
+    return engine.sample_victims(count, rng)
 
 
-class LeaderVictims(VictimSelector):
-    """Targets the leadership: rank-1 agents first, then rank 2, ..."""
-
-    def select(
-        self, engine: Engine, count: int, rng: random.Random
-    ) -> List[Any]:
-        return engine.ranked_victims(count, highest=False)
+def _leader_victims(engine: Engine, count: int, rng: random.Random) -> List[Any]:
+    """The leadership: rank-1 agents first, then rank 2, ..."""
+    return engine.ranked_victims(count, highest=False)
 
 
-class MaxRankVictims(VictimSelector):
-    """Targets the max-rank agents (the leaves of the ranking tree)."""
-
-    def select(
-        self, engine: Engine, count: int, rng: random.Random
-    ) -> List[Any]:
-        return engine.ranked_victims(count, highest=True)
+def _max_rank_victims(engine: Engine, count: int, rng: random.Random) -> List[Any]:
+    """The max-rank agents (the leaves of the ranking tree)."""
+    return engine.ranked_victims(count, highest=True)
 
 
-# ---------------------------------------------------------------------------
-# What: corruption models
-# ---------------------------------------------------------------------------
-
-
-class CorruptionModel(ABC):
-    """Produces the states the adversary writes into its victims."""
-
-    @abstractmethod
-    def corrupt_states(
-        self, engine: Engine, count: int, rng: random.Random
-    ) -> List[Any]:
-        """``count`` replacement states (drawn before any overwrite)."""
-
-
-class RandomStateCorruption(CorruptionModel):
+def _random_states(engine: Engine, count: int, rng: random.Random) -> List[Any]:
     """Fresh independent ``random_state`` draws -- anything representable."""
-
-    def corrupt_states(
-        self, engine: Engine, count: int, rng: random.Random
-    ) -> List[Any]:
-        return [engine.protocol.random_state(rng) for _ in range(count)]
+    return [engine.protocol.random_state(rng) for _ in range(count)]
 
 
-class CloneCorruption(CorruptionModel):
-    """Overwrite every victim with a copy of one live agent's state.
-
-    The classic SSLE trap: cloning the leader manufactures rank
-    collisions that only the protocol's own error detection can expose.
-    ``source="leader"`` clones a rank-1 agent when one exists;
-    ``source="uniform"`` clones a uniformly random agent.
-    """
-
-    def __init__(self, source: str = "uniform"):
-        if source not in ("uniform", "leader"):
-            raise ValueError(
-                f'source must be "uniform" or "leader", got {source!r}'
-            )
-        self.source = source
-
-    def corrupt_states(
-        self, engine: Engine, count: int, rng: random.Random
-    ) -> List[Any]:
-        template = engine.sample_live_state(rng, leader=self.source == "leader")
-        clone = engine.protocol.clone_state
-        return [clone(template) for _ in range(count)]
+def _clones(engine: Engine, count: int, rng: random.Random) -> List[Any]:
+    """One uniformly random live agent's state, for every victim."""
+    return [engine.sample_live_state(rng)] * count
 
 
-# ---------------------------------------------------------------------------
-# Adversaries: selector x corruption
-# ---------------------------------------------------------------------------
+def _leader_clones(engine: Engine, count: int, rng: random.Random) -> List[Any]:
+    """A rank-1 agent's state (when one exists), for every victim: the
+    rank collisions only the protocol's own error detection can expose."""
+    return [engine.sample_live_state(rng, leader=True)] * count
 
 
-@dataclass(frozen=True)
-class Adversary:
-    """A named (victim selector, corruption model) pair."""
-
-    name: str
-    selector: VictimSelector
-    corruption: CorruptionModel
-
-    def strike(self, engine: Engine, count: int, rng: random.Random) -> int:
-        """Corrupt up to ``count`` agents; return how many were hit.
-
-        Victims are selected first, then replacement states are drawn,
-        then the overwrite happens -- a fixed RNG consumption order so
-        identical seeds produce identical strikes on either engine.
-        """
-        victims = self.selector.select(engine, count, rng)
-        if not victims:
-            _LOG.debug("adversary %s found no victims (asked for %d)", self.name, count)
-            return 0
-        states = self.corruption.corrupt_states(engine, len(victims), rng)
-        engine.corrupt(victims, states)
-        _LOG.debug(
-            "adversary %s overwrote %d agent(s)", self.name, len(victims)
-        )
-        return len(victims)
-
-
-#: Named adversary factories exposed by the CLI and experiments.
-ADVERSARIES: Dict[str, Callable[[], Adversary]] = {
-    "random": lambda: Adversary(
-        "random", UniformVictims(), RandomStateCorruption()
-    ),
-    "leader": lambda: Adversary(
-        "leader", LeaderVictims(), RandomStateCorruption()
-    ),
-    "max-rank": lambda: Adversary(
-        "max-rank", MaxRankVictims(), RandomStateCorruption()
-    ),
-    "clone": lambda: Adversary(
-        "clone", UniformVictims(), CloneCorruption("uniform")
-    ),
-    "clone-leader": lambda: Adversary(
-        "clone-leader", UniformVictims(), CloneCorruption("leader")
-    ),
+#: Named adversaries the CLI and the experiments expose: each is a
+#: victim function and a replacement-state function.  ``corrupt``
+#: copies every state it writes, so a clone list may repeat one state.
+ADVERSARIES: Dict[str, Tuple[StrikeFn, StrikeFn]] = {
+    "random": (_uniform_victims, _random_states),
+    "leader": (_leader_victims, _random_states),
+    "max-rank": (_max_rank_victims, _random_states),
+    "clone": (_uniform_victims, _clones),
+    "clone-leader": (_uniform_victims, _leader_clones),
 }
 
 
@@ -327,14 +189,29 @@ def adversary_names() -> List[str]:
     return sorted(ADVERSARIES)
 
 
-def make_adversary(name: str) -> Adversary:
+def _adversary(name: str) -> Tuple[StrikeFn, StrikeFn]:
     try:
-        factory = ADVERSARIES[name]
+        return ADVERSARIES[name]
     except KeyError:
         raise ValueError(
             f"unknown adversary {name!r}; known: {', '.join(adversary_names())}"
         ) from None
-    return factory()
+
+
+def strike(engine: Engine, adversary: str, count: int, rng: random.Random) -> int:
+    """Corrupt up to ``count`` agents with the named adversary; return
+    how many were hit.
+
+    Victims are selected first, then replacement states are drawn,
+    then the overwrite happens -- a fixed RNG consumption order so
+    identical seeds produce identical strikes on either engine.
+    """
+    victims_of, states_of = _adversary(adversary)
+    victims = victims_of(engine, count, rng)
+    if victims:
+        engine.corrupt(victims, states_of(engine, len(victims), rng))
+    _LOG.debug("adversary %s overwrote %d agent(s)", adversary, len(victims))
+    return len(victims)
 
 
 # ---------------------------------------------------------------------------
@@ -376,83 +253,63 @@ class RecoveryReport:
 
 def measure_recovery(
     protocol: RankingProtocol[S],
-    process: FaultProcess,
+    events: Iterable[FaultEvent],
     *,
     rng: random.Random,
     settle_time: float,
     max_recovery_time: float,
     initial_states: Optional[Sequence[S]] = None,
     engine: str = "auto",
-    adversary: Union[None, str, Adversary] = None,
-    recorder: Optional[Any] = None,
+    adversary: str = "random",
 ) -> RecoveryReport:
-    """Run a fault process and measure per-strike recovery times.
+    """Strike a protocol with ``events`` and measure per-strike recovery times.
 
     The protocol first stabilizes from ``initial_states`` (default: a
-    clean start); each event of ``process`` then strikes the
-    *stabilized* population and the time back to a correct (and, for
-    silent protocols, silent) configuration is recorded.
+    clean start); each event (in time order: :func:`periodic_events`,
+    :func:`poisson_events` or a script) then strikes the *stabilized*
+    population and the time back to a correct (and, for silent
+    protocols, silent) configuration is recorded.
     ``settle_time`` bounds the initial stabilization,
     ``max_recovery_time`` each recovery.  Correctness is probed once per
     unit of parallel time, and availability is credited per probe
     interval, so the accounting error per strike is at most one unit.
 
     engine:
-        A name in :data:`~repro.core.countsim.ENGINES`, resolved by
-        :func:`~repro.core.countsim.select_engine` (``"auto"``, the
+        A name in :data:`~repro.core.countsim.ENGINES`, built by
+        :func:`~repro.core.countsim.build_engine` (``"auto"``, the
         default, runs silent protocols on the count engine).  The count
         engine also fast-forwards silent dwell between strikes, so long
         quiet periods cost O(1).  Its batched sampling (``"vector"``)
         runs only in interaction mode; silent protocols with a
         ``silent_class`` run in active mode and never batch.
     adversary:
-        ``None`` (the uniform random-state adversary), a registered
-        name (see :func:`adversary_names`), or an :class:`Adversary`.
-    recorder:
-        Optional :class:`~repro.obs.metrics.MetricsRecorder`; defaults
-        to the ambient recorder.  When present, strikes and recoveries
-        are recorded as events, the live ``fault_backlog`` gauge tracks
-        unrecovered strikes, the settle / recover / dwell phases are
-        timed, and the engine underneath samples its time-series.
+        A name in :data:`ADVERSARIES` (default ``"random"``: uniform
+        victims overwritten with ``random_state`` draws).
 
-    Raises ``RuntimeError`` if the protocol fails to settle initially.
+    When a recorder is ambient (:mod:`repro.obs.context`), strikes and
+    recoveries are recorded as events, the live ``fault_backlog``
+    gauge tracks unrecovered strikes, the settle / recover / dwell
+    phases are timed, and the engine underneath samples its
+    time-series.
+
+    Raises ``RuntimeError`` if the protocol fails to settle initially,
+    and ``ValueError`` for an unknown adversary or an event earlier
+    than the one before it.
     """
-    batched = select_engine(protocol, engine)
-    if adversary is None:
-        adversary = make_adversary("random")
-    elif isinstance(adversary, str):
-        adversary = make_adversary(adversary)
-    obs = recorder if recorder is not None else current_recorder()
+    _adversary(adversary)
+    obs = current_recorder()
     n = protocol.n
 
     def phase(name: str) -> ContextManager[None]:
         return obs.phase(name) if obs is not None else nullcontext()
 
-    sim: Engine
-    if batched is not None:
-        mode = (
-            "active"
-            if protocol.silent and getattr(protocol, "silent_class", None)
-            else "auto"
-        )
-        sim = CountSimulation(
-            protocol,
-            list(initial_states) if initial_states is not None else None,
-            rng=rng,
-            mode=mode,
-            batched=batched,
-            recorder=obs,
-        )
-    else:
-        monitors: List[Any] = []
-        if obs is not None:
-            monitor = protocol.convergence_monitor()
-            monitor.recorder = obs
-            monitors = [monitor, SampledMetricsMonitor(obs, monitor, n)]
-        sim = Simulation(
-            protocol, initial_states, rng=rng, monitors=monitors, recorder=obs
-        )
-
+    sim = build_engine(
+        protocol,
+        initial_states,
+        rng=rng,
+        engine=engine,
+        mode="active" if getattr(protocol, "silent_class", None) else "auto",
+    )
     report = RecoveryReport()
 
     def advance_chunk(limit_ticks: int) -> None:
@@ -484,12 +341,16 @@ def measure_recovery(
     # Strikes fire on a timeline anchored at the initial stabilization, so
     # the population dwells (accruing availability) between strikes.
     origin = sim.ticks
-    for event in process.events(rng):
+    last = 0.0
+    for event in events:
+        if event.at < last:
+            raise ValueError("events must be ordered by time")
+        last = event.at
         target = origin + int(round(event.at * n))
         with phase("dwell"):
             while sim.ticks < target:
                 advance_chunk(target)
-        struck = adversary.strike(sim, event.agents, rng)
+        struck = strike(sim, adversary, event.agents, rng)
         broke = not sim.correct
         if obs is not None:
             obs.inc_gauge("fault_backlog")
@@ -499,7 +360,7 @@ def measure_recovery(
                 agents=event.agents,
                 injected=struck,
                 broke_correctness=broke,
-                adversary=adversary.name,
+                adversary=adversary,
             )
         with phase("recover"):
             elapsed = advance_until_stable(max_recovery_time)

@@ -519,7 +519,10 @@ class ParallelTrialRunner:
         A failure raises :class:`TrialTaskError` at once -- no rerun
         will fix a deterministic trial, and masking the error hides the
         bug.  A success emits the profiled ``trial`` event, closes the
-        span and keeps the result.
+        span and keeps the result.  A profiled span's ``wall_seconds``
+        is the trial's own, as its event's is: a pooled span opens only
+        when the harvest loop reaches the trial, which may have finished
+        long before.
         """
         if isinstance(outcome, _TrialFailure):
             if span is not None:
@@ -537,7 +540,9 @@ class ParallelTrialRunner:
                 cpu_seconds=outcome.cpu_seconds,
                 pooled=pooled,
             )
-        if span is not None:
+            if span is not None:
+                self._obs.end_span(span, wall_seconds=outcome.wall_seconds)
+        elif span is not None:
             self._obs.end_span(span)
         self._keep(index, outcome.value, results)
 
@@ -649,7 +654,8 @@ class ParallelTrialRunner:
                     # Parent-side trial spans are harvest markers: they
                     # open as the harvest loop reaches the trial and
                     # close when its result lands, so SSE subscribers
-                    # see per-trial progress without worker plumbing.
+                    # see per-trial progress without worker plumbing;
+                    # a profiled one keeps the trial's own wall time.
                     span = self._begin_trial_span(seed, labels, index)
                     try:
                         outcome = future.result()

@@ -20,15 +20,15 @@ import random
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.chaos import (
-    BurstProcess,
-    FaultProcess,
-    PoissonProcess,
+    FaultEvent,
     RecoveryReport,
     adversary_names,
     measure_recovery,
+    periodic_events,
+    poisson_events,
 )
 from repro.core.countsim import CHAOS_PARAMS, select_engine
 from repro.core.parallel import ParallelTrialRunner, check_counts
@@ -68,14 +68,14 @@ def _chaos_trial(
 ) -> RecoveryReport:
     """One seeded chaos run (top-level and picklable for the runner)."""
     protocol = CHAOS_PROTOCOLS[protocol_key](n)
-    process: FaultProcess
+    events: Iterable[FaultEvent]
     if poisson_rate is not None:
-        process = PoissonProcess(poisson_rate, agents=agents, horizon=period * strikes)
+        events = poisson_events(poisson_rate, agents=agents, horizon=period * strikes, rng=rng)
     else:
-        process = BurstProcess.periodic(period=period, agents=agents, count=strikes)
+        events = periodic_events(period, agents, strikes)
     return measure_recovery(
         protocol,
-        process,
+        events,
         rng=rng,
         initial_states=_stable_configuration(protocol),
         settle_time=10.0,  # starts stable; settling is a formality

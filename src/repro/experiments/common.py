@@ -20,15 +20,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.analysis.stats import TrialSummary, summarize_trials
-from repro.core.countsim import CountSimulation, ProbeTable, select_engine
-from repro.core.monitors import Monitor
+from repro.core.countsim import ProbeTable, build_engine
 from repro.core.parallel import ParallelTrialRunner
-from repro.core.simulation import Simulation
-from repro.obs.context import current_recorder
-from repro.obs.metrics import SampledMetricsMonitor
 from repro.protocols.base import RankingProtocol
 
 S = TypeVar("S")
@@ -72,8 +68,8 @@ def measure_convergence(
         Correct-streak length (parallel time) accepted as stabilization
         for non-silent protocols.  Defaults to ``30 + 20 ln n``.
     engine:
-        A name in :data:`~repro.core.countsim.ENGINES`, resolved by
-        :func:`~repro.core.countsim.select_engine` (``"auto"``, the
+        A name in :data:`~repro.core.countsim.ENGINES`, built by
+        :func:`~repro.core.countsim.build_engine` (``"auto"``, the
         default, runs silent protocols on the count engine).  A silent
         protocol's stabilization is certified by silence checks.
         All engines produce the same outcome *distribution* (enforced
@@ -85,21 +81,8 @@ def measure_convergence(
         outcome is the same without it.  The generic engine never
         probes, so it leaves the table alone.
     """
-    batched = select_engine(protocol, engine)
+    sim = build_engine(protocol, states, rng=rng, engine=engine, probe_table=probe_table)
     n = protocol.n
-    sim: Union[Simulation[S], CountSimulation]
-    if batched is None:
-        monitor = protocol.convergence_monitor()
-        monitors: List[Monitor] = [monitor]
-        obs = current_recorder()
-        if obs is not None:
-            monitor.recorder = obs
-            monitors.append(SampledMetricsMonitor(obs, monitor, n))
-        sim = Simulation(protocol, states, rng=rng, monitors=monitors)
-    else:
-        sim = CountSimulation(
-            protocol, list(states), rng=rng, batched=batched, probe_table=probe_table
-        )
     if confirm_time is None:
         confirm_time = 30.0 + 20.0 * math.log(n)
     max_interactions = int(max_time * n)

@@ -29,7 +29,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.stats import summarize_trials
-from repro.core.chaos import BurstProcess, RecoveryReport, measure_recovery
+from repro.core.chaos import RecoveryReport, measure_recovery, periodic_events
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import ExperimentReport
@@ -65,7 +65,7 @@ def _fault_trial(
     protocol = factory()
     return measure_recovery(
         protocol,
-        BurstProcess.periodic(period=10.0 * protocol.n, agents=agents, count=3),
+        periodic_events(10.0 * protocol.n, agents, 3),
         rng=rng,
         settle_time=500.0 * protocol.n,
         max_recovery_time=500.0 * protocol.n,

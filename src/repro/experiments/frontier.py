@@ -32,7 +32,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.scaling import fit_power_law
-from repro.core.countsim import CountSimulation, select_engine
+from repro.core.countsim import CountSimulation
 from repro.core.fastpath import worst_case_ciw_counts
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
@@ -46,7 +46,7 @@ TITLE = "Scaling frontier -- Silent-n-state-SSR worst case at mega-scale n"
 ENGINES = ("count", "vector")
 
 
-def _frontier_trial(n: int, batched: bool, rng: random.Random) -> Dict[str, float]:
+def _frontier_trial(n: int, rng: random.Random) -> Dict[str, float]:
     """One timed worst-case CIW run; returns measurement + wall time."""
     protocol = SilentNStateSSR(n)
     counts = worst_case_ciw_counts(n)
@@ -56,7 +56,6 @@ def _frontier_trial(n: int, batched: bool, rng: random.Random) -> Dict[str, floa
         ((rank, count) for rank, count in enumerate(counts) if count),
         rng=rng,
         mode="jump",
-        batched=batched,
     )
     sim.run_until_silent()
     wall = time.perf_counter() - started
@@ -103,9 +102,8 @@ def run(
     )
     means: Dict[int, float] = {}
     for n in ns:
-        batched = select_engine(SilentNStateSSR(n), engine)
         results = runner.map_trials(
-            partial(_frontier_trial, n, batched),
+            partial(_frontier_trial, n),
             seed=seed,
             labels=("frontier", n),
             trials=trials,

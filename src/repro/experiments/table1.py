@@ -32,7 +32,7 @@ from repro.analysis.statecount import (
     sublinear_state_log2_estimate,
 )
 from repro.analysis.stats import TrialSummary, summarize_trials
-from repro.core.countsim import CountSimulation, select_engine
+from repro.core.countsim import CountSimulation
 from repro.core.fastpath import worst_case_ciw_counts
 from repro.core.fastpath_optimal_silent import random_start_time
 from repro.core.parallel import ParallelTrialRunner
@@ -52,7 +52,7 @@ TITLE = "Table 1 -- SSR protocol time/space complexities (measured)"
 ENGINES = ("count", "vector")
 
 
-def _ciw_trial(n: int, batched: bool, rng: random.Random) -> float:
+def _ciw_trial(n: int, rng: random.Random) -> float:
     """One CIW stabilization measurement from the worst-case start.
 
     Runs a count-based engine in jump mode.  From a worst-case start
@@ -62,8 +62,6 @@ def _ciw_trial(n: int, batched: bool, rng: random.Random) -> float:
     (both draw one geometric and one Fenwick sample per effective
     event, over identical weight tables) -- enforced by the equivalence
     tests, so this engine swap changed no reported Table 1 value.
-    ``batched`` keeps the identical trajectory here too: jump mode
-    never batches.
     """
     protocol = SilentNStateSSR(n)
     sim = CountSimulation.from_counts(
@@ -71,7 +69,6 @@ def _ciw_trial(n: int, batched: bool, rng: random.Random) -> float:
         ((rank, count) for rank, count in enumerate(worst_case_ciw_counts(n)) if count),
         rng=rng,
         mode="jump",
-        batched=batched,
     )
     sim.run_until_silent()
     return sim.parallel_time
@@ -82,7 +79,6 @@ def _ciw_times(
     trials: int,
     seed: int,
     runner: ParallelTrialRunner,
-    engine: str = "count",
 ) -> Dict[int, TrialSummary]:
     """Silent-n-state-SSR stabilization times from the worst-case start.
 
@@ -92,9 +88,8 @@ def _ciw_times(
     """
     results: Dict[int, TrialSummary] = {}
     for n in ns:
-        batched = select_engine(SilentNStateSSR(n), engine)
         times = runner.map_trials(
-            partial(_ciw_trial, n, batched),
+            partial(_ciw_trial, n),
             seed=seed,
             labels=("ciw", n),
             trials=trials,
@@ -189,10 +184,9 @@ def run(
     ``workers`` > 1 fans the independent trials of each row out over a
     process pool; results are bit-identical to the serial run (per-trial
     RNG streams are derived inside the workers from the same label
-    paths).  ``engine``, one of :data:`ENGINES`, selects the count
-    representation for the CIW row: ``"count"`` (default) or
-    ``"vector"`` (batched sampling -- which this row's jump mode never
-    uses, so the reported values are the same).
+    paths).  ``engine``, one of :data:`ENGINES`, is ``"count"``
+    (default) or ``"vector"``: the CIW row runs the count engine in
+    jump mode, which never batches, so both run the same trials.
     """
     check_engine(EXPERIMENT_ID, engine)
     runner = ParallelTrialRunner(workers, checkpoint=checkpoint)
@@ -221,7 +215,7 @@ def run(
         ],
     )
 
-    ciw = _ciw_times(ciw_ns, ciw_trials, seed, runner, engine=engine)
+    ciw = _ciw_times(ciw_ns, ciw_trials, seed, runner)
     osr = _optimal_silent_times(os_ns, os_trials, seed, runner)
     sub = _sublinear_times(sub_ns, sub_trials, seed, runner)
 

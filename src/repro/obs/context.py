@@ -11,7 +11,7 @@ every engine (:class:`~repro.core.simulation.Simulation`,
 :func:`current_recorder` once at construction time.
 
 The default is ``None`` -- no recorder, no hooks, unchanged hot paths.
-An explicit ``recorder=`` argument always beats the ambient one.
+An engine's explicit ``recorder=`` argument always beats the ambient one.
 
 The context is a :class:`contextvars.ContextVar`, not a module global,
 so the ambient recorder is scoped to the current execution context:

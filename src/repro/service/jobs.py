@@ -56,6 +56,7 @@ import asyncio
 import contextvars
 import hashlib
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -187,12 +188,22 @@ def _execute_chaos(params: Dict[str, Any], checkpoint: Optional[str]) -> Dict[st
     return {"ok": result.all_recovered, "result": result.to_json()}
 
 
+#: The bench scripts of the source tree, resolved relative to this file
+#: (as :func:`~repro.obs.provenance.git_sha` resolves the tree), not the
+#: server's working directory.
+_BENCH_DIR = os.path.normpath(
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "..", "benchmarks")
+)
+
+
 def _bench_suite(params: Dict[str, Any]) -> Any:
     """The bench job's suite, its ``cells`` checked (or ValueError)."""
     from repro.obs import bench as bench_mod
 
+    if not os.path.isdir(_BENCH_DIR):
+        raise ValueError(f"no bench scripts: {_BENCH_DIR} is not a directory")
     (suite,) = bench_mod.select_suites(
-        bench_mod.discover_suites("benchmarks"),
+        bench_mod.discover_suites(_BENCH_DIR),
         [params["suite"]],
         params.get("cells"),
     )

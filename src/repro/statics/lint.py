@@ -287,7 +287,7 @@ def _fault_model_findings(
     """
     # Imported lazily: the static passes should not drag the dynamic
     # fault machinery in at module import.
-    from repro.core.chaos import adversary_names, make_adversary
+    from repro.core.chaos import adversary_names, strike
     from repro.core.simulation import Simulation
 
     findings: List[Finding] = []
@@ -320,11 +320,10 @@ def _fault_model_findings(
         )
 
     for adversary_name in adversary_names():
-        adversary = make_adversary(adversary_name)
         sim = Simulation(protocol, rng=random.Random(LINT_SEED))
         strike_rng = random.Random(LINT_SEED)
         sim.run(4 * protocol.n)
-        adversary.strike(sim, max(1, protocol.n // 2), strike_rng)
+        strike(sim, adversary_name, max(1, protocol.n // 2), strike_rng)
         problems = [
             f"agent {index}: {problem}"
             for index, state in enumerate(sim.states)

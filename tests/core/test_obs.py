@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.core.chaos import BurstProcess, measure_recovery
+from repro.core.chaos import measure_recovery, periodic_events
 from repro.core.countsim import CountSimulation
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import make_rng
@@ -378,7 +378,7 @@ class TestEngineWiring:
         with recording(recorder):
             report = measure_recovery(
                 protocol,
-                BurstProcess.periodic(period=50.0, agents=4, count=2),
+                periodic_events(50.0, 4, 2),
                 rng=make_rng(6, "obs-recovery"),
                 settle_time=50_000.0,
                 max_recovery_time=50_000.0,

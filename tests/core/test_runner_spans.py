@@ -8,6 +8,7 @@ statuses -- are identical, on success and on a task failure alike.
 """
 
 import random
+import time
 from functools import partial
 
 import pytest
@@ -25,6 +26,15 @@ ATTEMPT = "job-0123456789abcdef/a1"
 
 def draw(rng: random.Random) -> float:
     return rng.random()
+
+
+def slow_first(first: float, rng: random.Random) -> float:
+    """Trial 0 (the one whose draw is ``first``) takes a while; the rest
+    finish at once, long before the harvest loop reaches them."""
+    value = rng.random()
+    if value == first:
+        time.sleep(0.2)
+    return value
 
 
 def fail_on(target: float, rng: random.Random) -> float:
@@ -87,3 +97,22 @@ class TestUntracedTrialSpans:
         serial, _ = record_spans(1, task)
         pooled, _ = record_spans(2, task)
         assert serial == pooled
+
+
+class TestProfiledTrialSpans:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_span_wall_is_the_trials_own(self, workers):
+        """A profiled trial span times the trial, not the harvest wait:
+        its ``wall_seconds`` equals the ``trial`` event's on either path."""
+        recorder = MetricsRecorder(profile=True)
+        task = partial(slow_first, make_rng(SEED, *LABELS, 0).random())
+        with recording(recorder):
+            ParallelTrialRunner(workers).map_trials(
+                task, seed=SEED, labels=LABELS, trials=4
+            )
+        assert validate_spans(recorder.spans) == []
+        events = {e["index"]: e["wall_seconds"] for e in recorder.events_of("trial")}
+        ends = [r for r in trial_spans(recorder.spans) if r["op"] == "end"]
+        assert [r["id"] for r in ends] == [span_id(SEED, LABELS, i) for i in range(4)]
+        assert [r["wall_seconds"] for r in ends] == [events[i] for i in range(4)]
+        assert events[0] >= 0.2 > max(events[i] for i in range(1, 4))

@@ -8,6 +8,7 @@ first occurrence, and journaled jobs are re-admitted on restart.
 
 import asyncio
 import inspect
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.core.countsim import CHAOS_PARAMS
 from repro.experiments.chaos import run_chaos
 from repro.experiments.cli import build_parser
 from repro.experiments.registry import run_experiment
+from repro.service import jobs
 from repro.service.jobs import (
     JOB_KINDS,
     AdmissionError,
@@ -62,6 +64,19 @@ class TestSpecValidation:
     def test_unknown_adversary_rejected(self):
         with pytest.raises(JobValidationError, match="unknown adversary"):
             JobSpec.from_payload({"kind": "chaos", "spec": {"adversary": "gremlin"}})
+
+    def test_bench_suites_found_from_any_directory(self, tmp_path, monkeypatch):
+        """The server's working directory does not matter: the bench
+        scripts are found in the source tree."""
+        monkeypatch.chdir(tmp_path)
+        spec = JobSpec.from_payload({"kind": "bench", "spec": {"suite": "engine"}})
+        assert spec.params["suite"] == "engine"
+
+    def test_missing_bench_dir_is_named(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "benchmarks")
+        monkeypatch.setattr(jobs, "_BENCH_DIR", missing)
+        with pytest.raises(JobValidationError, match=re.escape(f"{missing} is not a directory")):
+            JobSpec.from_payload({"kind": "bench", "spec": {"suite": "engine"}})
 
     def test_bench_requires_suite(self):
         with pytest.raises(JobValidationError, match="suite"):
