@@ -51,8 +51,8 @@ class Simulation(Generic[S]):
     monitors:
         Observers notified around every interaction.  The first
         :class:`~repro.core.monitors.ConvergenceMonitor` among them
-        keeps ``streak_start`` and ``regressions``, and
-        :meth:`run_until_stable` needs one.
+        keeps ``streak_start`` and ``regressions``;
+        :meth:`run_until_stable` attaches the protocol's own if none is.
     recorder:
         Optional :class:`~repro.obs.metrics.MetricsRecorder`; defaults
         to the ambient recorder (see :mod:`repro.obs.context`).  When
@@ -81,7 +81,8 @@ class Simulation(Generic[S]):
         self.monitors = list(monitors)
         # Hoisted once: the notification loops dominate the per-step cost
         # of monitor-less runs otherwise.  Attach monitors at
-        # construction time; mutating ``self.monitors`` afterwards is
+        # construction time (``run_until_stable`` attaches its own the
+        # same way); mutating ``self.monitors`` afterwards is
         # unsupported.
         self._has_monitors = bool(self.monitors)
         self._convergence: Optional[ConvergenceMonitor[S]] = next(
@@ -183,11 +184,18 @@ class Simulation(Generic[S]):
         Stable means correct and silent or, as the empirical proxy for a
         non-silent protocol, correct for ``confirm_interactions`` in a
         row.  Both are probed before the first step and then every
-        ``max(n, 16)`` interactions.  Needs a ConvergenceMonitor.
+        ``max(n, 16)`` interactions.  With no ConvergenceMonitor
+        attached, the protocol's own is attached first, starting from
+        the current states: call this before any other step, so its
+        streak counts from interaction 0.
         """
         monitor = self._convergence
         if monitor is None:
-            raise ValueError("run_until_stable needs a ConvergenceMonitor attached")
+            monitor = self.protocol.convergence_monitor()  # type: ignore[attr-defined]
+            monitor.on_start(self.states)
+            self.monitors.append(monitor)
+            self._convergence = monitor
+            self._has_monitors = True
         deadline = self.interactions + max_interactions
         probe_every = max(self.protocol.n, 16)
         while True:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.countsim import build_engine
 from repro.core.errors import ConfigurationError
 from repro.core.monitors import Monitor
+from repro.core.rng import make_rng
 from repro.core.scheduler import ScriptedScheduler
 from repro.core.simulation import Simulation
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
@@ -80,3 +82,36 @@ class TestMonitorContract:
         sim = Simulation(protocol, rng=rng, monitors=monitors)
         sim.run(3)
         assert len(monitors[0].events) == len(monitors[1].events) == 1 + 2 * 3
+
+
+class TestRunUntilStable:
+    def test_attaches_the_convergence_monitor_it_needs(self):
+        """A monitor-less engine gets the protocol's convergence monitor
+        on its first ``run_until_stable``: the same run as an engine
+        built with that monitor attached."""
+        protocol = SilentNStateSSR(6)
+        start = protocol.worst_case_configuration()
+        bare = Simulation(protocol, start, rng=make_rng(38, "attach"))
+        attached = Simulation(
+            protocol,
+            start,
+            rng=make_rng(38, "attach"),
+            monitors=[protocol.convergence_monitor()],
+        )
+        assert bare.monitors == [] and bare.streak_start is None
+        assert bare.run_until_stable(10**6, 0) and attached.run_until_stable(10**6, 0)
+        assert len(bare.monitors) == 1
+        assert (bare.interactions, bare.streak_start, bare.regressions, bare.states) == (
+            attached.interactions,
+            attached.streak_start,
+            attached.regressions,
+            attached.states,
+        )
+        assert bare.streak_start > 0
+
+    def test_unrecorded_generic_engine_has_no_monitor(self):
+        """``build_engine`` adds no per-interaction monitor work to an
+        unrecorded generic run: recovery steps it without one."""
+        protocol = SilentNStateSSR(6)
+        sim = build_engine(protocol, None, rng=make_rng(38, "bare"), engine="generic")
+        assert isinstance(sim, Simulation) and sim.monitors == []
