@@ -12,7 +12,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro import OptimalSilentSSR, Simulation, count_leaders, make_rng
-from repro.core.configuration import is_silent
 
 N = 16
 SEED = 2021  # the paper's PODC year
@@ -29,10 +28,12 @@ def main() -> None:
         print(f"  agent {index}: {protocol.describe(state)}")
     print(f"  ... ({N - 5} more)\n")
 
-    monitor = protocol.convergence_monitor()
-    sim = Simulation(protocol, states, rng=rng, monitors=[monitor])
-    while not (monitor.correct and is_silent(protocol, sim.states)):
-        sim.run(N)  # probe every ~1 unit of parallel time
+    sim = Simulation(protocol, states, rng=rng)
+    # Probes every ~1 unit of parallel time; a silent protocol is stable
+    # once its ranking is correct and silent, so no streak is needed.
+    budget = 10**7
+    if not sim.run_until_stable(budget, confirm_interactions=budget):
+        raise RuntimeError(f"not stable within {budget} interactions")
 
     print(f"Stabilized after {sim.parallel_time:.1f} parallel time")
     print(f"  ({sim.interactions} pairwise interactions)\n")

@@ -18,7 +18,6 @@ Run:  python examples/sensor_network_recovery.py
 
 from repro import OptimalSilentSSR, Simulation, make_rng
 from repro.core.adversary import corrupted_configuration
-from repro.core.configuration import is_silent
 
 N = 24
 SEED = 77
@@ -27,10 +26,10 @@ FAULT_BURSTS = [2, 4, 8, 16, 24]  # corrupted sensors per burst
 
 def stabilize(protocol, states, rng):
     """Run to a silent correct configuration; return (time, states)."""
-    monitor = protocol.convergence_monitor()
-    sim = Simulation(protocol, states, rng=rng, monitors=[monitor])
-    while not (monitor.correct and is_silent(protocol, sim.states)):
-        sim.run(N)
+    sim = Simulation(protocol, states, rng=rng)
+    budget = 10**7
+    if not sim.run_until_stable(budget, confirm_interactions=budget):
+        raise RuntimeError(f"not stable within {budget} interactions")
     return sim.parallel_time, list(sim.states)
 
 

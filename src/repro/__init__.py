@@ -18,18 +18,15 @@ Quickstart::
 
     protocol = OptimalSilentSSR(n=20)
     rng = random.Random(7)
-    monitor = protocol.convergence_monitor()
-    sim = Simulation(
-        protocol, protocol.random_configuration(rng), rng=rng, monitors=[monitor]
-    )
-    while not monitor.correct:
-        sim.step()
+    sim = Simulation(protocol, protocol.random_configuration(rng), rng=rng)
+    # Silent protocol: stable once the ranking is correct and silent.
+    stable = sim.run_until_stable(max_interactions=10**7, confirm_interactions=10**7)
+    assert stable
     leader = [i for i, s in enumerate(sim.states) if protocol.is_leader(s)]
     print(f"leader elected: agent {leader[0]} after {sim.parallel_time:.1f} time")
 """
 
 from repro.core import (
-    ConvergenceMonitor,
     PopulationProtocol,
     Simulation,
     UniformRandomScheduler,
@@ -54,7 +51,6 @@ __all__ = [
     "RankingProtocol",
     "Simulation",
     "UniformRandomScheduler",
-    "ConvergenceMonitor",
     "make_rng",
     "SilentNStateSSR",
     "DirectCollisionSSR",

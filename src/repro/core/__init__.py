@@ -5,7 +5,6 @@ Public surface:
 * :class:`repro.core.protocol.PopulationProtocol` -- protocol interface
 * :class:`repro.core.simulation.Simulation` -- sequential engine
 * :mod:`repro.core.scheduler` -- uniform / scripted / adversarial schedulers
-* :mod:`repro.core.monitors` -- convergence observers
 * :mod:`repro.core.fastpath` -- exact-jump fast simulators
 * :mod:`repro.core.countsim` -- protocol-generic count-based engine
 * :mod:`repro.core.parallel` -- process-pool trial fan-out
@@ -20,7 +19,6 @@ from repro.core.errors import (
     ReproError,
 )
 from repro.core.countsim import CountSimulation, count_engine_eligible
-from repro.core.monitors import ConvergenceMonitor, Monitor
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.protocol import PopulationProtocol
 from repro.core.rng import DEFAULT_SEED, derive_seed, make_rng, trial_rngs
@@ -42,8 +40,6 @@ __all__ = [
     "UniformRandomScheduler",
     "ScriptedScheduler",
     "CallbackScheduler",
-    "Monitor",
-    "ConvergenceMonitor",
     "is_silent",
     "ranks_are_permutation",
     "ReproError",

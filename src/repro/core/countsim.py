@@ -187,9 +187,8 @@ from repro.core.errors import ConfigurationError, NotSilentError
 from repro.core.fenwick import GrowableFenwick, draws_with_getrandbits
 from repro.core.protocol import PopulationProtocol, check_population
 from repro.core.rng import DEFAULT_SEED
-from repro.core.simulation import Simulation
+from repro.core.simulation import Simulation, judge_ranking
 from repro.obs.context import current_recorder
-from repro.obs.metrics import SampledMetricsMonitor
 from repro.statics.schema import SchemaError, StateSchema, has_schema, schema_for
 
 #: numpy's import spec, ``None`` iff numpy is not installed.  numpy
@@ -365,23 +364,12 @@ def build_engine(
 ) -> Engine:
     """The engine named ``engine`` (:func:`select_engine`), built on ``states``.
 
-    When a recorder is ambient, the generic engine gets the protocol's
-    convergence monitor, reporting to it, and the sampled-metrics
-    monitor on top.  Otherwise it gets no monitor, and so no
-    per-interaction monitor work, until ``run_until_stable`` attaches
-    the convergence monitor it needs.  The count engine gets ``mode``
-    and ``probe_table``, which the generic engine has no use for.
-    ``states=None`` is a clean start.
+    The count engine gets ``mode`` and ``probe_table``, which the
+    generic engine has no use for.  ``states=None`` is a clean start.
     """
     batched = select_engine(protocol, engine)
     if batched is None:
-        monitors: List[Any] = []
-        obs = current_recorder()
-        if obs is not None:
-            monitor = protocol.convergence_monitor()  # type: ignore[attr-defined]
-            monitor.recorder = obs
-            monitors = [monitor, SampledMetricsMonitor(obs, monitor, protocol.n)]
-        return Simulation(protocol, states, rng=rng, monitors=monitors)
+        return Simulation(protocol, states, rng=rng)
     return CountSimulation(
         protocol, states, rng=rng, mode=mode, batched=batched, probe_table=probe_table
     )
@@ -570,10 +558,13 @@ class CountSimulation:
     changes:
         Interactions that changed the configuration multiset.
     correct / streak_start / regressions:
-        Ranking-correctness bookkeeping with the exact semantics of
-        :class:`repro.core.monitors.ConvergenceMonitor` (available when
-        the protocol exposes ``rank_of``).
+        The ranking tally, judged by
+        :func:`~repro.core.simulation.judge_ranking` like the generic
+        engine's (available when the protocol exposes ``rank_of``).
     """
+
+    #: The ``engine`` label of this engine's samples and events.
+    _label = "count"
 
     def __init__(
         self,
@@ -664,7 +655,7 @@ class CountSimulation:
         # A series' shared probe results, consulted on memo misses.
         self._probe_table = probe_table
 
-        # -- ranking-correctness bookkeeping (ConvergenceMonitor semantics)
+        # -- the ranking tally (judged by judge_ranking) ---------------
         rank_of = getattr(protocol, "rank_of", None)
         self._rank_of = rank_of
         self._rank_counts: List[int] = [0] * (n + 1)
@@ -759,7 +750,7 @@ class CountSimulation:
             self._set_count(slot, count)
         if mode != "jump":
             self._fresh_count_tree()
-        self._refresh()
+        self.correct = judge_ranking(self, self._good == n, resync=True)
         if mode == "jump":
             self._enter_jump_mode()
 
@@ -1286,21 +1277,9 @@ class CountSimulation:
         return self._count_tree
 
     def _refresh(self) -> None:
-        now_correct = self._good == self.n
-        if now_correct and not self.correct:
-            self.streak_start = self.interactions
-            if self._obs is not None:
-                self._obs.event(
-                    "convergence", t=self.interactions / self.n, engine="count"
-                )
-        elif self.correct and not now_correct:
-            self.streak_start = None
-            self.regressions += 1
-            if self._obs is not None:
-                self._obs.event(
-                    "regression", t=self.interactions / self.n, engine="count"
-                )
-        self.correct = now_correct
+        """Judge the tally after an interaction that changed the counts."""
+        if (self._good == self.n) != self.correct:
+            self.correct = judge_ranking(self, not self.correct)
 
     # -- stepping ------------------------------------------------------
 
@@ -1791,8 +1770,10 @@ class CountSimulation:
 
         The configuration multiset becomes ``old - victims + new``, and
         every piece of incremental bookkeeping (count Fenwick tree,
-        rank-correctness monitor state, active/passive partition) is
-        resynchronized.  A fault is not an interaction, so
+        ranking tally, active/passive partition) is resynchronized; the
+        tally's resync emits no event and counts no regression
+        (:func:`~repro.core.simulation.judge_ranking`).  A fault is not
+        an interaction, so
         ``interactions``/``events``/``changes`` do not advance -- but
         the null-gap clock resets, since the configuration did change
         behind the scheduler's back.  In jump mode the effective-pair
@@ -1832,4 +1813,4 @@ class CountSimulation:
         self._cum_stale = True
         if profile:
             self._obs.add_stage_time("countsim.resync", time.perf_counter() - start)
-        self._refresh()
+        self.correct = judge_ranking(self, self._good == self.n, resync=True)

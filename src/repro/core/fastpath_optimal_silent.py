@@ -1,12 +1,12 @@
 """Array-based fast simulator for Optimal-Silent-SSR.
 
 The generic engine executes Optimal-Silent-SSR at about ten
-microseconds per interaction (dataclass fields, enum dispatch, monitor
-hooks), which caps Table 1 row 2 at n ~ 64.  The question that needs
+microseconds per interaction (dataclass fields, enum dispatch, the
+ranking tally's ``rank_of`` calls), which caps Table 1 row 2 at n ~ 64.  The question that needs
 bigger n -- does the WHP stabilization time grow like n log n while the
 expectation stays linear? -- motivates this specialized simulator: the
 same protocol semantics, state kept in plain integer lists, correctness
-tracked incrementally, no monitor machinery.
+tracked incrementally on integer ranks.
 
 **Semantics parity is the whole point**: this module mirrors
 :class:`repro.protocols.optimal_silent.OptimalSilentSSR` (including the

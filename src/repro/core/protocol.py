@@ -8,9 +8,9 @@ their own according to the (possibly randomized) transition function.
 
 This module defines :class:`PopulationProtocol`, the abstract interface
 all protocols in this package implement, together with the small amount
-of vocabulary shared by the simulation engine (:mod:`repro.core.simulation`),
-monitors (:mod:`repro.core.monitors`) and adversarial configuration
-generators (:mod:`repro.core.adversary`).
+of vocabulary shared by the simulation engines (:mod:`repro.core.simulation`,
+:mod:`repro.core.countsim`) and adversarial configuration generators
+(:mod:`repro.core.adversary`).
 
 State-object contract
 ---------------------
@@ -24,8 +24,9 @@ any third agent (protocols that copy structure from a partner must copy
 whatever either side may later mutate; history trees share only leaves,
 which are never mutated and say so through ``shareable()``, the one
 exemption the transition sanitizer makes).
-Monitors never rely on object identity; they observe protocols through
-the cheap scalar summaries exposed by :meth:`PopulationProtocol.summarize`.
+Observers never rely on object identity; they observe protocols through
+the cheap scalar summaries exposed by :meth:`PopulationProtocol.summarize`
+(and a ranking protocol's ``rank_of``).
 """
 
 from __future__ import annotations
@@ -114,9 +115,7 @@ class PopulationProtocol(ABC, Generic[S]):
         """A cheap hashable summary of one agent state.
 
         The summary must be fine enough that configuration correctness is
-        a function of the multiset of summaries (monitors track
-        correctness incrementally through it) yet cheap to compute, since
-        it is taken twice per interaction per monitor.
+        a function of the multiset of summaries, yet cheap to compute.
         """
 
     def describe(self, state: S) -> str:

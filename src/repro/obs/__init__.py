@@ -40,7 +40,7 @@ from repro.obs.ledger import (
     record_invocation,
 )
 from repro.obs.log import configure_logging, get_logger, job_logger
-from repro.obs.metrics import MetricsRecorder, SampledMetricsMonitor, percentile
+from repro.obs.metrics import MetricsRecorder, percentile
 from repro.obs.promexp import (
     TelemetryRegistry,
     get_registry,
@@ -78,7 +78,6 @@ __all__ = [
     "SPAN_KINDS",
     "SPAN_SCHEMA_VERSION",
     "SPAN_STATUSES",
-    "SampledMetricsMonitor",
     "SpanNode",
     "TRACE_SCHEMA_VERSION",
     "TelemetryRegistry",

@@ -36,11 +36,10 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.core.monitors import ConvergenceMonitor, Monitor
 from repro.obs.spans import SPAN_KINDS, SPAN_SCHEMA_VERSION, SPAN_STATUSES
 from repro.obs.trace import TraceWriter
 
-__all__ = ["MetricsRecorder", "SampledMetricsMonitor", "percentile"]
+__all__ = ["MetricsRecorder", "percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -343,46 +342,6 @@ class MetricsRecorder:
         with open(path, "w", encoding="utf8") as handle:
             json.dump(self.to_json(), handle, indent=2, sort_keys=True, default=str)
             handle.write("\n")
-
-
-class SampledMetricsMonitor(Monitor[Any]):
-    """Sampled-metrics hook for the generic per-agent engine.
-
-    Attached alongside a :class:`~repro.core.monitors.ConvergenceMonitor`
-    it reads that monitor's O(1) counters (leader count, rank coverage)
-    every ``sample_every`` interactions -- the generic-engine twin of
-    the count engine's built-in sampling.  Distinct-state counts are a
-    count-engine-only series: the agent-array engine would pay O(n) per
-    sample for them.
-    """
-
-    def __init__(
-        self,
-        recorder: MetricsRecorder,
-        convergence: ConvergenceMonitor[Any],
-        n: int,
-        *,
-        sample_every: Optional[int] = None,
-    ):
-        self.recorder = recorder
-        self.convergence = convergence
-        self.n = n
-        self.sample_every = sample_every or recorder.sample_every
-        self._next = self.sample_every
-
-    def after_step(self, step: int, i: int, j: int, state_i: Any, state_j: Any) -> None:
-        if step < self._next:
-            return
-        self._next = step + self.sample_every
-        convergence = self.convergence
-        self.recorder.sample(
-            t=step / self.n,
-            interactions=step,
-            leaders=convergence.leaders,
-            rank_coverage=convergence.rank_coverage,
-            correct=convergence.correct,
-            engine="generic",
-        )
 
 
 #: Signature engines expect from ambient-recorder resolution.

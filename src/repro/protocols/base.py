@@ -13,7 +13,6 @@ from abc import abstractmethod
 from typing import Optional, Sequence, TypeVar
 
 from repro.core.configuration import ranks_are_permutation
-from repro.core.monitors import ConvergenceMonitor
 from repro.core.protocol import PopulationProtocol
 
 S = TypeVar("S")
@@ -38,7 +37,3 @@ class RankingProtocol(PopulationProtocol[S]):
     def is_leader(self, state: S) -> bool:
         """Leader bit derived from ranking: rank 1 is the leader."""
         return self.rank_of(state) == 1
-
-    def convergence_monitor(self) -> ConvergenceMonitor[S]:
-        """A monitor tracking ranking correctness for this protocol."""
-        return ConvergenceMonitor(self.n, self.rank_of)

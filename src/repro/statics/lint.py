@@ -24,13 +24,12 @@ per protocol, instantiated at small fixed populations:
    silent protocols silence + probability-1 stabilization).  Passing
    rules are reported as INFO findings so the certificate is visible in
    the report;
-6. **monitor purity** -- the ranking monitors and observability hooks
-   (:class:`~repro.core.monitors.ConvergenceMonitor`,
-   :class:`~repro.obs.metrics.SampledMetricsMonitor` with a live
-   recorder) are run against a small simulation behind a probe that
-   snapshots each participant's canonical key around every callback;
-   a monitor mutating agent state is an ERROR (rule
-   ``monitor-purity``) -- observers must observe;
+6. **observer purity** -- the one observer left on the engines, the
+   ranking tally, reads each agent's ``rank_of`` under a recorder; a
+   small recorded run of each engine the protocol is eligible for
+   calls it through a probe that compares the state's canonical key
+   before and after every call, and a ``rank_of`` mutating agent state
+   is an ERROR (rule ``monitor-purity``) -- observers must observe;
 7. optionally (``--audit-states``) a **state-count audit**: the
    schema-enumerated state count must equal both the protocol's
    ``state_count()`` and the Table 1 closed form from
@@ -433,94 +432,70 @@ def _fault_model_findings(
 def _monitor_purity_findings(
     target: LintTarget, protocol: Any, schema: Any
 ) -> List[Finding]:
-    """Monitor-purity probe: observers must never mutate agent state.
+    """Observer-purity probe: ``rank_of`` must never mutate agent state.
 
-    Wraps each observability-facing monitor in a probe that snapshots
-    the participants' canonical keys around every callback, then drives
-    a small simulation (with a live recorder, so the sampled-metrics
-    and event-emission paths actually execute).  A key changing across
-    a callback means the monitor wrote into the population -- which
-    would silently skew every measurement built on it.
+    Both engines' ranking tallies read ``rank_of`` (the generic engine
+    around every interaction, the count engine once per new slot), and
+    a recorder makes them run from the start.  The probe shadows the
+    protocol's ``rank_of`` for the duration of a small recorded run of
+    each engine the protocol is eligible for, comparing the state's
+    canonical key before and after every call.  A key that changes
+    means the observer wrote into the population -- which would
+    silently skew every measurement built on it.
     """
     # Imported lazily: the static passes should not drag the dynamic
     # engines or the observability layer in at module import.
-    from repro.core.monitors import Monitor
-    from repro.core.simulation import Simulation
-    from repro.obs.metrics import MetricsRecorder, SampledMetricsMonitor
+    from repro.core.countsim import build_engine, count_engine_eligible
+    from repro.obs.context import recording
+    from repro.obs.metrics import MetricsRecorder
 
-    if getattr(protocol, "rank_of", None) is None:
+    rank_of = getattr(protocol, "rank_of", None)
+    if rank_of is None:
         return []
+    witnesses: List[str] = []
 
-    class PurityProbe(Monitor):
-        def __init__(self, inner: Any):
-            self.inner = inner
-            self.witnesses: List[str] = []
+    def probe(state: Any) -> Any:
+        before = schema.key(state)
+        rank = rank_of(state)
+        if schema.key(state) != before and len(witnesses) < 4:
+            witnesses.append(f"{engine} engine: rank_of({before!r}) mutated the state")
+        return rank
 
-        def on_start(self, states: List[Any]) -> None:
-            before = [schema.key(state) for state in states]
-            self.inner.on_start(states)
-            if [schema.key(state) for state in states] != before:
-                self.witnesses.append("on_start mutated the configuration")
-
-        def before_step(
-            self, step: int, i: int, j: int, state_i: Any, state_j: Any
-        ) -> None:
-            before = (schema.key(state_i), schema.key(state_j))
-            self.inner.before_step(step, i, j, state_i, state_j)
-            if (schema.key(state_i), schema.key(state_j)) != before:
-                self.witnesses.append(f"before_step mutated a participant at step {step}")
-
-        def after_step(
-            self, step: int, i: int, j: int, state_i: Any, state_j: Any
-        ) -> None:
-            before = (schema.key(state_i), schema.key(state_j))
-            self.inner.after_step(step, i, j, state_i, state_j)
-            if (schema.key(state_i), schema.key(state_j)) != before:
-                self.witnesses.append(f"after_step mutated a participant at step {step}")
-
-    recorder = MetricsRecorder(sample_every=max(1, protocol.n))
-    convergence = protocol.convergence_monitor()
-    convergence.recorder = recorder
-    sampled = SampledMetricsMonitor(
-        recorder, convergence, protocol.n, sample_every=protocol.n
-    )
-    probes = {
-        type(monitor).__name__: PurityProbe(monitor)
-        for monitor in (convergence, sampled)
-    }
-    sim = Simulation(
-        protocol,
-        rng=random.Random(LINT_SEED),
-        monitors=list(probes.values()),
-        recorder=recorder,
-    )
+    engines = ["generic"]
+    if protocol.silent and count_engine_eligible(protocol):
+        engines.append("count")
     steps = 8 * protocol.n
-    sim.run(steps)
-
-    findings: List[Finding] = []
-    for monitor_name, probe in probes.items():
-        if probe.witnesses:
-            findings.append(
-                Finding(
-                    Severity.ERROR,
-                    target.name,
-                    "monitor-purity",
-                    f"{monitor_name} mutated agent state from a monitor "
-                    "callback (observers must observe)",
-                    witness="; ".join(probe.witnesses[:4]),
+    protocol.rank_of = probe
+    try:
+        for engine in engines:
+            with recording(MetricsRecorder(sample_every=protocol.n)):
+                sim = build_engine(
+                    protocol, None, rng=random.Random(LINT_SEED), engine=engine
                 )
-            )
-    if not findings:
-        findings.append(
+                sim.run(steps)
+    finally:
+        del protocol.rank_of
+
+    if witnesses:
+        return [
             Finding(
-                Severity.INFO,
+                Severity.ERROR,
                 target.name,
                 "monitor-purity",
-                f"certified: {len(probes)} monitors left agent states "
-                f"untouched across {steps} interactions",
+                "rank_of mutated agent state while the ranking tally "
+                "observed it (observers must observe)",
+                witness="; ".join(witnesses),
             )
+        ]
+    return [
+        Finding(
+            Severity.INFO,
+            target.name,
+            "monitor-purity",
+            f"certified: rank_of left agent states untouched across {steps} "
+            f"recorded interactions on each of {len(engines)} engine(s)",
         )
-    return findings
+    ]
 
 
 def _model_check_findings(target: LintTarget) -> List[Finding]:

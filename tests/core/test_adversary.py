@@ -105,18 +105,14 @@ class TestTrapsStabilizeOnBothEngines:
         protocol = factory(8)
         battery = adversarial_battery(protocol, rng)
         for label, states in battery.items():
-            monitor = protocol.convergence_monitor()
             sim = Simulation(
                 protocol,
                 [protocol.clone_state(state) for state in states],
                 rng=make_rng(3, "trap", label),
-                monitors=[monitor],
             )
-            for _ in range(40):
-                if monitor.correct:
-                    break
-                sim.run(20_000)
-            assert monitor.correct, f"{label}: not correct after {sim.interactions}"
+            assert sim.run_until_stable(800_000, 0), (
+                f"{label}: not correct after {sim.interactions}"
+            )
 
     @pytest.mark.parametrize("factory", _TRAP_FACTORIES, ids=["ciw", "optimal"])
     def test_count_engine(self, factory, rng):

@@ -25,6 +25,7 @@ from repro.core.countsim import CountSimulation
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
 from repro.experiments.chaos import _chaos_trial
+from repro.obs.metrics import MetricsRecorder
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
 from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.sync_dictionary import SyncDictionarySSR
@@ -150,14 +151,15 @@ class TestFaultSurfaces:
         assert engine.protocol.rank_of(state) == 1
 
     def test_generic_overwrite_resyncs_monitors(self, rng):
+        """``corrupt`` resyncs a running ranking tally."""
         protocol = SilentNStateSSR(6)
-        monitor = protocol.convergence_monitor()
-        sim = Simulation(protocol, list(range(6)), rng=rng, monitors=[monitor])
+        sim = Simulation(protocol, list(range(6)), rng=rng)
         sim.run(1)
-        assert monitor.correct
+        assert sim.run_until_stable(0, 0)  # starts the tally
         sim.corrupt([0], [1])  # duplicate rank 2
         assert sim.states == [1, 1, 2, 3, 4, 5]  # exactly one agent overwritten
-        assert not monitor.correct
+        assert not sim.correct and sim.streak_start is None
+        assert not sim.run_until_stable(0, 0)
 
     def test_count_overwrite_updates_multiset(self, rng):
         _, sim = _stable_ciw_pair(6)
@@ -213,6 +215,52 @@ def _state_of(engine, victim):
     return engine.states[victim]
 
 
+class TestResyncRule:
+    """A fault is a resync of the ranking tally on both engines: no
+    event, no regression, and a correct streak restarts at the current
+    interaction."""
+
+    @staticmethod
+    def _struck(engine, new_states):
+        """Both engines on CIW n=8's correct configuration, recorded,
+        500 interactions in, then the two highest ranks overwritten."""
+        recorder = MetricsRecorder(sample_every=10**9)
+        protocol = SilentNStateSSR(8)
+        rng = make_rng(39, "resync")
+        if engine == "generic":
+            sim = Simulation(protocol, list(range(8)), rng=rng, recorder=recorder)
+        else:
+            sim = CountSimulation(
+                protocol, list(range(8)), rng=rng, mode="interaction", recorder=recorder
+            )
+        sim.run(500)
+        sim.corrupt(sim.ranked_victims(2, highest=True), new_states)
+        events = [(e["kind"], e["t"]) for e in recorder.events]
+        return (sim.correct, sim.streak_start, sim.regressions, events), sim, recorder
+
+    @pytest.mark.parametrize(
+        "new_states,expected",
+        [
+            ([0, 0], (False, None, 0, [])),  # breaks correctness
+            ([7, 6], (True, 500, 0, [])),  # rewrites the states they held
+        ],
+        ids=["breaking", "harmless"],
+    )
+    def test_same_strike_same_tally_on_both_engines(self, new_states, expected):
+        generic, _, _ = self._struck("generic", new_states)
+        count, _, _ = self._struck("count", new_states)
+        assert generic == count == expected
+
+    @pytest.mark.parametrize("engine", ["generic", "count"])
+    def test_recovery_after_resync_is_one_convergence(self, engine):
+        _, sim, recorder = self._struck(engine, [0, 0])
+        sim.run(20_000)
+        assert sim.correct
+        assert [e["kind"] for e in recorder.events] == ["convergence"]
+        assert recorder.events[0]["t"] == sim.streak_start / 8 > 500 / 8
+        assert sim.regressions == 0
+
+
 class TestAdversaries:
     def test_registry_names(self):
         assert set(adversary_names()) == {
@@ -248,9 +296,8 @@ class TestAdversaries:
 
     def test_strike_resynchronizes_monitors(self, rng):
         protocol = SilentNStateSSR(4)
-        monitor = protocol.convergence_monitor()
-        sim = Simulation(protocol, [0, 1, 2, 3], rng=rng, monitors=[monitor])
-        assert monitor.correct
+        sim = Simulation(protocol, [0, 1, 2, 3], rng=rng)
+        assert sim.run_until_stable(0, 0)  # starts the tally
         strike_rng = make_rng(3, "strike")
         # Strike until the ranking actually breaks (some strikes may
         # happen to rewrite a state with its own value).
@@ -258,7 +305,8 @@ class TestAdversaries:
             assert strike(sim, "random", 2, strike_rng) == 2
             if not protocol.is_correct(sim.states):
                 break
-        assert monitor.correct == protocol.is_correct(sim.states) == sim.correct
+        assert not sim.correct
+        assert sim.streak_start is None and sim.regressions == 0
 
     def test_ranked_strikes_identical_across_engines(self):
         """Deterministic selectors: same seed -> same multiset, either engine.

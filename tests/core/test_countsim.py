@@ -28,7 +28,6 @@ from repro.core.countsim import (
     count_engine_eligible,
     select_engine,
 )
-from repro.core.configuration import is_silent
 from repro.core.errors import ConfigurationError, NotSilentError
 from repro.core.fastpath import (
     CiwJumpSimulator,
@@ -739,16 +738,9 @@ class TestDistributionalEquivalence:
             for trial in range(self.TRIALS):
                 protocol = SilentNStateSSR(n)
                 rng = make_rng(22, "ks-generic", trial)
-                monitor = protocol.convergence_monitor()
-                sim = Simulation(
-                    protocol,
-                    protocol.random_configuration(rng),
-                    rng=rng,
-                    monitors=[monitor],
-                )
-                while not (monitor.correct and is_silent(protocol, sim.states)):
-                    sim.run(n)
-                times.append(monitor.streak_start or 0)
+                sim = Simulation(protocol, protocol.random_configuration(rng), rng=rng)
+                assert sim.run_until_stable(10**7, confirm_interactions=10**7)
+                times.append(sim.streak_start or 0)
             return times
 
         count_times = count_engine_trials()
@@ -772,13 +764,9 @@ class TestDistributionalEquivalence:
                     assert sim.run_until_silent(max_interactions=10**8)
                     times.append(sim.streak_start or 0)
                 else:
-                    monitor = protocol.convergence_monitor()
-                    sim = Simulation(protocol, states, rng=rng, monitors=[monitor])
-                    while not (
-                        monitor.correct and is_silent(protocol, sim.states)
-                    ):
-                        sim.run(n)
-                    times.append(monitor.streak_start or 0)
+                    sim = Simulation(protocol, states, rng=rng)
+                    assert sim.run_until_stable(10**8, confirm_interactions=10**8)
+                    times.append(sim.streak_start or 0)
             return times
 
         count_times = trials("count", "ks-os-count")

@@ -1,15 +1,14 @@
 """Protocols keep to their declared state spaces while they run.
 
 The main payoff: run every protocol from clean *and* adversarial starts
-with a strict schema monitor attached and assert the protocol's own
-writes never leave the declared state space.  The monitor validates
-through :func:`repro.statics.schema.schema_for`, the same schema the
-sanitizer's ``schema-escape`` rule and the count engine use.
+with its transition wrapped in a strict schema check and assert the
+protocol's own writes never leave the declared state space.  The check
+validates through :func:`repro.statics.schema.schema_for`, the same
+schema the sanitizer's ``schema-escape`` rule and the count engine use.
 """
 
 import pytest
 
-from repro.core.monitors import Monitor
 from repro.core.protocol import PopulationProtocol
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
@@ -27,20 +26,28 @@ from repro.protocols.sync_dictionary import SyncDictionarySSR
 from repro.statics.schema import has_schema, schema_for
 
 
-class InvariantMonitor(Monitor):
-    """Fails on the first participant state outside the declared schema.
+def checked(protocol: PopulationProtocol) -> PopulationProtocol:
+    """``protocol`` with its transition wrapped to fail on the first
+    output state outside the declared schema.
 
     Initial configurations may be adversarial on purpose, so only the
-    protocol's own writes (``after_step``) are checked.
+    protocol's own writes (the transition's outputs) are checked.
     """
+    schema = schema_for(protocol)
+    transition = protocol.transition
+    calls = 0
 
-    def __init__(self, protocol: PopulationProtocol):
-        self.schema = schema_for(protocol)
+    def checked_transition(a, b, rng):
+        nonlocal calls
+        calls += 1
+        outputs = transition(a, b, rng)
+        for role, state in zip(("initiator", "responder"), outputs):
+            problems = schema.validate(state)
+            assert not problems, f"interaction {calls}, {role}: {problems}"
+        return outputs
 
-    def after_step(self, step, i, j, state_i, state_j):
-        for index, state in ((i, state_i), (j, state_j)):
-            problems = self.schema.validate(state)
-            assert not problems, f"interaction {step}, agent {index}: {problems}"
+    protocol.transition = checked_transition
+    return protocol
 
 
 class TestCheckers:
@@ -111,16 +118,16 @@ class TestCheckers:
 
 class TestInvariantMonitor:
     def test_strict_monitor_raises(self, rng):
-        # The monitor below must be able to fail: an out-of-domain write
+        # The check below must be able to fail: an out-of-domain write
         # is caught on the step that makes it.
         class Broken(SilentNStateSSR):
             def transition(self, a, b, rng):
                 return a, 99  # out of domain
 
-        broken = Broken(3)
-        sim = Simulation(broken, [0, 1, 2], rng=rng, monitors=[InvariantMonitor(broken)])
+        sim = Simulation(checked(Broken(3)), [0, 1, 2], rng=rng)
         with pytest.raises(AssertionError, match="rank 99 outside 0..2"):
             sim.run(10)
+        assert sim.interactions == 0
 
     def test_adversarial_start_not_flagged(self, rng):
         # Initial garbage is allowed; only the protocol's writes count.
@@ -129,8 +136,8 @@ class TestInvariantMonitor:
             OptimalSilentAgent(role=Role.UNSETTLED, errorcount=5, rank=3)
             for _ in range(6)
         ]
-        monitor = InvariantMonitor(protocol)
-        Simulation(protocol, bad_start, rng=rng, monitors=[monitor])  # on_start only
+        sim = Simulation(checked(protocol), bad_start, rng=rng)
+        assert sim.states == bad_start  # loading a configuration runs no check
 
 
 PROTOCOLS = [
@@ -150,15 +157,11 @@ class TestProtocolsRespectTheirStateSpace:
     def test_from_clean_start(self, name, factory, steps):
         protocol = factory()
         rng = make_rng(10, "inv-clean", name)
-        monitor = InvariantMonitor(protocol)
-        sim = Simulation(protocol, rng=rng, monitors=[monitor])
+        sim = Simulation(checked(protocol), rng=rng)
         sim.run(steps)  # raises on any violation
 
     def test_from_adversarial_start(self, name, factory, steps):
         protocol = factory()
         rng = make_rng(11, "inv-adv", name)
-        monitor = InvariantMonitor(protocol)
-        sim = Simulation(
-            protocol, protocol.random_configuration(rng), rng=rng, monitors=[monitor]
-        )
+        sim = Simulation(checked(protocol), protocol.random_configuration(rng), rng=rng)
         sim.run(steps)

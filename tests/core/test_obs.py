@@ -22,7 +22,6 @@ from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
 from repro.obs import (
     MetricsRecorder,
-    SampledMetricsMonitor,
     TRACE_SCHEMA_VERSION,
     TraceWriter,
     current_recorder,
@@ -341,35 +340,41 @@ class TestEngineWiring:
         # Throughput was credited by the run wrapper.
         assert recorder.interactions == sim.interactions
 
-    def test_generic_engine_samples_via_monitor(self):
+    def test_generic_engine_samples_and_convergence_event(self):
+        """Under a recorder the generic engine tallies from the start:
+        a sample every ``sample_every`` interactions with leaders, rank
+        coverage and the tally's verdict, and a convergence event."""
         protocol = SilentNStateSSR(8)
         recorder = MetricsRecorder(sample_every=16)
-        monitor = protocol.convergence_monitor()
-        monitor.recorder = recorder
         sim = Simulation(
             protocol,
             protocol.worst_case_configuration(),
             rng=make_rng(4, "gen-obs"),
-            monitors=[monitor, SampledMetricsMonitor(recorder, monitor, 8)],
             recorder=recorder,
         )
         sim.run(2_000)
-        assert recorder.samples
-        assert recorder.samples[-1]["engine"] == "generic"
-        assert recorder.events_of("convergence")
+        samples = recorder.samples
+        assert [s["interactions"] for s in samples] == list(range(16, 2_001, 16))
+        assert set(samples[0]) == {
+            "t", "interactions", "leaders", "rank_coverage", "correct", "engine",
+        }
+        assert all(s["engine"] == "generic" for s in samples)
+        assert samples[-1]["leaders"] == 1
+        assert samples[-1]["rank_coverage"] == 8 and samples[-1]["correct"]
+        (convergence,) = recorder.events_of("convergence")
+        assert convergence["engine"] == "generic"
+        assert convergence["t"] == sim.streak_start / 8
         assert recorder.interactions == sim.interactions
 
     def test_initial_correct_state_emits_no_event(self):
-        """Arming a monitor on an already-correct population is not a
-        convergence -- fault surfaces re-arm after every strike."""
+        """Starting the tally on an already-correct population is a
+        resync, not a convergence -- faults resync after every strike."""
         protocol = SilentNStateSSR(8)
         recorder = MetricsRecorder()
-        monitor = protocol.convergence_monitor()
-        monitor.recorder = recorder
-        Simulation(
-            protocol, list(range(8)), rng=make_rng(5, "arm"), monitors=[monitor]
+        sim = Simulation(
+            protocol, list(range(8)), rng=make_rng(5, "arm"), recorder=recorder
         )
-        assert monitor.correct
+        assert sim.run_until_stable(0, 0) and sim.streak_start == 0
         assert recorder.events == []
 
     def test_ambient_recorder_reaches_measure_recovery(self):

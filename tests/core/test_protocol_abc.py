@@ -91,9 +91,3 @@ class TestRankingProtocolDerivedBehavior:
         protocol = SilentNStateSSR(3)
         assert protocol.is_leader(0)
         assert not protocol.is_leader(1)
-
-    def test_convergence_monitor_is_bound_to_protocol(self, rng):
-        protocol = SilentNStateSSR(3)
-        monitor = protocol.convergence_monitor()
-        monitor.on_start([0, 1, 2])
-        assert monitor.correct

@@ -1,28 +1,15 @@
-"""Tests for repro.core.simulation and the monitor callback contract."""
+"""Tests for repro.core.simulation: stepping and the ranking tally's
+start in ``run_until_stable``."""
 
 import pytest
 
 from repro.core.countsim import build_engine
 from repro.core.errors import ConfigurationError
-from repro.core.monitors import Monitor
 from repro.core.rng import make_rng
 from repro.core.scheduler import ScriptedScheduler
 from repro.core.simulation import Simulation
+from repro.obs.metrics import MetricsRecorder
 from repro.protocols.cai_izumi_wada import SilentNStateSSR
-
-
-class RecordingMonitor(Monitor):
-    def __init__(self):
-        self.events = []
-
-    def on_start(self, states):
-        self.events.append(("start", list(states)))
-
-    def before_step(self, step, i, j, state_i, state_j):
-        self.events.append(("before", step, i, j, state_i, state_j))
-
-    def after_step(self, step, i, j, state_i, state_j):
-        self.events.append(("after", step, i, j, state_i, state_j))
 
 
 class TestSimulationBasics:
@@ -60,58 +47,41 @@ class TestSimulationBasics:
         assert sim.interactions == 2
 
 
-class TestMonitorContract:
-    def test_callbacks_in_order_with_pre_and_post_states(self, rng):
-        protocol = SilentNStateSSR(3)
-        monitor = RecordingMonitor()
-        sim = Simulation(
-            protocol,
-            [1, 1, 0],
-            rng=rng,
-            scheduler=ScriptedScheduler([(0, 1)]),
-            monitors=[monitor],
-        )
-        sim.step()
-        assert monitor.events[0] == ("start", [1, 1, 0])
-        assert monitor.events[1] == ("before", 0, 0, 1, 1, 1)
-        assert monitor.events[2] == ("after", 1, 0, 1, 1, 2)
-
-    def test_multiple_monitors_all_notified(self, rng):
-        protocol = SilentNStateSSR(3)
-        monitors = [RecordingMonitor(), RecordingMonitor()]
-        sim = Simulation(protocol, rng=rng, monitors=monitors)
-        sim.run(3)
-        assert len(monitors[0].events) == len(monitors[1].events) == 1 + 2 * 3
-
-
 class TestRunUntilStable:
-    def test_attaches_the_convergence_monitor_it_needs(self):
-        """A monitor-less engine gets the protocol's convergence monitor
-        on its first ``run_until_stable``: the same run as an engine
-        built with that monitor attached."""
+    def test_starts_the_tally_it_needs(self):
+        """An unrecorded engine starts the ranking tally on its first
+        ``run_until_stable``: the same run as a recorded engine, whose
+        tally ran from the start."""
         protocol = SilentNStateSSR(6)
         start = protocol.worst_case_configuration()
         bare = Simulation(protocol, start, rng=make_rng(38, "attach"))
-        attached = Simulation(
-            protocol,
-            start,
-            rng=make_rng(38, "attach"),
-            monitors=[protocol.convergence_monitor()],
+        recorded = Simulation(
+            protocol, start, rng=make_rng(38, "attach"), recorder=MetricsRecorder()
         )
-        assert bare.monitors == [] and bare.streak_start is None
-        assert bare.run_until_stable(10**6, 0) and attached.run_until_stable(10**6, 0)
-        assert len(bare.monitors) == 1
+        assert not bare._tallying and bare.streak_start is None
+        assert bare.run_until_stable(10**6, 0) and recorded.run_until_stable(10**6, 0)
         assert (bare.interactions, bare.streak_start, bare.regressions, bare.states) == (
-            attached.interactions,
-            attached.streak_start,
-            attached.regressions,
-            attached.states,
+            recorded.interactions,
+            recorded.streak_start,
+            recorded.regressions,
+            recorded.states,
         )
         assert bare.streak_start > 0
 
+    def test_late_start_stamps_the_current_interaction(self):
+        """A tally started after earlier steps is a resync: a correct
+        configuration's streak starts now, not at interaction 0."""
+        protocol = SilentNStateSSR(8)
+        sim = Simulation(protocol, list(range(8)), rng=make_rng(39, "late"))
+        sim.run(500)
+        assert sim.run_until_stable(10**6, 0)
+        assert (sim.interactions, sim.streak_start, sim.regressions) == (500, 500, 0)
+
     def test_unrecorded_generic_engine_has_no_monitor(self):
-        """``build_engine`` adds no per-interaction monitor work to an
+        """``build_engine`` adds no per-interaction tally work to an
         unrecorded generic run: recovery steps it without one."""
         protocol = SilentNStateSSR(6)
         sim = build_engine(protocol, None, rng=make_rng(38, "bare"), engine="generic")
-        assert isinstance(sim, Simulation) and sim.monitors == []
+        assert isinstance(sim, Simulation) and not sim._tallying
+        sim.run(100)
+        assert not sim._tallying and sim.streak_start is None

@@ -84,20 +84,16 @@ def test_correctness_is_stable_once_reached(protocol_name):
     """After stabilization, the ranking (and the leader) never changes."""
     protocol = PROTOCOLS[protocol_name]()
     rng = make_rng(3, "stable", protocol_name)
-    monitor = protocol.convergence_monitor()
-    sim = Simulation(
-        protocol, protocol.random_configuration(rng), rng=rng, monitors=[monitor]
-    )
-    budget = 60_000 * protocol.n
-    while not monitor.correct:
-        assert sim.interactions < budget
-        sim.run(50)
-    regressions_at_convergence = monitor.regressions
+    sim = Simulation(protocol, protocol.random_configuration(rng), rng=rng)
+    assert sim.run_until_stable(60_000 * protocol.n, 0)
+    regressions_at_convergence = sim.regressions
+    streak_start = sim.streak_start
     ranks = sorted(protocol.rank_of(s) for s in sim.states)
     assert ranks == list(range(1, protocol.n + 1))
     sim.run(3_000 * protocol.n)
-    assert monitor.correct
-    assert monitor.regressions == regressions_at_convergence
+    assert sim.correct
+    assert sim.regressions == regressions_at_convergence
+    assert sim.streak_start == streak_start
     assert has_unique_leader(protocol, sim.states)
 
 
@@ -116,8 +112,6 @@ def test_sublinear_survives_repeated_fault_injection():
         assert outcome.converged, f"round {round_index}"
         # Re-run to get the stabilized states (measure_convergence does
         # not return them), then corrupt a third of the population.
-        monitor = protocol.convergence_monitor()
-        sim = Simulation(protocol, states, rng=rng, monitors=[monitor])
-        while not monitor.correct:
-            sim.run(50)
+        sim = Simulation(protocol, states, rng=rng)
+        assert sim.run_until_stable(10**8, 0)
         states = corrupted_configuration(protocol, sim.states, rng, corruptions=2)

@@ -91,22 +91,13 @@ class TestNotableConfigurations:
 class TestConvergence:
     def test_converges_from_worst_case(self, rng):
         protocol = SilentNStateSSR(8)
-        monitor = protocol.convergence_monitor()
-        sim = Simulation(
-            protocol,
-            protocol.worst_case_configuration(),
-            rng=rng,
-            monitors=[monitor],
-        )
-        while not monitor.correct:
-            sim.step()
+        sim = Simulation(protocol, protocol.worst_case_configuration(), rng=rng)
+        assert sim.run_until_stable(10**7, 0)
         assert protocol.is_correct(sim.states)
         assert is_silent(protocol, sim.states)
 
     def test_converges_from_all_zero(self, rng):
         protocol = SilentNStateSSR(6)
-        monitor = protocol.convergence_monitor()
-        sim = Simulation(protocol, [0] * 6, rng=rng, monitors=[monitor])
-        while not monitor.correct:
-            sim.step()
+        sim = Simulation(protocol, [0] * 6, rng=rng)
+        assert sim.run_until_stable(10**7, 0)
         assert sorted(sim.states) == list(range(6))

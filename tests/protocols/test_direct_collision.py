@@ -39,15 +39,10 @@ class TestBehaviour:
     def test_stabilizes_to_silence_from_planted_collision(self):
         protocol = DirectCollisionSSR(6)
         rng = make_rng(2, "dc")
-        monitor = protocol.convergence_monitor()
-        sim = Simulation(
-            protocol, collision_start(protocol, rng), rng=rng, monitors=[monitor]
-        )
+        sim = Simulation(protocol, collision_start(protocol, rng), rng=rng)
         budget = 2_000_000
-        while not (monitor.correct and is_silent(protocol, sim.states)):
-            assert sim.interactions < budget
-            sim.run(50)
-        assert protocol.is_correct(sim.states)
+        assert sim.run_until_stable(budget, confirm_interactions=budget)
+        assert protocol.is_correct(sim.states) and is_silent(protocol, sim.states)
 
     def test_detection_needs_direct_meeting(self):
         """The duplicates' first meeting is the trigger -- nobody else's."""

@@ -191,15 +191,10 @@ class TestScenario:
         """Full loop: collision -> reset -> election -> ranking."""
         p = OptimalSilentSSR(8)
         rng = make_rng(5, "recover")
-        monitor = p.convergence_monitor()
-        sim = Simulation(
-            p, p.duplicate_rank_configuration(rank=1), rng=rng, monitors=[monitor]
-        )
+        sim = Simulation(p, p.duplicate_rank_configuration(rank=1), rng=rng)
         budget = 3_000_000
-        while not (monitor.correct and is_silent(p, sim.states)):
-            assert sim.interactions < budget
-            sim.run(100)
-        assert p.is_correct(sim.states)
+        assert sim.run_until_stable(budget, confirm_interactions=budget)
+        assert p.is_correct(sim.states) and is_silent(p, sim.states)
 
     def test_leader_is_rank_one(self, rng):
         p = protocol6()

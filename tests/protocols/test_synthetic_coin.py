@@ -106,14 +106,7 @@ class TestDerandomizedNames:
         # Randomize coins so the wave starts with ambient entropy.
         for index, state in enumerate(states):
             state.coin = index % 2
-        monitor = p.convergence_monitor()
-        sim = Simulation(p, states, rng=rng, monitors=[monitor])
-        budget = 400_000
-        while not (
-            monitor.correct
-            and monitor.correct_streak(sim.interactions) > 40 * p.n
-        ):
-            assert sim.interactions < budget
-            sim.step()
+        sim = Simulation(p, states, rng=rng)
+        assert sim.run_until_stable(400_000, 40 * p.n + 1)
         names = {s.name for s in sim.states}
         assert len(names) == p.n

@@ -125,6 +125,43 @@ class TestSilentClassContract:
         assert "-> 5" in finding.witness
 
 
+class TestObserverPurity:
+    """``monitor-purity``: the ranking tally reads ``rank_of`` on every
+    engine a recorded run builds, and ``rank_of`` must not write into
+    the state it reads."""
+
+    @staticmethod
+    def _purity_findings(protocol):
+        from repro.statics.lint import LintTarget, _monitor_purity_findings
+        from repro.statics.schema import schema_for
+
+        target = LintTarget(name=type(protocol).__name__, factory=type(protocol))
+        findings = _monitor_purity_findings(target, protocol, schema_for(protocol))
+        assert {f.rule_id for f in findings} == {"monitor-purity"}
+        return findings
+
+    def test_shipped_rank_of_is_certified(self):
+        from repro.protocols.optimal_silent import OptimalSilentSSR
+
+        protocol = OptimalSilentSSR(4)
+        (finding,) = self._purity_findings(protocol)
+        assert finding.severity is Severity.INFO and "2 engine(s)" in finding.message
+        assert "rank_of" not in vars(protocol)  # the probe is withdrawn
+
+    def test_rank_of_writing_into_the_state_is_an_error(self):
+        from repro.protocols.optimal_silent import OptimalSilentSSR
+
+        class ScribblingRanks(OptimalSilentSSR):
+            def rank_of(self, state):
+                if state.errorcount:  # a clean start's agents all count down
+                    state.errorcount -= 1  # writes as it reads
+                return super().rank_of(state)
+
+        (finding,) = self._purity_findings(ScribblingRanks(4))
+        assert finding.severity is Severity.ERROR
+        assert "mutated" in finding.witness and "engine" in finding.witness
+
+
 class TestAudit:
     def test_audit_rows_match_everywhere(self):
         result = run_lint(

@@ -2,18 +2,24 @@
 
 Examples are user-facing documentation; a broken one is a broken
 README.  Each is executed in-process (runpy) with stdout captured and
-its key claims asserted on the output.  ``time_space_tradeoff`` sweeps
+its key claims asserted on the output, and so are the two quickstart
+snippets (README.md and the package docstring).  ``time_space_tradeoff`` sweeps
 four protocol variants and takes minutes, so it gets a structural
 import check instead of a full run.
 """
 
+import re
 import runpy
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+import repro
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 def run_example(name: str, capsys) -> str:
@@ -55,3 +61,24 @@ class TestExamples:
         finally:
             sys.path.pop(0)
             sys.modules.pop("time_space_tradeoff", None)
+
+
+class TestQuickstartSnippets:
+    """The quickstarts users copy first run as written."""
+
+    def test_readme_quickstart(self, capsys):
+        readme = (ROOT / "README.md").read_text(encoding="utf8")
+        section = readme.split("## Quickstart", 1)[1]
+        (snippet,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+        exec(compile(snippet, "README.md", "exec"), {})
+        assert re.fullmatch(
+            r"leader = agent \d+, stabilized at [\d.]+ time\n", capsys.readouterr().out
+        )
+
+    def test_package_docstring_quickstart(self, capsys):
+        block = repro.__doc__.split("Quickstart::\n", 1)[1]
+        snippet = textwrap.dedent(block)
+        exec(compile(snippet, "repro/__init__.py", "exec"), {})
+        assert re.fullmatch(
+            r"leader elected: agent \d+ after [\d.]+ time\n", capsys.readouterr().out
+        )
